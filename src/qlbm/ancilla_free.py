@@ -57,11 +57,18 @@ class LoopState:
     loop_probs: list[float] = dc_field(default_factory=list)
 
 
-def layout_for(spec: ModelSpec) -> QubitLayout:
-    n = int(math.log2(spec.M))
-    if spec.scheme == D1Q3:
-        return QubitLayout(q_qubits=2, axis_qubits=(n,))
-    return QubitLayout(q_qubits=3, axis_qubits=(n, n))
+def layout_for(lattice: ModelSpec | MacroField) -> QubitLayout:
+    """Register layout of a lattice's geometry (a spec's or a field's).
+
+    A d-dimensional lattice runs the 2d + 1 directions of D1Q3 or D2Q5,
+    addressed by ceil(log2(2d + 1)) direction qubits, above one position
+    block of log2(M) qubits per axis.
+    """
+    geometry = lattice.geometry
+    if any(m < 2 or m & (m - 1) for m in geometry):
+        raise ValueError("lattice sizes must be powers of two")
+    return QubitLayout(q_qubits=(2 * len(geometry)).bit_length(),
+                       axis_qubits=tuple(m.bit_length() - 1 for m in geometry))
 
 
 def _half_angle(numer: float, denom: float) -> float:
@@ -188,15 +195,7 @@ def encode_initial(field: MacroField, difference_mode: bool = False) -> LoopStat
     uniform part is a fixed point of the dynamics and is added back at
     readout.  The encoded vector's 1-norm is recorded for the readout.
     """
-    geometry = field.geometry
-    layout = (
-        QubitLayout(2, (int(math.log2(geometry[0])),))
-        if len(geometry) == 1
-        else QubitLayout(3, tuple(int(math.log2(m)) for m in geometry))
-    )
-    for m in geometry:
-        if m < 2 or m & (m - 1):
-            raise ValueError("lattice sizes must be powers of two")
+    layout = layout_for(field)
     values = field.phi
     baseline = None
     if difference_mode:

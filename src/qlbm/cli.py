@@ -11,11 +11,10 @@ Exit codes: 0 success, 2 config error, 3 post-selection failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +28,8 @@ from .analysis import (
 )
 from .ancilla_based import LegacySpec, run_legacy_step
 from .ancilla_free import (
+    LoopState,
+    build_streaming,
     encode_initial,
     layout_for,
     run_exact,
@@ -40,7 +41,7 @@ from .lattice import (
     D2Q5,
     MacroField,
     ModelSpec,
-    classical_run,
+    classical_run,  # noqa: F401 -- unused here; bench/tracer.py wraps it by name
     classical_step,
     uniform_field,
     weighted_stream_sum,
@@ -55,12 +56,28 @@ from .readout import (
 from .statevector import PostSelectionError
 
 D1Q2 = "D1Q2"
+D1Q2_VELOCITIES = ((1,), (-1,))  # two-direction baseline: w_hat on +1, -1
 MODES = ("classical", "quantum-exact", "quantum-sampled", "legacy")
-WORKERS_ENV = "QLBM_WORKERS"
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _integer(value) -> int:
+    """int() of a config value, refusing to truncate a fractional number."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _cell_index(cell) -> tuple[int, ...]:
+    """Index tuple of an override cell: an int in 1-D, [x, y] in 2-D."""
+    if isinstance(cell, int):
+        return (cell,)
+    if not (isinstance(cell, (list, tuple)) and all(isinstance(c, int) for c in cell)):
+        raise ConfigError(f"override cell {cell!r} is not an integer index")
+    return tuple(cell)
 
 
 @dataclass
@@ -89,16 +106,20 @@ class RunConfig:
             "c_s2", "w_hat", "initial", "difference_mode", "shots", "seed",
             "snapshots",
         }
+        if not isinstance(raw, dict):
+            raise ConfigError("a config is a JSON object")
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        initial = raw.get("initial", {})
+        if not isinstance(initial, dict):
+            raise ConfigError("initial must be an object")
         try:
-            initial = raw.get("initial", {})
             cfg = cls(
                 scheme=raw["scheme"],
-                M=int(raw["M"]),
+                M=_integer(raw["M"]),
                 mode=raw["mode"],
-                loops=int(raw.get("loops", 1)),
+                loops=_integer(raw.get("loops", 1)),
                 u=float(raw.get("u", 0.0)),
                 v=float(raw.get("v", 0.0)),
                 omega=float(raw.get("omega", 1.0)),
@@ -108,13 +129,15 @@ class RunConfig:
                 uniform=float(initial.get("uniform", 0.0)),
                 overrides=tuple(tuple(o) for o in initial.get("overrides", ())),
                 difference_mode=bool(raw.get("difference_mode", False)),
-                shots=int(raw.get("shots", 10000)),
-                seed=int(raw.get("seed", 0)),
-                snapshots=tuple(int(t) for t in raw.get("snapshots", ())),
+                shots=_integer(raw.get("shots", 10000)),
+                seed=_integer(raw.get("seed", 0)),
+                snapshots=tuple(_integer(t) for t in raw.get("snapshots", ())),
             )
+            cfg.validate()
+        except ConfigError:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad config: {exc}") from exc
-        cfg.validate()
         return cfg
 
     @classmethod
@@ -128,21 +151,21 @@ class RunConfig:
     def validate(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
-        if self.scheme not in (D1Q3, D2Q5, D1Q2):
-            raise ConfigError("scheme must be D1Q3, D2Q5 or D1Q2")
-        if self.M < 2 or self.M & (self.M - 1):
-            raise ConfigError("M must be a power of two >= 2")
         if self.loops < 0:
             raise ConfigError("loops must be >= 0")
         if self.scheme == D1Q2:
+            if self.M < 2 or self.M & (self.M - 1):
+                raise ConfigError("M must be a power of two >= 2")
             if self.mode not in ("legacy", "classical"):
                 raise ConfigError("scheme D1Q2 supports modes legacy and classical only")
-            if self.w_hat is None:
+            if self.w_hat is None or len(self.w_hat) != 2:
                 raise ConfigError("scheme D1Q2 needs explicit w_hat = [w1, w2]")
             if abs(sum(self.w_hat) - 1.0) > 1e-12:
                 raise ConfigError("w_hat must sum to 1")
         elif self.mode == "legacy":
             raise ConfigError("mode legacy needs scheme D1Q2")
+        else:
+            self.model_spec()  # scheme, lattice size, weights, c_s2 and omega range
         if self.mode == "legacy" and self.loops != 1:
             raise ConfigError("mode legacy runs exactly one loop")
         if self.mode == "quantum-sampled":
@@ -153,7 +176,7 @@ class RunConfig:
         if self.uniform < 0 or any(v < 0 for _, v in self.overrides):
             raise ConfigError("field values must be nonnegative")
         for cell, _ in self.overrides:
-            idx = (cell,) if isinstance(cell, int) else tuple(cell)
+            idx = _cell_index(cell)
             if len(idx) != self.ndim or any(not 0 <= c < self.M for c in idx):
                 raise ConfigError(f"override cell {cell} outside the lattice")
         # the quantum builders insist on omega = 1; fail early with context
@@ -177,16 +200,12 @@ class RunConfig:
         field = uniform_field(self.geometry, self.uniform)
         grid = field.grid()
         for cell, value in self.overrides:
-            idx = (cell,) if isinstance(cell, int) else tuple(cell)
-            grid[idx] = value
+            grid[_cell_index(cell)] = value
         return MacroField(grid.ravel(), self.geometry)
 
     def model_spec(self) -> ModelSpec:
-        try:
-            return ModelSpec(scheme=self.scheme, M=self.M, u=self.u, v=self.v,
-                             omega=self.omega, weights=self.weights, c_s2=self.c_s2)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return ModelSpec(scheme=self.scheme, M=self.M, u=self.u, v=self.v,
+                         omega=self.omega, weights=self.weights, c_s2=self.c_s2)
 
     def resolved(self) -> dict:
         out = {
@@ -213,92 +232,83 @@ class RunConfig:
         return out
 
 
-def execute(cfg: RunConfig, seed: int | None = None) -> ReadoutReport:
-    """Run one configured experiment and return its report."""
-    seed = cfg.seed if seed is None else seed
-    field0 = cfg.initial_field()
-    if cfg.mode == "classical":
-        if cfg.scheme == D1Q2:
-            out = field0
-            e = ((1,), (-1,))
-            for _ in range(cfg.loops):
-                out = weighted_stream_sum(out, cfg.w_hat, e)
-        else:
-            out = classical_run(field0, cfg.model_spec(), cfg.loops)
-        return ReadoutReport(field=out, method="classical")
+@dataclass
+class Evolved:
+    """A config's loops walked once: everything in its outputs but the draw.
 
+    Only a quantum-sampled readout depends on the seed, and it measures the
+    kept final state, so a seed sweep never runs the loops again.
+    """
+
+    cfg: RunConfig
+    report: ReadoutReport  # read out at the config's own seed
+    snapshots: list[tuple[int, MacroField]]
+    final: LoopState | None = None  # post-selected state of a quantum-sampled run
+
+    def field(self, seed: int) -> MacroField:
+        """The output field with the readout drawn from ``seed``."""
+        if self.final is None:
+            return self.report.field
+        return _quantum_report(self.cfg, self.final, seed).field
+
+
+def _quantum_report(cfg: RunConfig, ls: LoopState, seed: int) -> ReadoutReport:
+    """Report on a post-selected state, read exactly or from ``cfg.shots`` samples."""
+    sampled = {}
+    if cfg.mode == "quantum-exact":
+        delta = macroscopic_exact(ls.state, ls.initial_l1, cfg.geometry)
+    else:
+        hist = sample_readout(ls, cfg.shots, seed)
+        delta = macroscopic_from_counts(hist, ls.initial_l1, cfg.geometry)
+        sampled = {"shots": hist.shots, "seed": seed}
+    out = (difference_reconstruct(delta, ls.baseline)
+           if cfg.difference_mode else delta)
+    return ReadoutReport(field=out, method=cfg.mode.removeprefix("quantum-"),
+                         postselect_probs=list(ls.loop_probs),
+                         baseline=ls.baseline, initial_l1=ls.initial_l1, **sampled)
+
+
+def execute(cfg: RunConfig) -> Evolved:
+    """Walk the config's loops once, taking the requested snapshots on the way."""
+    field0 = cfg.initial_field()
     if cfg.mode == "legacy":
         spec = LegacySpec(M=cfg.M, w_hat1=cfg.w_hat[0], w_hat2=cfg.w_hat[1],
                           phi0=field0.phi)
         result = run_legacy_step(spec)
-        return ReadoutReport(field=result.field, method="legacy",
-                             postselect_probs=[result.probability])
+        return Evolved(cfg, ReadoutReport(field=result.field, method="legacy",
+                                          postselect_probs=[result.probability]), [])
 
-    spec = cfg.model_spec()
-    ls = run_exact(field0, spec, cfg.loops, cfg.difference_mode)
-    if cfg.mode == "quantum-exact":
-        delta = macroscopic_exact(ls.state, ls.initial_l1, cfg.geometry)
-        out = (difference_reconstruct(delta, ls.baseline)
-               if cfg.difference_mode else delta)
-        return ReadoutReport(field=out, method="exact",
-                             postselect_probs=list(ls.loop_probs),
-                             baseline=ls.baseline, initial_l1=ls.initial_l1)
-
-    hist = sample_readout(ls, cfg.shots, seed)
-    delta = macroscopic_from_counts(hist, ls.initial_l1, cfg.geometry)
-    out = (difference_reconstruct(delta, ls.baseline)
-           if cfg.difference_mode else delta)
-    return ReadoutReport(field=out, method="sampled", shots=hist.shots,
-                         seed=seed, postselect_probs=list(ls.loop_probs),
-                         baseline=ls.baseline, initial_l1=ls.initial_l1)
-
-
-def snapshot_fields(cfg: RunConfig) -> list[tuple[int, MacroField]]:
-    """Fields at the requested intermediate times, one pass over the loops."""
-    wanted = set(cfg.snapshots)
-    taken: list[tuple[int, MacroField]] = []
-    if not wanted:
-        return taken
-    if cfg.mode == "classical":
-        cur = cfg.initial_field()
-        spec = cfg.model_spec() if cfg.scheme != D1Q2 else None
-        e = ((1,), (-1,))
-        for t in range(1, cfg.loops + 1):
-            cur = (weighted_stream_sum(cur, cfg.w_hat, e) if spec is None
-                   else classical_step(cur, spec))
-            if t in wanted:
-                taken.append((t, cur.copy()))
-        return taken
-
-    spec = cfg.model_spec()
-    ls = encode_initial(cfg.initial_field(), cfg.difference_mode)
+    classical = cfg.mode == "classical"
+    spec = None if cfg.scheme == D1Q2 else cfg.model_spec()
+    state = field0 if classical else encode_initial(field0, cfg.difference_mode)
+    snapshots = []
     for t in range(1, cfg.loops + 1):
-        ls = run_loop_exact(ls, spec)
-        if t in wanted:
-            delta = macroscopic_exact(ls.state, ls.initial_l1, cfg.geometry)
-            taken.append((t, difference_reconstruct(delta, ls.baseline)
-                          if cfg.difference_mode else delta))
-    return taken
+        if not classical:
+            state = run_loop_exact(state, spec)
+        elif spec is None:
+            state = weighted_stream_sum(state, cfg.w_hat, D1Q2_VELOCITIES)
+        else:
+            state = classical_step(state, spec)
+        if t in cfg.snapshots:
+            snapshots.append((t, state if classical
+                              else _quantum_report(cfg, state, cfg.seed).field))
+    if classical:
+        return Evolved(cfg, ReadoutReport(field=state, method="classical"), snapshots)
+    final = state if cfg.mode == "quantum-sampled" else None
+    return Evolved(cfg, _quantum_report(cfg, state, cfg.seed), snapshots, final)
 
 
 def _csv_num(x: float) -> str:
     return f"{x:.17g}"
 
 
-def field_csv(field: MacroField) -> str:
-    lines = []
-    if len(field.geometry) == 1:
-        lines.append("cell,phi")
-        for i, v in enumerate(field.phi):
-            lines.append(f"{i},{_csv_num(v)}")
-    else:
-        lines.append("x,y,phi")
-        mx, my = field.geometry
-        grid = field.grid()
-        for x in range(mx):
-            for y in range(my):
-                lines.append(f"{x},{y},{_csv_num(grid[x, y])}")
-    return "\n".join(lines) + "\n"
+def field_csv(geometry: tuple[int, ...], **columns: np.ndarray) -> str:
+    """One row per cell in row-major order: its index, then each named column."""
+    header = (["cell"] if len(geometry) == 1 else ["x", "y"]) + list(columns)
+    cells = map(",".join, itertools.product(*([str(i) for i in range(m)] for m in geometry)))
+    values = [map(_csv_num, column.tolist()) for column in columns.values()]
+    rows = [",".join(row) for row in zip(cells, *values)]
+    return "\n".join([",".join(header), *rows]) + "\n"
 
 
 def _write(path: Path, text: str):
@@ -312,12 +322,13 @@ def _dump_json(obj) -> str:
 
 def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     t0 = time.perf_counter()
-    report = execute(cfg)
-    _write(out_dir / "field.csv", field_csv(report.field))
+    run = execute(cfg)
+    field = run.report.field
+    _write(out_dir / "field.csv", field_csv(field.geometry, phi=field.phi))
     _write(out_dir / "report.json",
-           _dump_json({"config": cfg.resolved(), "report": report.to_dict()}))
-    for t, snap in snapshot_fields(cfg):
-        _write(out_dir / f"field_t{t}.csv", field_csv(snap))
+           _dump_json({"config": cfg.resolved(), "report": run.report.to_dict()}))
+    for t, snap in run.snapshots:
+        _write(out_dir / f"field_t{t}.csv", field_csv(snap.geometry, phi=snap.phi))
     print(f"[qlbm] {cfg.mode} run finished in {time.perf_counter() - t0:.3f}s",
           file=sys.stderr)
     return 0
@@ -328,35 +339,16 @@ def _sweep_seeds(master_seed: int, n: int) -> list[int]:
             np.random.SeedSequence(master_seed).generate_state(n, dtype=np.uint64)]
 
 
-def _workers() -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
-
-
 def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: Path,
                 sweep: int | None) -> int:
     if cfg_a.geometry != cfg_b.geometry:
         raise ConfigError("compared configs must share the lattice geometry")
     t0 = time.perf_counter()
-    report_a = execute(cfg_a)
-    report_b = execute(cfg_b)
-    l2, linf = error_metrics(report_a.field, report_b.field)
-
-    lines = []
-    if len(cfg_a.geometry) == 1:
-        lines.append("cell,phi_a,phi_b")
-        for i, (a, b) in enumerate(zip(report_a.field.phi, report_b.field.phi)):
-            lines.append(f"{i},{_csv_num(a)},{_csv_num(b)}")
-    else:
-        lines.append("x,y,phi_a,phi_b")
-        mx, my = cfg_a.geometry
-        ga, gb = report_a.field.grid(), report_b.field.grid()
-        for x in range(mx):
-            for y in range(my):
-                lines.append(f"{x},{y},{_csv_num(ga[x, y])},{_csv_num(gb[x, y])}")
-    _write(out_dir / "compare.csv", "\n".join(lines) + "\n")
+    run_a, run_b = execute(cfg_a), execute(cfg_b)
+    field_a, field_b = run_a.report.field, run_b.report.field
+    l2, linf = error_metrics(field_a, field_b)
+    _write(out_dir / "compare.csv",
+           field_csv(cfg_a.geometry, phi_a=field_a.phi, phi_b=field_b.phi))
 
     summary = {
         "config_a": cfg_a.resolved(),
@@ -366,14 +358,7 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: Path,
     }
     if sweep:
         seeds = _sweep_seeds(cfg_a.seed, sweep)
-
-        def one(seed: int) -> tuple[float, float]:
-            fa = execute(cfg_a, seed=seed).field
-            fb = execute(cfg_b, seed=seed).field
-            return error_metrics(fa, fb)
-
-        with ThreadPoolExecutor(max_workers=_workers()) as pool:
-            metrics = list(pool.map(one, seeds))
+        metrics = [error_metrics(run_a.field(s), run_b.field(s)) for s in seeds]
         summary["sweep"] = {
             "seeds": seeds,
             "l2_errors": [m[0] for m in metrics],
@@ -388,8 +373,6 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: Path,
 
 
 def cmd_gatecount(scheme: str, m_list: list[int], out_dir: Path) -> int:
-    from .ancilla_free import build_streaming  # deferred: avoids cycle at import time
-
     lines = ["M,afqlbm_toffoli,prior_toffoli,saving"]
     inventories = {}
     for m in m_list:

@@ -22,14 +22,12 @@ _SCHEMES = {
         "w": (1 / 3, 1 / 3, 1 / 3),
         "c_s2": 1.0,
         "dispersion": 1.0,
-        "q_qubits": 2,
     },
     D2Q5: {
         "e": ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)),
         "w": (1 / 3, 1 / 6, 1 / 6, 1 / 6, 1 / 6),
         "c_s2": 1 / 3,
         "dispersion": 3.0,
-        "q_qubits": 3,
     },
 }
 
@@ -83,10 +81,6 @@ class ModelSpec:
     @property
     def ndim(self) -> int:
         return len(self.e[0])
-
-    @property
-    def q_qubits(self) -> int:
-        return _SCHEMES[self.scheme]["q_qubits"]
 
     @property
     def velocity(self) -> tuple[float, ...]:

@@ -52,12 +52,6 @@ class QubitLayout:
     def bitstring(self, index: int) -> str:
         return format(index, f"0{self.n_qubits}b")
 
-    def d_index(self, index: int) -> int:
-        return index & ((1 << self.d_qubits) - 1)
-
-    def q_index(self, index: int) -> int:
-        return index >> self.d_qubits
-
 
 @dataclass
 class QState:

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import qlbm.ancilla_free as ancilla_free
 import qlbm.cli as cli
 from qlbm.statevector import PostSelectionError
 
@@ -165,23 +166,68 @@ def test_compare_seed_sweep(tmp_path):
     assert sweep["median_l2"] > 0.0
 
 
-def test_worker_count_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("QLBM_WORKERS", "1")
-    assert cli._workers() == 1
+@pytest.fixture
+def loop_counter(monkeypatch):
+    """Record the loop index of every exact loop the CLI evolves."""
+    calls = []
+    original = cli.run_loop_exact
+
+    def counted(ls, spec):
+        calls.append(ls.loop_index)
+        return original(ls, spec)
+
+    # run_exact looks the loop up in its own module
+    monkeypatch.setattr(cli, "run_loop_exact", counted)
+    monkeypatch.setattr(ancilla_free, "run_loop_exact", counted)
+    return calls
+
+
+def test_run_with_snapshots_evolves_once(tmp_path, loop_counter):
+    cfg = write_config(tmp_path, "q.json", loops=12, snapshots=[3, 7, 12])
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert loop_counter == list(range(12))
+    assert (out / "field_t12.csv").read_bytes() == (out / "field.csv").read_bytes()
+
+
+@pytest.mark.parametrize("updates", [
+    {"mode": "classical"},
+    {"scheme": "D1Q2", "M": 8, "mode": "classical", "w_hat": [0.75, 0.25],
+     "initial": {"uniform": 0.0, "overrides": [[2, 1.0]]}},
+])
+def test_classical_snapshots_match_final_field(tmp_path, updates):
+    cfg = write_config(tmp_path, "c.json", loops=6, snapshots=[2, 6], **updates)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "field_t6.csv").read_bytes() == (out / "field.csv").read_bytes()
+    assert (out / "field_t2.csv").read_bytes() != (out / "field.csv").read_bytes()
+
+
+def test_compare_seed_sweep_evolves_each_config_once(tmp_path, loop_counter):
+    cfg_s = write_config(tmp_path, "s.json", mode="quantum-sampled",
+                         difference_mode=True, shots=5000, loops=4)
+    cfg_e = write_config(tmp_path, "e.json", loops=4)
+    cfg_c = write_config(tmp_path, "c.json", mode="classical", loops=4)
+    assert cli.main(["compare", "--config", str(cfg_s), str(cfg_c),
+                     "--out", str(tmp_path / "sc"), "--seeds", "4"]) == 0
+    assert loop_counter == list(range(4))
+    loop_counter.clear()
+    assert cli.main(["compare", "--config", str(cfg_s), str(cfg_e),
+                     "--out", str(tmp_path / "se"), "--seeds", "4"]) == 0
+    assert loop_counter == list(range(4)) * 2
+
+
+def test_compare_seed_sweep_is_reproducible(tmp_path):
     cfg_s = write_config(tmp_path, "s.json", mode="quantum-sampled",
                          difference_mode=True, shots=5000, loops=3)
     cfg_c = write_config(tmp_path, "c.json", mode="classical", loops=3)
-    out = tmp_path / "cmp"
-    assert cli.main(["compare", "--config", str(cfg_s), str(cfg_c),
-                     "--out", str(out), "--seeds", "3"]) == 0
-    single = json.loads((out / "summary.json").read_text())["sweep"]
-    monkeypatch.setenv("QLBM_WORKERS", "4")
-    assert cli._workers() == 4
-    assert cli.main(["compare", "--config", str(cfg_s), str(cfg_c),
-                     "--out", str(tmp_path / "cmp4"), "--seeds", "3"]) == 0
-    multi = json.loads((tmp_path / "cmp4" / "summary.json").read_text())["sweep"]
-    # worker count must not change the results
-    assert single == multi
+    for sub in ("a", "b"):
+        assert cli.main(["compare", "--config", str(cfg_s), str(cfg_c),
+                         "--out", str(tmp_path / sub), "--seeds", "3"]) == 0
+    summary = (tmp_path / "a" / "summary.json").read_bytes()
+    assert summary == (tmp_path / "b" / "summary.json").read_bytes()
+    # every seed draws afresh from the one evolved state
+    assert len(set(json.loads(summary)["sweep"]["l2_errors"])) == 3
 
 
 def test_compare_sweep_difference_beats_direct(tmp_path):
@@ -266,6 +312,43 @@ def test_bad_config_exit_code(tmp_path):
     path.write_text(json.dumps({"scheme": "D1Q3", "M": 63, "mode": "classical",
                                 "loops": 1}))
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("updates", [
+    {"initial": {"uniform": 0.1, "overrides": [[2.5, 0.3]]}},
+    {"initial": {"uniform": 0.1, "overrides": [[11, "x"]]}},
+    {"initial": {"uniform": 0.1, "overrides": [[11]]}},
+    {"initial": [0.1]},
+    {"scheme": "D2Q5", "M": 16, "initial": {"uniform": 0.1, "overrides": [[[2.0, 3], 0.3]]}},
+    {"c_s2": "abc"},
+    {"weights": [0.5, 0.5]},
+    {"M": 16.9},
+    {"loops": 2.7},
+    {"seed": 1.5},
+    {"snapshots": [2.5]},
+    {"M": None},
+    {"scheme": "D3Q7"},
+    {"mode": "classical", "omega": 2.5},
+    {"scheme": "D1Q2", "mode": "classical", "w_hat": [0.5, 0.25, 0.25]},
+    {"scheme": "D1Q2", "mode": "classical", "M": 6, "w_hat": [0.5, 0.5]},
+])
+def test_malformed_config_exit_code(tmp_path, updates):
+    cfg = write_config(tmp_path, "bad.json", **updates)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_that_is_not_an_object_exit_code(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("[1, 2]")
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+
+def test_integral_float_fields_are_accepted(tmp_path):
+    cfg = write_config(tmp_path, "f.json", mode="classical", M=64.0, loops=3.0)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert (report["config"]["M"], report["config"]["loops"]) == (64, 3)
 
 
 def test_unknown_key_exit_code(tmp_path):
