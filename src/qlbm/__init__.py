@@ -7,11 +7,11 @@ from .analysis import (
     postselect_probability,
     prior_method_toffoli_count,
     probability_bounds,
+    shift_unitary_check,
     toffoli_count,
 )
 from .ancilla_based import LegacySpec, build_lcu_collision, compare_overhead, run_legacy_step
 from .ancilla_free import (
-    CollisionAngles,
     LoopState,
     build_collision,
     build_streaming,
@@ -56,7 +56,6 @@ from .statevector import (
     encode_amplitudes,
     project,
     sample,
-    shift_unitary_check,
 )
 
 __version__ = "0.1.0"

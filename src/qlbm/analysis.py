@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import D1Q3, D2Q5
-from .statevector import Circuit, GateOp, QState
+from .statevector import Circuit, GateOp, QState, QubitLayout, apply
 
 
 def toffolis_per_mcx(n_controls: int) -> int:
@@ -91,6 +91,27 @@ def shift_gate_ops(n_qubits: int, direction: int, block_offset: int,
     if direction == -1:
         cascade.reverse()
     return pre + cascade + list(reversed(pre))
+
+
+def shift_unitary_check(n_qubits: int, direction: int) -> bool:
+    """True iff the multi-controlled-NOT cascade for a cyclic shift acts as
+    |k> -> |(k + direction) mod 2^n> on every basis state."""
+    if not 1 <= n_qubits <= 8:
+        raise ValueError("n_qubits must be in [1, 8]")
+    layout = QubitLayout(q_qubits=0, axis_qubits=(n_qubits,))
+    ops = shift_gate_ops(n_qubits, direction, block_offset=0, controls=())
+    dim = 1 << n_qubits
+    for k in range(dim):
+        amps = np.zeros(dim)
+        amps[k] = 1.0
+        st = QState(amps, layout)
+        for op in ops:
+            st = apply(st, op)
+        expected = (k + direction) % dim
+        hit = np.flatnonzero(np.abs(st.amplitudes) > 0.5)
+        if hit.size != 1 or hit[0] != expected:
+            return False
+    return True
 
 
 def circuit_inventory(circuit: Circuit) -> GateInventory:

@@ -68,7 +68,7 @@ class LcuCollision:
 
     def apply(self, state: QState) -> QState:
         state = apply(state, GateOp(kind="h", target=0))
-        amps = state.amplitudes.copy()
+        amps = state.amplitudes.astype(complex)
         half = amps.size // 2
         amps[:half] *= self.c1
         amps[half:] *= self.c2

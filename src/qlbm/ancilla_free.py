@@ -38,13 +38,6 @@ from .statevector import (
 )
 
 
-@dataclass(frozen=True)
-class CollisionAngles:
-    """Ry angles realizing the direction-register superposition."""
-
-    angles: tuple[float, ...]
-
-
 @dataclass
 class LoopState:
     """State threaded through successive loops."""
@@ -79,8 +72,8 @@ def _half_angle(numer: float, denom: float) -> float:
     return 2.0 * math.acos(min(max(numer / denom, 0.0), 1.0))
 
 
-def collision_angles(weights: DirectionWeights) -> CollisionAngles:
-    """Rotation angles from the effective weights.
+def collision_angles(weights: DirectionWeights) -> tuple[float, ...]:
+    """Ry angles realizing the direction-register superposition.
 
     Each angle is 2*arccos of the ratio between one weight and the 2-norm
     of the weights still to be distributed, so cos(angle/2) reproduces that
@@ -95,7 +88,7 @@ def collision_angles(weights: DirectionWeights) -> CollisionAngles:
         rest = math.hypot(w[1], w[2])
         a1 = _half_angle(w[0], math.sqrt(w[0] ** 2 + rest**2))
         a2 = _half_angle(w[1], rest)
-        return CollisionAngles((a1, a2))
+        return a1, a2
     if len(w) == 5:
         sx = math.hypot(w[1], w[2])
         sy = math.hypot(w[3], w[4])
@@ -104,7 +97,7 @@ def collision_angles(weights: DirectionWeights) -> CollisionAngles:
         a2 = _half_angle(sx, moving)
         a3 = _half_angle(w[1], sx)
         a4 = _half_angle(w[3], sy)
-        return CollisionAngles((a1, a2, a3, a4))
+        return a1, a2, a3, a4
     raise ValueError("weight sets must have 3 (D1Q3) or 5 (D2Q5) entries")
 
 
@@ -114,7 +107,7 @@ def build_collision(weights: DirectionWeights, layout: QubitLayout) -> Circuit:
     Three directions: w0|00> + w1|10> + w2|11>, normalized.  Five:
     w0|000> + w1|100> + w2|101> + w3|110> + w4|111>, normalized.
     """
-    a = collision_angles(weights).angles
+    a = collision_angles(weights)
     if len(a) == 2:
         ops = [
             GateOp(kind="ry", target=0, angle=a[0]),

@@ -114,6 +114,9 @@ class RunConfig:
         initial = raw.get("initial", {})
         if not isinstance(initial, dict):
             raise ConfigError("initial must be an object")
+        difference_mode = raw.get("difference_mode", False)
+        if not isinstance(difference_mode, bool):
+            raise ConfigError("difference_mode must be true or false")
         try:
             cfg = cls(
                 scheme=raw["scheme"],
@@ -128,7 +131,7 @@ class RunConfig:
                 w_hat=tuple(raw["w_hat"]) if raw.get("w_hat") else None,
                 uniform=float(initial.get("uniform", 0.0)),
                 overrides=tuple(tuple(o) for o in initial.get("overrides", ())),
-                difference_mode=bool(raw.get("difference_mode", False)),
+                difference_mode=difference_mode,
                 shots=_integer(raw.get("shots", 10000)),
                 seed=_integer(raw.get("seed", 0)),
                 snapshots=tuple(_integer(t) for t in raw.get("snapshots", ())),

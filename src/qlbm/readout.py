@@ -23,8 +23,6 @@ class ReadoutReport:
     method: str  # "exact" | "sampled"
     shots: int | None = None
     seed: int | None = None
-    l2_error: float | None = None
-    linf_error: float | None = None
     postselect_probs: list[float] | None = None
     baseline: float | None = None
     initial_l1: float | None = None
@@ -36,8 +34,6 @@ class ReadoutReport:
             "phi": [float(v) for v in self.field.phi],
             "shots": self.shots,
             "seed": self.seed,
-            "l2_error": self.l2_error,
-            "linf_error": self.linf_error,
             "postselect_probs": self.postselect_probs,
             "baseline": self.baseline,
             "initial_l1": self.initial_l1,

@@ -6,6 +6,12 @@ register q occupies the top ``q_qubits`` qubits, the position register d
 sits below it.  For two-dimensional lattices the d register splits into an
 x-axis block (more significant) followed by a y-axis block, so the flat
 d index of cell (x, y) is ``x * My + y`` -- identical to row-major order.
+
+Amplitudes are real unless a complex diagonal is applied: Ry, H, X and the
+cyclic shifts are real orthogonal, so a real state stays real, and only the
+ancilla-based LCU collision turns its input complex.  Each gate reads a
+reshaped view of the amplitudes, one axis per qubit (a shift block is one
+axis of 2**size positions), with its controls pinned to their polarity.
 """
 from __future__ import annotations
 
@@ -55,25 +61,21 @@ class QubitLayout:
 
 @dataclass
 class QState:
-    """Normalized complex amplitude vector over a fixed QubitLayout."""
+    """Normalized amplitude vector over a fixed QubitLayout; real unless
+    given complex amplitudes."""
 
     amplitudes: np.ndarray
     layout: QubitLayout
 
     def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.asarray(self.amplitudes)
+        # float64 for real amplitudes, complex128 for complex ones
+        self.amplitudes = amps.astype(np.result_type(amps, np.float64), copy=False)
         if self.amplitudes.shape != (self.layout.dim,):
             raise ValueError(
                 f"amplitude vector has length {self.amplitudes.shape}, "
                 f"layout needs {self.layout.dim}"
             )
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "QState":
-        return QState(self.amplitudes.copy(), self.layout)
 
     def d_block(self) -> np.ndarray:
         """Amplitudes of the q = |0..0> block, ordered by d index."""
@@ -110,10 +112,6 @@ class Circuit:
     layout: QubitLayout
     ops: list[GateOp] = field(default_factory=list)
 
-    def extend(self, ops) -> "Circuit":
-        self.ops.extend(ops)
-        return self
-
 
 class ShotHistogram(NamedTuple):
     """Measured bitstring counts from a finite-shot run."""
@@ -130,37 +128,42 @@ class EncodedState(NamedTuple):
 
 
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
+_H = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]])
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def _control_mask(n: int, controls, exclude_bits: int = 0) -> np.ndarray:
-    """Boolean mask over basis indices where all controls match."""
-    idx = np.arange(1 << n)
-    ok = np.ones(idx.shape, dtype=bool)
+def _pin_controls(n: int, controls, free: range) -> list:
+    """Index into a (2,)*n view of the amplitudes with every control qubit
+    fixed to its polarity; the ``free`` qubits, a gate's target or shift
+    block, stay whole and may not be controls.  A control is pinned by a
+    length-1 slice, which keeps every axis in place."""
+    index = [slice(None)] * n
     for qubit, polarity in controls:
         if not 0 <= qubit < n:
             raise IndexError(f"control qubit {qubit} out of range for {n} qubits")
         if polarity not in (0, 1):
             raise ValueError("control polarity must be 0 or 1")
-        bit = 1 << (n - 1 - qubit)
-        if bit & exclude_bits:
+        if qubit in free:
             raise ValueError("control overlaps gate target")
-        ok &= ((idx & bit) != 0) == bool(polarity)
-    return ok
+        if index[qubit] != slice(None):
+            raise ValueError(f"control qubit {qubit} given twice")
+        index[qubit] = slice(polarity, polarity + 1)
+    return index
 
 
 def _apply_1q(amps: np.ndarray, u: np.ndarray, target: int, n: int, controls) -> np.ndarray:
     if not 0 <= target < n:
         raise IndexError(f"target qubit {target} out of range for {n} qubits")
-    tbit = 1 << (n - 1 - target)
-    ok = _control_mask(n, controls, exclude_bits=tbit)
-    idx = np.arange(1 << n)
-    i0 = idx[ok & ((idx & tbit) == 0)]
-    i1 = i0 | tbit
-    a0 = amps[i0]
-    a1 = amps[i1]
+    index = _pin_controls(n, controls, range(target, target + 1))
     out = amps.copy()
-    out[i0] = u[0, 0] * a0 + u[0, 1] * a1
-    out[i1] = u[1, 0] * a0 + u[1, 1] * a1
+    src, dst = amps.reshape((2,) * n), out.reshape((2,) * n)
+    index[target] = 0
+    i0 = tuple(index)
+    index[target] = 1
+    i1 = tuple(index)
+    a0, a1 = src[i0], src[i1]
+    dst[i0] = u[0, 0] * a0 + u[0, 1] * a1
+    dst[i1] = u[1, 0] * a0 + u[1, 1] * a1
     return out
 
 
@@ -169,15 +172,12 @@ def _apply_shift(amps: np.ndarray, block: tuple[int, int], direction: int,
     offset, size = block
     if offset < 0 or offset + size > n:
         raise IndexError(f"shift block {block} out of range for {n} qubits")
-    low = n - offset - size  # bit position of the block's LSB
-    block_mask = ((1 << size) - 1) << low
-    ok = _control_mask(n, controls, exclude_bits=block_mask)
-    idx = np.arange(1 << n)
-    k = (idx & block_mask) >> low
-    k_new = (k + direction) % (1 << size)
-    dest = (idx & ~block_mask) | (k_new << low)
+    index = _pin_controls(n, controls, range(offset, offset + size))
+    # the block's qubits merge into one axis of 2**size positions
+    shape = (2,) * offset + (1 << size,) + (2,) * (n - offset - size)
+    i = tuple(index[:offset + 1] + index[offset + size:])
     out = amps.copy()
-    out[dest[ok]] = amps[idx[ok]]
+    out.reshape(shape)[i] = np.roll(amps.reshape(shape)[i], direction, axis=offset)
     return out
 
 
@@ -189,12 +189,12 @@ def apply(state: QState, op: GateOp) -> QState:
         new = _apply_shift(amps, op.block, op.direction, n, op.controls)
     else:
         if op.kind == "h":
-            u = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]], dtype=complex)
+            u = _H
         elif op.kind == "x":
-            u = np.array([[0, 1], [1, 0]], dtype=complex)
+            u = _X
         else:  # ry
             c, s = np.cos(op.angle / 2), np.sin(op.angle / 2)
-            u = np.array([[c, -s], [s, c]], dtype=complex)
+            u = np.array([[c, -s], [s, c]])
         new = _apply_1q(amps, u, op.target, n, op.controls)
     return QState(new, state.layout)
 
@@ -223,7 +223,7 @@ def encode_amplitudes(values: np.ndarray, layout: QubitLayout) -> EncodedState:
     l2 = float(np.linalg.norm(values))
     if l2 == 0.0:
         raise ValueError("empty field: all entries are zero")
-    amps = np.zeros(layout.dim, dtype=complex)
+    amps = np.zeros(layout.dim)
     amps[: values.size] = values / l2
     return EncodedState(QState(amps, layout), l2, float(values.sum()))
 
@@ -247,8 +247,10 @@ def project(state: QState, bitstring: str | None = None) -> tuple[float, QState]
         raise PostSelectionError(
             f"post-selection impossible: q={bitstring!r} has probability {prob:.3e}"
         )
-    amps = np.zeros(layout.dim, dtype=complex)
-    amps[block] = sub / np.sqrt(prob)
+    amps = np.zeros(layout.dim, dtype=sub.dtype)
+    # times the reciprocal, as numpy divides a complex array by a real
+    # scalar, so real and complex states renormalize to the same bits
+    amps[block] = sub * (1.0 / np.sqrt(prob))
     return prob, QState(amps, layout)
 
 
@@ -265,25 +267,3 @@ def sample(state: QState, shots: int, seed: int) -> ShotHistogram:
     }
     return ShotHistogram(counts=counts, shots=shots, seed=seed)
 
-
-def shift_unitary_check(n_qubits: int, direction: int) -> bool:
-    """True iff the multi-controlled-NOT cascade for a cyclic shift acts as
-    |k> -> |(k + direction) mod 2^n> on every basis state."""
-    if not 1 <= n_qubits <= 8:
-        raise ValueError("n_qubits must be in [1, 8]")
-    from .analysis import shift_gate_ops  # local import: analysis builds on this module
-
-    layout = QubitLayout(q_qubits=0, axis_qubits=(n_qubits,))
-    ops = shift_gate_ops(n_qubits, direction, block_offset=0, controls=())
-    dim = 1 << n_qubits
-    for k in range(dim):
-        amps = np.zeros(dim, dtype=complex)
-        amps[k] = 1.0
-        st = QState(amps, layout)
-        for op in ops:
-            st = apply(st, op)
-        expected = (k + direction) % dim
-        hit = np.flatnonzero(np.abs(st.amplitudes) > 0.5)
-        if hit.size != 1 or hit[0] != expected:
-            return False
-    return True

@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 import qlbm
-from qlbm.analysis import circuit_inventory, prior_method_toffoli_count, toffoli_count
+from qlbm.analysis import (
+    circuit_inventory,
+    prior_method_toffoli_count,
+    shift_unitary_check,
+    toffoli_count,
+)
 from qlbm.ancilla_based import LegacySpec, run_legacy_step
 from qlbm.ancilla_free import (
     build_streaming,
@@ -32,7 +37,7 @@ from qlbm.readout import (
     macroscopic_exact,
     macroscopic_from_counts,
 )
-from qlbm.statevector import GateOp, QState, QubitLayout, apply, shift_unitary_check
+from qlbm.statevector import GateOp, QState, QubitLayout, apply
 
 
 @contextmanager

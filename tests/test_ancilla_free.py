@@ -42,20 +42,20 @@ def random_d2_weights(rng):
 # ------------------------------------------------------------------ angles
 
 def test_angles_equal_weights():
-    a = collision_angles(d1_weights((1 / 3, 1 / 3, 1 / 3))).angles
+    a = collision_angles(d1_weights((1 / 3, 1 / 3, 1 / 3)))
     assert np.isclose(a[0], 2 * np.arccos(1 / np.sqrt(3)))
     assert np.isclose(a[1], np.pi / 2)
 
 
 def test_angles_rest_only():
-    a = collision_angles(d1_weights((1.0, 0.0, 0.0))).angles
+    a = collision_angles(d1_weights((1.0, 0.0, 0.0)))
     assert a == (0.0, 0.0)
 
 
 def test_angles_default_benchmark_weights():
     # w_hat = (1/3, 0.4, 4/15), ||w_hat|| = sqrt(77)/15; frozen from a direct
     # evaluation of 2*acos(w0/||w||) and 2*acos(w1/hypot(w1, w2))
-    a1, a2 = collision_angles(d1_weights((1 / 3, 0.4, 4 / 15))).angles
+    a1, a2 = collision_angles(d1_weights((1 / 3, 0.4, 4 / 15)))
     assert np.isclose(a1, 1.9290607157591335, atol=1e-12)
     assert np.isclose(a2, 1.1760052070951350, atol=1e-12)
 
@@ -64,7 +64,7 @@ def test_angles_default_benchmark_weights():
 def test_angles_reproduce_defining_ratios(seed):
     rng = np.random.default_rng(seed)
     w = np.asarray(random_d1_weights(rng).w_hat)
-    a1, a2 = collision_angles(d1_weights(w)).angles
+    a1, a2 = collision_angles(d1_weights(w))
     assert 0.0 <= a1 <= 2 * np.pi and 0.0 <= a2 <= 2 * np.pi
     assert np.isclose(np.cos(a1 / 2), w[0] / np.linalg.norm(w), atol=1e-12)
     assert np.isclose(np.cos(a2 / 2), w[1] / np.hypot(w[1], w[2]), atol=1e-12)

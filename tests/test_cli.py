@@ -331,6 +331,8 @@ def test_bad_config_exit_code(tmp_path):
     {"mode": "classical", "omega": 2.5},
     {"scheme": "D1Q2", "mode": "classical", "w_hat": [0.5, 0.25, 0.25]},
     {"scheme": "D1Q2", "mode": "classical", "M": 6, "w_hat": [0.5, 0.5]},
+    {"difference_mode": "false"},
+    {"difference_mode": 1},
 ])
 def test_malformed_config_exit_code(tmp_path, updates):
     cfg = write_config(tmp_path, "bad.json", **updates)

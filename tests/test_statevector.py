@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlbm.analysis import shift_unitary_check
+from qlbm.ancilla_free import encode_initial, run_loop_exact
+from qlbm.lattice import MacroField, ModelSpec
 from qlbm.statevector import (
     GateOp,
     PostSelectionError,
@@ -12,7 +15,6 @@ from qlbm.statevector import (
     encode_amplitudes,
     project,
     sample,
-    shift_unitary_check,
 )
 
 L22 = QubitLayout(q_qubits=2, axis_qubits=(2,))
@@ -114,6 +116,103 @@ def test_unitarity(kind, angle, target, seed):
                     controls=tuple(controls)[:1])
     out = apply(state, op)
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
+
+
+def reference_matrix(n, op):
+    """2^n x 2^n matrix of one gate, built column by column from the bits
+    of each basis index (qubit 0 is the most significant bit)."""
+    dim = 1 << n
+
+    def bit(qubit):
+        return 1 << (n - 1 - qubit)
+
+    mat = np.zeros((dim, dim))
+    for j in range(dim):
+        if any(bool(j & bit(q)) != bool(p) for q, p in op.controls):
+            mat[j, j] = 1.0
+        elif op.kind == "shift":
+            offset, size = op.block
+            low = n - offset - size
+            k = (j >> low) % (1 << size)
+            k_new = (k + op.direction) % (1 << size)
+            mat[j - (k << low) + (k_new << low), j] = 1.0
+        else:
+            if op.kind == "h":
+                u = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+            elif op.kind == "x":
+                u = np.array([[0.0, 1.0], [1.0, 0.0]])
+            else:
+                c, s = np.cos(op.angle / 2), np.sin(op.angle / 2)
+                u = np.array([[c, -s], [s, c]])
+            t = bit(op.target)
+            col = 1 if j & t else 0
+            mat[j & ~t, j] = u[0, col]
+            mat[j | t, j] = u[1, col]
+    return mat
+
+
+@st.composite
+def gate_ops(draw, n):
+    kind = draw(st.sampled_from(["ry", "h", "x", "shift"]))
+    if kind == "shift":
+        size = draw(st.integers(1, n))
+        offset = draw(st.integers(0, n - size))
+        busy = range(offset, offset + size)
+    else:
+        target = draw(st.integers(0, n - 1))
+        busy = range(target, target + 1)
+    free = [q for q in range(n) if q not in busy]
+    qubits = draw(st.lists(st.sampled_from(free), unique=True)) if free else []
+    controls = tuple((q, draw(st.integers(0, 1))) for q in qubits)
+    if kind == "shift":
+        return GateOp(kind="shift", block=(offset, size),
+                      direction=draw(st.sampled_from([+1, -1])), controls=controls)
+    angle = draw(st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False))
+    return GateOp(kind=kind, target=target, angle=angle, controls=controls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5), is_complex=st.booleans(),
+       seed=st.integers(0, 2**31))
+def test_apply_matches_reference_matrix(data, n, is_complex, seed):
+    op = data.draw(gate_ops(n))
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << n)
+    if is_complex:
+        amps = amps + 1j * rng.normal(size=1 << n)
+    state = QState(amps / np.linalg.norm(amps), QubitLayout(0, (n,)))
+    before = state.amplitudes.copy()
+    out = apply(state, op)
+    assert out.amplitudes.dtype == state.amplitudes.dtype
+    assert np.allclose(out.amplitudes, reference_matrix(n, op) @ before,
+                       rtol=0, atol=1e-12)
+    assert np.array_equal(state.amplitudes, before)  # apply leaves its input alone
+
+
+@pytest.mark.parametrize("op", [
+    GateOp(kind="x", target=1, controls=((1, 1),)),
+    GateOp(kind="ry", target=0, angle=0.3, controls=((2, 0), (0, 0))),
+    GateOp(kind="shift", block=(1, 3), direction=+1, controls=((2, 1),)),
+    GateOp(kind="shift", block=(0, 2), direction=-1, controls=((3, 1), (0, 0))),
+    GateOp(kind="h", target=0, controls=((1, 2),)),
+    GateOp(kind="x", target=0, controls=((1, 1), (1, 0))),
+])
+def test_bad_control_raises_value_error(op):
+    with pytest.raises(ValueError):
+        apply(basis(L22, 0), op)
+
+
+@pytest.mark.parametrize("scheme, M", [("D1Q3", 16), ("D2Q5", 8)])
+@pytest.mark.parametrize("difference_mode", [False, True])
+def test_exact_loops_keep_real_amplitudes(scheme, M, difference_mode):
+    spec = ModelSpec(scheme=scheme, M=M, u=0.2, v=0.1 if scheme == "D2Q5" else 0.0)
+    geometry = (M,) * (2 if scheme == "D2Q5" else 1)
+    phi = np.random.default_rng(4).random(M ** len(geometry))
+    ls = encode_initial(MacroField(phi, geometry), difference_mode)
+    assert ls.state.amplitudes.dtype == np.float64
+    for _ in range(3):
+        ls = run_loop_exact(ls, spec)
+        assert ls.state.amplitudes.dtype == np.float64
 
 
 def test_hadamard_involution():
