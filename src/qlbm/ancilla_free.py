@@ -13,7 +13,9 @@ rest |0..0>, then +x |10>/|100>, -x |11>/|101>, +y |110>, -y |111>.
 """
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -38,16 +40,64 @@ from .statevector import (
 )
 
 
+class ProbHistory(Sequence):
+    """Per-loop post-selection probabilities of one trajectory, oldest first.
+
+    Read-only.  A history continued by one more loop shares its
+    predecessor's list, which only ever grows at the end, so recording a
+    loop costs amortised O(1) and no history changes once made; continuing
+    a history that has already been continued copies its part of the list.
+    """
+
+    __slots__ = ("_probs", "_n")
+
+    def __init__(self, probs=()):
+        self._probs = list(probs)
+        self._n = len(self._probs)
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._probs[: self._n][i]
+        return self._probs[range(self._n)[i]]
+
+    def __iter__(self):
+        return itertools.islice(self._probs, self._n)
+
+    def __repr__(self) -> str:
+        return f"ProbHistory({self._probs[: self._n]!r})"
+
+    def appended(self, prob: float) -> "ProbHistory":
+        probs = self._probs
+        if len(probs) != self._n:  # another trajectory continued from here
+            probs = probs[: self._n]
+        probs.append(prob)
+        out = ProbHistory.__new__(ProbHistory)
+        out._probs, out._n = probs, self._n + 1
+        return out
+
+
 @dataclass
 class LoopState:
-    """State threaded through successive loops."""
+    """State threaded through successive loops.
+
+    The cumulative post-selection probability is carried as its natural
+    log: after thousands of loops it is far below the smallest float.
+    """
 
     state: QState
     loop_index: int
     initial_l1: float
-    cumulative_postselect_prob: float = 1.0
     baseline: float | None = None
-    loop_probs: list[float] = dc_field(default_factory=list)
+    loop_probs: ProbHistory = dc_field(default_factory=ProbHistory)
+    log_cumulative_postselect_prob: float = 0.0
+
+    @property
+    def cumulative_postselect_prob(self) -> float:
+        """Product of the loop probabilities; 0.0 once it underflows."""
+        return math.exp(self.log_cumulative_postselect_prob)
 
 
 def layout_for(lattice: ModelSpec | MacroField) -> QubitLayout:
@@ -160,16 +210,17 @@ _circuit_cache: dict = {}
 
 
 def _circuits_for(spec: ModelSpec) -> tuple[Circuit, Circuit, Circuit]:
-    weights = effective_weights(spec)
-    key = (spec.scheme, spec.M, weights.w_hat)
-    if key not in _circuit_cache:
+    # keyed on the fields the circuits derive from, so a hit computes nothing
+    key = (spec.scheme, spec.M, spec.u, spec.v, tuple(spec.weights), spec.c_s2)
+    circuits = _circuit_cache.get(key)
+    if circuits is None:
         layout = layout_for(spec)
-        _circuit_cache[key] = (
-            build_collision(weights, layout),
+        circuits = _circuit_cache[key] = (
+            build_collision(effective_weights(spec), layout),
             build_streaming(spec.scheme, layout),
             build_summation(layout),
         )
-    return _circuit_cache[key]
+    return circuits
 
 
 def _require_unit_omega(spec: ModelSpec):
@@ -221,9 +272,10 @@ def run_loop_exact(loop_state: LoopState, spec: ModelSpec) -> LoopState:
         state=state,
         loop_index=loop_state.loop_index + 1,
         initial_l1=loop_state.initial_l1,
-        cumulative_postselect_prob=loop_state.cumulative_postselect_prob * prob,
         baseline=loop_state.baseline,
-        loop_probs=loop_state.loop_probs + [prob],
+        loop_probs=loop_state.loop_probs.appended(prob),
+        log_cumulative_postselect_prob=(loop_state.log_cumulative_postselect_prob
+                                        + math.log(prob)),
     )
 
 
@@ -248,9 +300,14 @@ def sample_readout(loop_state: LoopState, shots: int, seed: int,
     rng = np.random.default_rng(seed)
     n_meas = shots
     if postselect == "rejection":
-        n_meas = int(rng.binomial(shots, loop_state.cumulative_postselect_prob))
+        p_cum = loop_state.cumulative_postselect_prob
+        n_meas = int(rng.binomial(shots, p_cum))
         if n_meas == 0:
-            raise ValueError("rejection sampling kept zero trajectories")
+            log10_p = loop_state.log_cumulative_postselect_prob / math.log(10.0)
+            raise ValueError(
+                f"rejection sampling kept zero of {shots} trajectories: "
+                f"log10 P = {log10_p:.3f}, expected survivors {shots * p_cum:.3g}"
+            )
     draws = rng.multinomial(n_meas, probs)
     n_bits = loop_state.state.layout.d_qubits
     counts = {format(i, f"0{n_bits}b"): int(c) for i, c in enumerate(draws) if c > 0}

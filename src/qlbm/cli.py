@@ -65,17 +65,22 @@ class ConfigError(ValueError):
 
 
 def _integer(value) -> int:
-    """int() of a config value, refusing to truncate a fractional number."""
-    if isinstance(value, float) and not value.is_integer():
+    """int() of a config value, refusing to truncate a fractional number
+    or to read a JSON boolean as 0 or 1."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{value!r} is not an integer")
     return int(value)
 
 
+def _is_index(c) -> bool:
+    return isinstance(c, int) and not isinstance(c, bool)
+
+
 def _cell_index(cell) -> tuple[int, ...]:
     """Index tuple of an override cell: an int in 1-D, [x, y] in 2-D."""
-    if isinstance(cell, int):
+    if _is_index(cell):
         return (cell,)
-    if not (isinstance(cell, (list, tuple)) and all(isinstance(c, int) for c in cell)):
+    if not (isinstance(cell, (list, tuple)) and all(_is_index(c) for c in cell)):
         raise ConfigError(f"override cell {cell!r} is not an integer index")
     return tuple(cell)
 

@@ -12,10 +12,14 @@ cyclic shifts are real orthogonal, so a real state stays real, and only the
 ancilla-based LCU collision turns its input complex.  Each gate reads a
 reshaped view of the amplitudes, one axis per qubit (a shift block is one
 axis of 2**size positions), with its controls pinned to their polarity.
+Everything that depends only on the gate and the register size -- the view
+shape, the pinned slices and the 2x2 coefficients -- is a plan built once
+per (gate, register size) and cached; a shift is two slice moves.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -38,15 +42,15 @@ class QubitLayout:
         if any(a < 1 for a in self.axis_qubits):
             raise ValueError("axis blocks need at least one qubit")
 
-    @property
+    @cached_property
     def d_qubits(self) -> int:
         return sum(self.axis_qubits)
 
-    @property
+    @cached_property
     def n_qubits(self) -> int:
         return self.q_qubits + self.d_qubits
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return 1 << self.n_qubits
 
@@ -59,6 +63,9 @@ class QubitLayout:
         return format(index, f"0{self.n_qubits}b")
 
 
+_STATE_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
+
+
 @dataclass
 class QState:
     """Normalized amplitude vector over a fixed QubitLayout; real unless
@@ -68,9 +75,11 @@ class QState:
     layout: QubitLayout
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes)
-        # float64 for real amplitudes, complex128 for complex ones
-        self.amplitudes = amps.astype(np.result_type(amps, np.float64), copy=False)
+        amps = self.amplitudes
+        if not (type(amps) is np.ndarray and amps.dtype in _STATE_DTYPES):
+            amps = np.asarray(amps)
+            # float64 for real amplitudes, complex128 for complex ones
+            self.amplitudes = amps.astype(np.result_type(amps, np.float64), copy=False)
         if self.amplitudes.shape != (self.layout.dim,):
             raise ValueError(
                 f"amplitude vector has length {self.amplitudes.shape}, "
@@ -151,52 +160,77 @@ def _pin_controls(n: int, controls, free: range) -> list:
     return index
 
 
-def _apply_1q(amps: np.ndarray, u: np.ndarray, target: int, n: int, controls) -> np.ndarray:
-    if not 0 <= target < n:
-        raise IndexError(f"target qubit {target} out of range for {n} qubits")
-    index = _pin_controls(n, controls, range(target, target + 1))
-    out = amps.copy()
-    src, dst = amps.reshape((2,) * n), out.reshape((2,) * n)
-    index[target] = 0
+class _Plan(NamedTuple):
+    """What applying one gate to an n-qubit register needs, derived once."""
+
+    shape: tuple[int, ...]  # view of the amplitudes the slices index
+    # one-qubit gate: the target's 0 and 1 slices, and u00, u01, u10, u11
+    # of the 2x2 matrix; shift: pairs (dst, src) of slice moves, no coeffs
+    slices: tuple
+    coeffs: tuple[float, ...] = ()
+
+
+# sized for every distinct gate of a few dozen lattice models at once
+@lru_cache(maxsize=1024)
+def _plan(op: GateOp, n: int) -> _Plan:
+    """Build the plan of ``op`` on n qubits, checking the qubits it names.
+
+    A failed check raises on every call, as lru_cache keeps no exceptions.
+    """
+    if op.kind == "shift":
+        offset, size = op.block
+        if offset < 0 or offset + size > n:
+            raise IndexError(f"shift block {op.block} out of range for {n} qubits")
+        index = _pin_controls(n, op.controls, range(offset, offset + size))
+        # the block's qubits merge into one axis of 2**size positions
+        shape = (2,) * offset + (1 << size,) + (2,) * (n - offset - size)
+        head, tail = index[:offset], index[offset + size:]
+
+        def at(block_slice):
+            return tuple(head + [block_slice] + tail)
+
+        # a cyclic roll by one position: the bulk moves one step, the
+        # position that falls off one end re-enters at the other
+        if op.direction == +1:
+            moves = ((at(slice(1, None)), at(slice(None, -1))),
+                     (at(slice(0, 1)), at(slice(-1, None))))
+        else:
+            moves = ((at(slice(None, -1)), at(slice(1, None))),
+                     (at(slice(-1, None)), at(slice(0, 1))))
+        return _Plan(shape, moves)
+    if not 0 <= op.target < n:
+        raise IndexError(f"target qubit {op.target} out of range for {n} qubits")
+    index = _pin_controls(n, op.controls, range(op.target, op.target + 1))
+    index[op.target] = 0
     i0 = tuple(index)
-    index[target] = 1
+    index[op.target] = 1
     i1 = tuple(index)
-    a0, a1 = src[i0], src[i1]
-    dst[i0] = u[0, 0] * a0 + u[0, 1] * a1
-    dst[i1] = u[1, 0] * a0 + u[1, 1] * a1
-    return out
-
-
-def _apply_shift(amps: np.ndarray, block: tuple[int, int], direction: int,
-                 n: int, controls) -> np.ndarray:
-    offset, size = block
-    if offset < 0 or offset + size > n:
-        raise IndexError(f"shift block {block} out of range for {n} qubits")
-    index = _pin_controls(n, controls, range(offset, offset + size))
-    # the block's qubits merge into one axis of 2**size positions
-    shape = (2,) * offset + (1 << size,) + (2,) * (n - offset - size)
-    i = tuple(index[:offset + 1] + index[offset + size:])
-    out = amps.copy()
-    out.reshape(shape)[i] = np.roll(amps.reshape(shape)[i], direction, axis=offset)
-    return out
+    if op.kind == "h":
+        u = _H
+    elif op.kind == "x":
+        u = _X
+    else:  # ry
+        c, s = np.cos(op.angle / 2), np.sin(op.angle / 2)
+        u = np.array([[c, -s], [s, c]])
+    return _Plan((2,) * n, (i0, i1), tuple(u.ravel().tolist()))
 
 
 def apply(state: QState, op: GateOp) -> QState:
     """Apply one GateOp; returns a new state (norm preserved)."""
-    n = state.layout.n_qubits
+    plan = _plan(op, state.layout.n_qubits)
     amps = state.amplitudes
-    if op.kind == "shift":
-        new = _apply_shift(amps, op.block, op.direction, n, op.controls)
+    out = amps.copy()
+    src, dst = amps.reshape(plan.shape), out.reshape(plan.shape)
+    if plan.coeffs:
+        i0, i1 = plan.slices
+        u00, u01, u10, u11 = plan.coeffs
+        a0, a1 = src[i0], src[i1]
+        dst[i0] = u00 * a0 + u01 * a1
+        dst[i1] = u10 * a0 + u11 * a1
     else:
-        if op.kind == "h":
-            u = _H
-        elif op.kind == "x":
-            u = _X
-        else:  # ry
-            c, s = np.cos(op.angle / 2), np.sin(op.angle / 2)
-            u = np.array([[c, -s], [s, c]])
-        new = _apply_1q(amps, u, op.target, n, op.controls)
-    return QState(new, state.layout)
+        for to, frm in plan.slices:
+            dst[to] = src[frm]
+    return QState(out, state.layout)
 
 
 def apply_circuit(state: QState, circuit: Circuit) -> QState:

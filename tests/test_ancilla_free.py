@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from qlbm.ancilla_free import (
     run_exact,
     run_loop_exact,
     run_sampled,
+    sample_readout,
 )
 from qlbm.lattice import (
     DirectionWeights,
@@ -259,6 +262,42 @@ def test_cumulative_probability_is_product():
     ls = run_exact(MacroField(rng.random(16), (16,)), spec, 5)
     assert np.isclose(ls.cumulative_postselect_prob, np.prod(ls.loop_probs))
     assert 0.0 < ls.cumulative_postselect_prob <= 1.0
+
+
+def test_cumulative_probability_survives_long_runs():
+    # the product of 2500 loop probabilities is far below the smallest
+    # float; its log still equals the sum of the per-loop logs
+    m = 64
+    phi = np.full(m, 0.1)
+    phi[20:25] += [0.1, 0.25, 0.3, 0.25, 0.1]
+    ls = run_exact(MacroField(phi, (m,)), ModelSpec(scheme="D1Q3", M=m, u=0.2),
+                   2500, difference_mode=True)
+    log10_sum = sum(math.log10(p) for p in ls.loop_probs)
+    assert log10_sum < -330
+    assert abs(ls.log_cumulative_postselect_prob / math.log(10) - log10_sum) < 1e-9
+    assert ls.cumulative_postselect_prob == 0.0
+    with pytest.raises(ValueError, match=r"log10 P = -3\d\d\.\d+, expected survivors 0"):
+        sample_readout(ls, 10**6, seed=1, postselect="rejection")
+
+
+def test_continuing_a_state_twice_keeps_both_histories():
+    spec = ModelSpec(scheme="D1Q3", M=16, u=0.2)
+    start = run_exact(MacroField(np.arange(1.0, 17.0), (16,)), spec, 3)
+    history = list(start.loop_probs)
+    first = run_loop_exact(start, spec)
+    first_history = list(first.loop_probs)
+    other_spec = ModelSpec(scheme="D1Q3", M=16, u=-0.3)
+    second = run_loop_exact(start, other_spec)
+    assert first_history[-1] != second.loop_probs[-1]
+    assert list(start.loop_probs) == history
+    assert list(first.loop_probs) == first_history
+    assert list(second.loop_probs) == history + [second.loop_probs[-1]]
+    assert len(second.loop_probs) == 4
+    for ls in (start, first, second):
+        assert math.isclose(ls.cumulative_postselect_prob, math.prod(ls.loop_probs),
+                            rel_tol=1e-12)
+    # a history continued again after the branch still sees only its own loops
+    assert list(run_loop_exact(first, spec).loop_probs)[:4] == first_history
 
 
 def test_omega_must_be_one():

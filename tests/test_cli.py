@@ -333,6 +333,12 @@ def test_bad_config_exit_code(tmp_path):
     {"scheme": "D1Q2", "mode": "classical", "M": 6, "w_hat": [0.5, 0.5]},
     {"difference_mode": "false"},
     {"difference_mode": 1},
+    {"loops": True},
+    {"initial": {"uniform": 0.1, "overrides": [[True, 0.5]]}},
+    {"scheme": "D2Q5", "M": 16, "initial": {"uniform": 0.1, "overrides": [[[True, 0], 0.5]]}},
+    {"snapshots": [True]},
+    {"M": True},
+    {"mode": "quantum-sampled", "shots": True},
 ])
 def test_malformed_config_exit_code(tmp_path, updates):
     cfg = write_config(tmp_path, "bad.json", **updates)

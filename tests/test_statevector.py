@@ -91,10 +91,12 @@ def test_control_polarity():
 
 
 def test_index_out_of_range():
-    with pytest.raises(IndexError):
-        apply(basis(L22, 0), GateOp(kind="x", target=9))
-    with pytest.raises(IndexError):
-        apply(basis(L22, 0), GateOp(kind="x", target=0, controls=((7, 1),)))
+    for op in (GateOp(kind="x", target=9),
+               GateOp(kind="x", target=0, controls=((7, 1),)),
+               GateOp(kind="shift", block=(2, 3), direction=+1)):
+        for _ in range(2):  # a failed plan is not cached: the second call raises too
+            with pytest.raises(IndexError):
+                apply(basis(L22, 0), op)
 
 
 @settings(max_examples=60, deadline=None)
@@ -182,11 +184,25 @@ def test_apply_matches_reference_matrix(data, n, is_complex, seed):
         amps = amps + 1j * rng.normal(size=1 << n)
     state = QState(amps / np.linalg.norm(amps), QubitLayout(0, (n,)))
     before = state.amplitudes.copy()
-    out = apply(state, op)
-    assert out.amplitudes.dtype == state.amplitudes.dtype
-    assert np.allclose(out.amplitudes, reference_matrix(n, op) @ before,
-                       rtol=0, atol=1e-12)
-    assert np.array_equal(state.amplitudes, before)  # apply leaves its input alone
+    expected = reference_matrix(n, op) @ before
+    for _ in range(2):  # the second call reuses the plan the first one built
+        out = apply(state, op)
+        assert out.amplitudes.dtype == state.amplitudes.dtype
+        assert np.allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
+        assert np.array_equal(state.amplitudes, before)  # apply leaves its input alone
+
+
+@pytest.mark.parametrize("op", [
+    GateOp(kind="ry", target=1, angle=0.7, controls=((0, 1),)),
+    GateOp(kind="shift", block=(1, 2), direction=-1, controls=((0, 0),)),
+])
+def test_one_gate_on_registers_of_two_sizes(op):
+    # a gate's plan depends on the register size, so it is kept per size
+    for n in (3, 5, 3, 4):
+        state = random_state(QubitLayout(0, (n,)), n)
+        out = apply(state, op)
+        assert np.allclose(out.amplitudes, reference_matrix(n, op) @ state.amplitudes,
+                           rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("op", [
@@ -198,8 +214,9 @@ def test_apply_matches_reference_matrix(data, n, is_complex, seed):
     GateOp(kind="x", target=0, controls=((1, 1), (1, 0))),
 ])
 def test_bad_control_raises_value_error(op):
-    with pytest.raises(ValueError):
-        apply(basis(L22, 0), op)
+    for _ in range(2):  # a failed plan is not cached: the second call raises too
+        with pytest.raises(ValueError):
+            apply(basis(L22, 0), op)
 
 
 @pytest.mark.parametrize("scheme, M", [("D1Q3", 16), ("D2Q5", 8)])
