@@ -8,6 +8,12 @@ position-register amplitudes are then proportional to one classical
 collide-stream cycle of the field, so loops chain without any classical
 readout in between.
 
+So a ``LoopState`` holds the position register alone, and ``run_loop_exact``
+runs one ``BlockProgram`` per model, compiled once from the loop's three
+circuits: it never stores the 2**q - 1 direction blocks that post-selection
+discards.  ``run_loop_gates`` runs the same circuits gate by gate on the
+full register and is the reference the tests hold it to.
+
 Direction encoding on the q register (most significant qubits first):
 rest |0..0>, then +x |10>/|100>, -x |11>/|101>, +y |110>, -y |111>.
 """
@@ -17,6 +23,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +36,7 @@ from .lattice import (
     effective_weights,
 )
 from .statevector import (
+    BlockProgram,
     Circuit,
     GateOp,
     QState,
@@ -83,8 +91,10 @@ class ProbHistory(Sequence):
 class LoopState:
     """State threaded through successive loops.
 
-    The cumulative post-selection probability is carried as its natural
-    log: after thousands of loops it is far below the smallest float.
+    ``state`` is the post-selected position register, ``QubitLayout(0,
+    axis_qubits)``.  The cumulative post-selection probability is carried
+    as its natural log: after thousands of loops it is far below the
+    smallest float.
     """
 
     state: QState
@@ -206,21 +216,30 @@ def build_summation(layout: QubitLayout) -> Circuit:
     return Circuit(layout, ops)
 
 
+class _Loop(NamedTuple):
+    """One loop's circuits, and the block program compiled from them."""
+
+    circuits: tuple[Circuit, Circuit, Circuit]  # collision, streaming, summation
+    program: BlockProgram
+
+
 _circuit_cache: dict = {}
 
 
-def _circuits_for(spec: ModelSpec) -> tuple[Circuit, Circuit, Circuit]:
+def _circuits_for(spec: ModelSpec) -> _Loop:
     # keyed on the fields the circuits derive from, so a hit computes nothing
     key = (spec.scheme, spec.M, spec.u, spec.v, tuple(spec.weights), spec.c_s2)
-    circuits = _circuit_cache.get(key)
-    if circuits is None:
+    loop = _circuit_cache.get(key)
+    if loop is None:
         layout = layout_for(spec)
-        circuits = _circuit_cache[key] = (
+        circuits = (
             build_collision(effective_weights(spec), layout),
             build_streaming(spec.scheme, layout),
             build_summation(layout),
         )
-    return circuits
+        program = BlockProgram([op for c in circuits for op in c.ops], layout)
+        loop = _circuit_cache[key] = _Loop(circuits, program)
+    return loop
 
 
 def _require_unit_omega(spec: ModelSpec):
@@ -247,7 +266,7 @@ def encode_initial(field: MacroField, difference_mode: bool = False) -> LoopStat
         values = values - baseline
         if not np.any(values > 0):
             raise ValueError("difference mode needs nonuniform field")
-    encoded = encode_amplitudes(values, layout)
+    encoded = encode_amplitudes(values, QubitLayout(0, layout.axis_qubits))
     return LoopState(
         state=encoded.state,
         loop_index=0,
@@ -263,11 +282,31 @@ def run_loop_exact(loop_state: LoopState, spec: ModelSpec) -> LoopState:
     classical field advanced by loop_index + 1 cycles.
     """
     _require_unit_omega(spec)
-    collision, streaming, summation = _circuits_for(spec)
-    state = apply_circuit(loop_state.state, collision)
-    state = apply_circuit(state, streaming)
-    state = apply_circuit(state, summation)
+    prob, state = _circuits_for(spec).program.run(loop_state.state)
+    return _advanced(loop_state, state, prob)
+
+
+def run_loop_gates(loop_state: LoopState, spec: ModelSpec) -> LoopState:
+    """``run_loop_exact`` gate by gate: the position register is expanded
+    to the full register, every gate of the three circuits is applied and
+    the direction register is projected.  Same bits, 2**q times the state;
+    the reference the block program is tested against."""
+    _require_unit_omega(spec)
+    circuits = _circuits_for(spec).circuits
+    block = loop_state.state
+    layout = circuits[0].layout
+    if block.layout != QubitLayout(0, layout.axis_qubits):
+        raise ValueError(f"loop state layout {block.layout} does not match {layout}")
+    amps = np.zeros(layout.dim, dtype=block.amplitudes.dtype)
+    amps[: block.layout.dim] = block.amplitudes
+    state = QState(amps, layout)
+    for circuit in circuits:
+        state = apply_circuit(state, circuit)
     prob, state = project(state)
+    return _advanced(loop_state, QState(state.d_block(), block.layout), prob)
+
+
+def _advanced(loop_state: LoopState, state: QState, prob: float) -> LoopState:
     return LoopState(
         state=state,
         loop_index=loop_state.loop_index + 1,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -64,10 +65,21 @@ class ConfigError(ValueError):
     pass
 
 
+def _number(value):
+    """A config value that must be a finite JSON number, returned as given;
+    a string, a boolean or NaN/Infinity is refused."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return value
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ConfigError(f"{value!r} is not a finite number")
+
+
 def _integer(value) -> int:
-    """int() of a config value, refusing to truncate a fractional number
-    or to read a JSON boolean as 0 or 1."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """int() of a config number, refusing to truncate a fractional one."""
+    if isinstance(_number(value), float) and not value.is_integer():
         raise ConfigError(f"{value!r} is not an integer")
     return int(value)
 
@@ -128,13 +140,16 @@ class RunConfig:
                 M=_integer(raw["M"]),
                 mode=raw["mode"],
                 loops=_integer(raw.get("loops", 1)),
-                u=float(raw.get("u", 0.0)),
-                v=float(raw.get("v", 0.0)),
-                omega=float(raw.get("omega", 1.0)),
-                weights=tuple(raw["weights"]) if raw.get("weights") else None,
-                c_s2=raw.get("c_s2"),
-                w_hat=tuple(raw["w_hat"]) if raw.get("w_hat") else None,
-                uniform=float(initial.get("uniform", 0.0)),
+                u=float(_number(raw.get("u", 0.0))),
+                v=float(_number(raw.get("v", 0.0))),
+                omega=float(_number(raw.get("omega", 1.0))),
+                weights=(tuple(map(_number, raw["weights"]))
+                         if raw.get("weights") else None),
+                c_s2=None if raw.get("c_s2") is None else _number(raw["c_s2"]),
+                w_hat=tuple(map(_number, raw["w_hat"])) if raw.get("w_hat") else None,
+                uniform=float(_number(initial.get("uniform", 0.0))),
+                # override values are checked by validate and MacroField:
+                # a per-value call costs ms on configs of 10^4 cells
                 overrides=tuple(tuple(o) for o in initial.get("overrides", ())),
                 difference_mode=difference_mode,
                 shots=_integer(raw.get("shots", 10000)),

@@ -15,6 +15,12 @@ axis of 2**size positions), with its controls pinned to their polarity.
 Everything that depends only on the gate and the register size -- the view
 shape, the pinned slices and the 2x2 coefficients -- is a plan built once
 per (gate, register size) and cached; a shift is two slice moves.
+
+A circuit on the direction register that ends in post-selection of q =
+|0..0> compiles to a ``BlockProgram``: the state is a list of 2**q position
+blocks, blocks known to be zero are never stored, and only the updates whose
+results reach the post-selected block are kept.  Each kept update does the
+same arithmetic as ``apply``, so both give the same bits.
 """
 from __future__ import annotations
 
@@ -189,15 +195,7 @@ def _plan(op: GateOp, n: int) -> _Plan:
         def at(block_slice):
             return tuple(head + [block_slice] + tail)
 
-        # a cyclic roll by one position: the bulk moves one step, the
-        # position that falls off one end re-enters at the other
-        if op.direction == +1:
-            moves = ((at(slice(1, None)), at(slice(None, -1))),
-                     (at(slice(0, 1)), at(slice(-1, None))))
-        else:
-            moves = ((at(slice(None, -1)), at(slice(1, None))),
-                     (at(slice(-1, None)), at(slice(0, 1))))
-        return _Plan(shape, moves)
+        return _Plan(shape, _roll_moves(at, op.direction))
     if not 0 <= op.target < n:
         raise IndexError(f"target qubit {op.target} out of range for {n} qubits")
     index = _pin_controls(n, op.controls, range(op.target, op.target + 1))
@@ -205,6 +203,11 @@ def _plan(op: GateOp, n: int) -> _Plan:
     i0 = tuple(index)
     index[op.target] = 1
     i1 = tuple(index)
+    return _Plan((2,) * n, (i0, i1), _coefficients(op))
+
+
+def _coefficients(op: GateOp) -> tuple[float, float, float, float]:
+    """u00, u01, u10, u11 of a one-qubit gate's 2x2 matrix."""
     if op.kind == "h":
         u = _H
     elif op.kind == "x":
@@ -212,7 +215,19 @@ def _plan(op: GateOp, n: int) -> _Plan:
     else:  # ry
         c, s = np.cos(op.angle / 2), np.sin(op.angle / 2)
         u = np.array([[c, -s], [s, c]])
-    return _Plan((2,) * n, (i0, i1), tuple(u.ravel().tolist()))
+    return tuple(u.ravel().tolist())
+
+
+def _roll_moves(at, direction: int) -> tuple:
+    """(dst, src) slice pairs that roll one axis by one position; ``at``
+    turns a slice of that axis into an index of the whole view."""
+    # the bulk moves one step, the position that falls off one end
+    # re-enters at the other
+    if direction == +1:
+        return ((at(slice(1, None)), at(slice(None, -1))),
+                (at(slice(0, 1)), at(slice(-1, None))))
+    return ((at(slice(None, -1)), at(slice(1, None))),
+            (at(slice(-1, None)), at(slice(0, 1))))
 
 
 def apply(state: QState, op: GateOp) -> QState:
@@ -276,16 +291,150 @@ def project(state: QState, bitstring: str | None = None) -> tuple[float, QState]
     d_dim = 1 << layout.d_qubits
     block = slice(q_value * d_dim, (q_value + 1) * d_dim)
     sub = state.amplitudes[block]
+    prob, kept = _renormalized(sub, bitstring)
+    amps = np.zeros(layout.dim, dtype=sub.dtype)
+    amps[block] = kept
+    return prob, QState(amps, layout)
+
+
+def _renormalized(sub: np.ndarray, bitstring: str) -> tuple[float, np.ndarray]:
+    """Probability of the q = ``bitstring`` block ``sub``, and the block
+    renormalized; the one rule of ``project`` and ``BlockProgram``."""
     prob = float(np.sum(np.abs(sub) ** 2))
     if prob < 1e-14:
         raise PostSelectionError(
             f"post-selection impossible: q={bitstring!r} has probability {prob:.3e}"
         )
-    amps = np.zeros(layout.dim, dtype=sub.dtype)
     # times the reciprocal, as numpy divides a complex array by a real
     # scalar, so real and complex states renormalize to the same bits
-    amps[block] = sub * (1.0 / np.sqrt(prob))
-    return prob, QState(amps, layout)
+    return prob, sub * (1.0 / np.sqrt(prob))
+
+
+class _Pair(NamedTuple):
+    """One gate's update of a block pair, reduced to the outputs kept: each
+    write is (block, ((coefficient, source block), ...)), and every source
+    is read before any output is written."""
+
+    op: GateOp
+    writes: tuple
+
+
+class _Roll(NamedTuple):
+    """One block rolled along one position axis by two slice moves."""
+
+    op: GateOp
+    block: int
+    moves: tuple
+
+
+class BlockProgram:
+    """Gates on the direction register followed by post-selection of
+    q = |0..0>, compiled once into updates of the 2**q position blocks.
+
+    The state is a list of blocks, ``None`` for one known to be zero.  A
+    forward pass from block 0 finds the blocks each gate can make nonzero;
+    a backward pass from the post-selected block 0 drops every update whose
+    result is never read.  A kept update is ``apply``'s arithmetic on whole
+    blocks -- ``u00*a0 + u01*a1`` for a one-qubit gate, two slice moves on
+    one axis for a shift -- minus the products with zero blocks, so the
+    post-selected block has the bits the full register gives.  An op this
+    cannot express, a target or control in the position register or a shift
+    block that is not one axis, raises ``ValueError`` here.
+    """
+
+    def __init__(self, ops, layout: QubitLayout):
+        self.layout = layout
+        self.block_layout = QubitLayout(0, layout.axis_qubits)
+        self.steps = _pruned(_forward(ops, layout))
+        self._shape = tuple(1 << a for a in layout.axis_qubits)
+
+    def run(self, state: QState) -> tuple[float, QState]:
+        """Evolve a position-register state and post-select: the
+        probability and the renormalized q = |0..0> block."""
+        if state.layout != self.block_layout:
+            raise ValueError(f"program runs on {self.block_layout}, got {state.layout}")
+        blocks = [None] * (1 << self.layout.q_qubits)
+        blocks[0] = state.amplitudes.reshape(self._shape)
+        for step in self.steps:
+            if type(step) is _Roll:
+                src = blocks[step.block]
+                out = np.empty_like(src)
+                for to, frm in step.moves:
+                    out[to] = src[frm]
+                blocks[step.block] = out
+            else:
+                values = [_combine(blocks, terms) for _, terms in step.writes]
+                for (dst, _), value in zip(step.writes, values):
+                    blocks[dst] = value
+        prob, amps = _renormalized(blocks[0].reshape(-1), "0" * self.layout.q_qubits)
+        return prob, QState(amps, self.block_layout)
+
+
+def _combine(blocks: list, terms: tuple) -> np.ndarray:
+    if len(terms) == 1:
+        ((c, src),) = terms
+        return c * blocks[src]
+    (c0, s0), (c1, s1) = terms
+    return c0 * blocks[s0] + c1 * blocks[s1]
+
+
+def _forward(ops, layout: QubitLayout) -> list[list]:
+    """Per gate, the block updates that can change a nonzero block, with
+    the terms of zero blocks left out."""
+    q = layout.q_qubits
+    axes = {layout.axis_block(i): i for i in range(len(layout.axis_qubits))}
+    live = {0}
+    gates = []
+    for op in ops:
+        _plan(op, layout.n_qubits)  # apply's range, polarity and overlap checks
+        qubits = [c for c, _ in op.controls]
+        if op.kind != "shift":
+            qubits.append(op.target)
+        if any(qubit >= q for qubit in qubits):
+            raise ValueError(f"{op} acts on the position register")
+        fires = [b for b in range(1 << q)
+                 if all((b >> (q - 1 - c)) & 1 == pol for c, pol in op.controls)]
+        if op.kind == "shift":
+            if op.block not in axes:
+                raise ValueError(f"shift block {op.block} is not one position axis")
+            lead = (slice(None),) * axes[op.block]
+            moves = _roll_moves(lambda s: lead + (s,), op.direction)
+            gates.append([_Roll(op, b, moves) for b in fires if b in live])
+            continue
+        u00, u01, u10, u11 = _coefficients(op)
+        bit = 1 << (q - 1 - op.target)
+        steps = []
+        for b0 in fires:
+            b1 = b0 | bit
+            if b0 & bit or not {b0, b1} & live:
+                continue
+            writes = tuple(
+                (dst, tuple((c, src) for c, src in ((c0, b0), (c1, b1)) if src in live))
+                for dst, c0, c1 in ((b0, u00, u01), (b1, u10, u11)))
+            steps.append(_Pair(op, writes))
+        live |= {b for step in steps for b, _ in step.writes}
+        gates.append(steps)
+    return gates
+
+
+def _pruned(gates: list[list]) -> tuple:
+    """The updates whose results reach block 0, in program order."""
+    needed = {0}
+    kept = []
+    for steps in reversed(gates):
+        if steps and type(steps[0]) is _Roll:
+            # a roll reads and writes its own block
+            kept += [step for step in reversed(steps) if step.block in needed]
+            continue
+        reads, written = set(), set()
+        for step in reversed(steps):
+            written |= {dst for dst, _ in step.writes}
+            writes = tuple(w for w in step.writes if w[0] in needed)
+            if writes:
+                kept.append(step._replace(writes=writes))
+                reads |= {src for _, terms in writes for _, src in terms}
+        needed = (needed - written) | reads
+    return tuple(reversed(kept))
 
 
 def sample(state: QState, shots: int, seed: int) -> ShotHistogram:

@@ -13,7 +13,15 @@ from qlbm.analysis import (
 )
 from qlbm.ancilla_free import build_streaming, build_summation, layout_for
 from qlbm.lattice import ModelSpec, effective_weights
-from qlbm.statevector import GateOp, QState, QubitLayout, apply, apply_circuit, project
+from qlbm.statevector import (
+    GateOp,
+    QState,
+    QubitLayout,
+    apply,
+    apply_circuit,
+    encode_amplitudes,
+    project,
+)
 
 
 def test_toffolis_per_mcx_rule():
@@ -93,12 +101,12 @@ def test_inventory_counts_negative_controls_as_x_pairs():
 
 def pre_summation_state(spec, phi):
     """Collision + streaming applied to an encoded field (no Hadamards)."""
-    from qlbm.ancilla_free import build_collision, encode_initial
+    from qlbm.ancilla_free import build_collision
 
     layout = layout_for(spec)
     weights = effective_weights(spec)
-    ls = encode_initial(phi)
-    state = apply_circuit(ls.state, build_collision(weights, layout))
+    state = encode_amplitudes(phi.phi, layout).state
+    state = apply_circuit(state, build_collision(weights, layout))
     return apply_circuit(state, build_streaming(spec.scheme, layout))
 
 

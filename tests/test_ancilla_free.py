@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlbm.ancilla_free import (
+    LoopState,
     build_collision,
     build_streaming,
     build_summation,
@@ -12,6 +15,7 @@ from qlbm.ancilla_free import (
     layout_for,
     run_exact,
     run_loop_exact,
+    run_loop_gates,
     run_sampled,
     sample_readout,
 )
@@ -23,7 +27,14 @@ from qlbm.lattice import (
     effective_weights,
     uniform_field,
 )
-from qlbm.statevector import QState, apply_circuit
+from qlbm.statevector import (
+    BlockProgram,
+    PostSelectionError,
+    QState,
+    QubitLayout,
+    apply_circuit,
+    encode_amplitudes,
+)
 
 
 def d1_weights(w_hat):
@@ -182,8 +193,8 @@ def test_summation_zero_block_sums_directions():
     weights = effective_weights(spec)
     rng = np.random.default_rng(1)
     phi = rng.random(8)
-    ls = encode_initial(MacroField(phi, (8,)))
-    state = apply_circuit(ls.state, build_collision(weights, layout))
+    state = encode_amplitudes(phi, layout).state
+    state = apply_circuit(state, build_collision(weights, layout))
     state = apply_circuit(state, build_streaming("D1Q3", layout))
     before = state.amplitudes.reshape(4, 8)
     out = apply_circuit(state, build_summation(layout))
@@ -195,8 +206,8 @@ def test_summation_d2q5_normalization_factor():
     layout = layout_for(spec)
     rng = np.random.default_rng(2)
     phi = rng.random(16)
-    ls = encode_initial(MacroField(phi, (4, 4)))
-    state = apply_circuit(ls.state, build_collision(effective_weights(spec), layout))
+    state = encode_amplitudes(phi, layout).state
+    state = apply_circuit(state, build_collision(effective_weights(spec), layout))
     state = apply_circuit(state, build_streaming("D2Q5", layout))
     before = state.amplitudes.reshape(8, 16)
     out = apply_circuit(state, build_summation(layout))
@@ -298,6 +309,70 @@ def test_continuing_a_state_twice_keeps_both_histories():
                             rel_tol=1e-12)
     # a history continued again after the branch still sees only its own loops
     assert list(run_loop_exact(first, spec).loop_probs)[:4] == first_history
+
+
+@st.composite
+def loop_models(draw):
+    """A D1Q3/D2Q5 spec with M in 2..64, default or overridden weights and
+    c_s2, and a velocity anywhere up to the advection limit |u| = c_s2,
+    where the weight of one direction is zero."""
+    scheme = draw(st.sampled_from(["D1Q3", "D2Q5"]))
+    m = 2 ** draw(st.integers(1, 6))
+    weights = c_s2 = None
+    if draw(st.booleans()):
+        # a zero moving weight takes collision_angles' zero-denominator branch
+        rest = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        x_share = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        wx, wy = (1 - rest) * x_share / 2, (1 - rest) * (1 - x_share) / 2
+        weights = (rest, wx + wy, wx + wy) if scheme == "D1Q3" else (rest, wx, wx, wy, wy)
+        c_s2 = draw(st.floats(0.2, 2.0))
+    limit = c_s2 or (1.0 if scheme == "D1Q3" else 1 / 3)
+    ratio = st.sampled_from([-1.0, 1.0]) | st.floats(-1.0, 1.0)
+    u = limit * draw(ratio)
+    v = limit * draw(ratio) if scheme == "D2Q5" else 0.0
+    return ModelSpec(scheme=scheme, M=m, u=u, v=v, weights=weights, c_s2=c_s2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=loop_models(), difference_mode=st.booleans(), loops=st.integers(1, 12),
+       seed=st.integers(0, 2**31))
+def test_block_program_matches_gate_path(spec, difference_mode, loops, seed):
+    field = MacroField(np.random.default_rng(seed).random(spec.M ** len(spec.geometry)),
+                       spec.geometry)
+    blocks = gates = encode_initial(field, difference_mode)
+    position_register = blocks.state.layout
+    for _ in range(loops):
+        blocks, gates = run_loop_exact(blocks, spec), run_loop_gates(gates, spec)
+        assert blocks.state.layout == gates.state.layout == position_register
+        assert np.array_equal(blocks.state.amplitudes, gates.state.amplitudes)
+    assert np.array_equal(blocks.loop_probs, gates.loop_probs)
+    assert blocks.log_cumulative_postselect_prob == gates.log_cumulative_postselect_prob
+
+
+@pytest.mark.parametrize("scheme, pairs, kept", [("D1Q3", 4, 3), ("D2Q5", 12, 7)])
+def test_block_program_keeps_only_what_reaches_block_zero(scheme, pairs, kept):
+    spec = ModelSpec(scheme=scheme, M=8, u=0.1)
+    layout = layout_for(spec)
+    summation = build_summation(layout)
+    ops = [*build_collision(effective_weights(spec), layout).ops,
+           *build_streaming(scheme, layout).ops, *summation.ops]
+    steps = BlockProgram(ops, layout).steps
+    # every Hadamard pairs all 2**q blocks; the |0..0> branch needs a few
+    assert len(summation.ops) << (layout.q_qubits - 1) == pairs
+    hadamards = [step for step in steps if step.op.kind == "h"]
+    assert len(hadamards) == kept
+    assert all(len(step.writes) == 1 for step in hadamards)
+
+
+def test_zero_postselection_probability_raises():
+    # rest weight 0 and the two moving weights equal: the rolls of an
+    # alternating field cancel, so the |00> branch is empty
+    spec = ModelSpec(scheme="D1Q3", M=4, weights=(0.0, 0.5, 0.5))
+    amps = np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
+    ls = LoopState(state=QState(amps, QubitLayout(0, (2,))), loop_index=0, initial_l1=1.0)
+    for run in (run_loop_exact, run_loop_gates):
+        with pytest.raises(PostSelectionError, match="q='00'"):
+            run(ls, spec)
 
 
 def test_omega_must_be_one():

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +191,35 @@ def test_run_with_snapshots_evolves_once(tmp_path, loop_counter):
     assert (out / "field_t12.csv").read_bytes() == (out / "field.csv").read_bytes()
 
 
+def test_block_program_and_gate_path_write_the_same_bytes(tmp_path, monkeypatch):
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    exact = str(configs / "d2q5_gaussian_hill_exact.json")
+    sampled = str(configs / "d1q3_gaussian_hill_sampled.json")
+    commands = [["run", "--config", exact], ["probe", "--config", exact],
+                ["run", "--config", sampled]]
+
+    def outputs(tag):
+        root = tmp_path / tag
+        for i, argv in enumerate(commands):
+            assert cli.main(argv + ["--out", str(root / str(i))]) == 0
+        return {p.relative_to(root): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    blocks = outputs("blocks")
+    gate_loops = []
+
+    def gates(ls, spec):
+        gate_loops.append(ls.loop_index)
+        return ancilla_free.run_loop_gates(ls, spec)
+
+    # run_exact looks the loop up in its own module
+    monkeypatch.setattr(cli, "run_loop_exact", gates)
+    monkeypatch.setattr(ancilla_free, "run_loop_exact", gates)
+    assert outputs("gates") == blocks
+    assert len(gate_loops) == 20 + 20 + 30
+    assert len(blocks) == 6 + 2 + 2  # run with 4 snapshots, probe, sampled run
+
+
 @pytest.mark.parametrize("updates", [
     {"mode": "classical"},
     {"scheme": "D1Q2", "M": 8, "mode": "classical", "w_hat": [0.75, 0.25],
@@ -339,6 +369,24 @@ def test_bad_config_exit_code(tmp_path):
     {"snapshots": [True]},
     {"M": True},
     {"mode": "quantum-sampled", "shots": True},
+    {"M": "64"},
+    {"loops": "5"},
+    {"u": "0.2"},
+    {"mode": "quantum-sampled", "shots": "7"},
+    {"seed": "3"},
+    {"snapshots": ["5"]},
+    {"initial": {"uniform": "0.1"}},
+    {"weights": ["0.5", 0.25, 0.25]},
+    {"c_s2": "1.0"},
+    {"scheme": "D1Q2", "mode": "classical", "w_hat": ["0.5", 0.5]},
+    {"u": True},
+    {"u": float("nan")},
+    {"v": float("inf")},
+    {"mode": "classical", "omega": float("nan")},
+    {"initial": {"uniform": float("inf")}},
+    {"initial": {"uniform": 0.1, "overrides": [[11, float("nan")]]}},
+    {"weights": [float("nan"), 0.5, 0.5]},
+    {"M": 2**1030},
 ])
 def test_malformed_config_exit_code(tmp_path, updates):
     cfg = write_config(tmp_path, "bad.json", **updates)

@@ -7,6 +7,7 @@ from qlbm.analysis import shift_unitary_check
 from qlbm.ancilla_free import encode_initial, run_loop_exact
 from qlbm.lattice import MacroField, ModelSpec
 from qlbm.statevector import (
+    BlockProgram,
     GateOp,
     PostSelectionError,
     QState,
@@ -217,6 +218,84 @@ def test_bad_control_raises_value_error(op):
     for _ in range(2):  # a failed plan is not cached: the second call raises too
         with pytest.raises(ValueError):
             apply(basis(L22, 0), op)
+
+
+@st.composite
+def direction_circuits(draw):
+    """A layout and a few gates with every target and control in its
+    direction register, and shifts on whole position axes."""
+    q = draw(st.integers(1, 3))
+    axes = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)))
+    layout = QubitLayout(q, axes)
+    ops = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["ry", "h", "x", "shift"]))
+        target = None if kind == "shift" else draw(st.integers(0, q - 1))
+        free = [c for c in range(q) if c != target]
+        qubits = draw(st.lists(st.sampled_from(free), unique=True)) if free else []
+        controls = tuple((c, draw(st.integers(0, 1))) for c in qubits)
+        if kind == "shift":
+            block = layout.axis_block(draw(st.integers(0, len(axes) - 1)))
+            ops.append(GateOp(kind="shift", block=block, controls=controls,
+                              direction=draw(st.sampled_from([+1, -1]))))
+        else:
+            angle = draw(st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False))
+            ops.append(GateOp(kind=kind, target=target, angle=angle, controls=controls))
+    return layout, ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=direction_circuits(), is_complex=st.booleans(), seed=st.integers(0, 2**31))
+def test_block_program_matches_gates_and_projection(case, is_complex, seed):
+    layout, ops = case
+    block_layout = QubitLayout(0, layout.axis_qubits)
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=block_layout.dim)
+    if is_complex:
+        amps = amps + 1j * rng.normal(size=block_layout.dim)
+    block = QState(amps / np.linalg.norm(amps), block_layout)
+    before = block.amplitudes.copy()
+    full = np.zeros(layout.dim, dtype=before.dtype)
+    full[: block_layout.dim] = before
+    state = QState(full, layout)
+    for op in ops:
+        state = apply(state, op)
+    program = BlockProgram(ops, layout)
+    try:
+        prob, expected = project(state)
+    except PostSelectionError:
+        with pytest.raises(PostSelectionError):
+            program.run(block)
+        return
+    got_prob, got = program.run(block)
+    assert got.layout == block_layout
+    assert got_prob == prob
+    assert np.array_equal(got.amplitudes, expected.d_block())
+    assert np.array_equal(block.amplitudes, before)  # run leaves its input alone
+
+
+@pytest.mark.parametrize("layout, op", [
+    (QubitLayout(2, (3,)), GateOp(kind="h", target=2)),
+    (QubitLayout(2, (3,)), GateOp(kind="ry", target=0, angle=0.4, controls=((4, 1),))),
+    (QubitLayout(2, (3,)), GateOp(kind="shift", block=(2, 2), direction=+1)),
+    (QubitLayout(2, (3,)), GateOp(kind="shift", block=(1, 4), direction=+1)),
+    (QubitLayout(3, (2, 2)), GateOp(kind="shift", block=(3, 4), direction=-1,
+                                    controls=((0, 1),))),
+    (QubitLayout(3, (2, 2)), GateOp(kind="shift", block=(5, 2), direction=+1,
+                                    controls=((3, 0),))),
+])
+def test_block_program_refuses_ops_it_cannot_express(layout, op):
+    with pytest.raises(ValueError):
+        BlockProgram([GateOp(kind="h", target=0), op], layout)
+
+
+def test_block_program_checks_its_input():
+    program = BlockProgram([GateOp(kind="x", target=0)], QubitLayout(1, (2,)))
+    with pytest.raises(ValueError, match="runs on"):
+        program.run(QState(np.full(8, 8**-0.5), QubitLayout(0, (3,))))
+    # X moves everything out of the post-selected block
+    with pytest.raises(PostSelectionError, match="probability 0"):
+        program.run(QState(np.full(4, 0.5), QubitLayout(0, (2,))))
 
 
 @pytest.mark.parametrize("scheme, M", [("D1Q3", 16), ("D2Q5", 8)])
