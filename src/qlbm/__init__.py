@@ -55,7 +55,6 @@ from .statevector import (
     apply_circuit,
     encode_amplitudes,
     project,
-    sample,
 )
 
 __version__ = "0.1.0"

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import D1Q3, D2Q5
+from .ancilla_free import layout_for
+from .lattice import ModelSpec
 from .statevector import Circuit, GateOp, QState, QubitLayout, apply
 
 
@@ -143,22 +144,16 @@ def circuit_inventory(circuit: Circuit) -> GateInventory:
 def toffoli_count(scheme: str, M: int) -> int:
     """Toffoli cost of one loop's streaming stage.
 
-    D2Q5: four shift directions, each controlled by the 3 direction qubits,
-    totalling 4 log2(M)^2 + 8 log2(M).  D1Q3: two directions with 2 control
-    qubits, totalling 2 log2(M)^2.
+    One shift per moving direction, each controlled by every direction
+    qubit: D2Q5's four with 3 controls total 4 log2(M)^2 + 8 log2(M), and
+    D1Q3's two with 2 controls total 2 log2(M)^2.
     """
-    if M < 2 or M & (M - 1):
-        raise ValueError("M must be a power of two >= 2")
-    n = int(np.log2(M))
-    if scheme == D2Q5:
-        dirs, extra = 4, 3
-    elif scheme == D1Q3:
-        dirs, extra = 2, 2
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    spec = ModelSpec(scheme=scheme, M=M)
+    layout = layout_for(spec)
     total = GateInventory()
-    for k in range(dirs):
-        total.merge(decompose_shift(n, +1 if k % 2 == 0 else -1, extra))
+    for k in range(len(spec.e) - 1):
+        total.merge(decompose_shift(layout.axis_qubits[0], +1 if k % 2 == 0 else -1,
+                                    layout.q_qubits))
     return total.toffoli_total()
 
 
@@ -190,10 +185,6 @@ def probability_bounds(scheme: str) -> tuple[float, float]:
     bounds |sum f_a|^2 between sum |f_a|^2 and m * sum |f_a|^2, giving
     [1/2^q, m/2^q].
     """
-    if scheme == D1Q3:
-        m, q = 3, 2
-    elif scheme == D2Q5:
-        m, q = 5, 3
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    spec = ModelSpec(scheme=scheme, M=2)
+    m, q = len(spec.e), layout_for(spec).q_qubits
     return 1.0 / (1 << q), m / (1 << q)

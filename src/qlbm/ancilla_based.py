@@ -37,8 +37,6 @@ class LegacySpec:
     w_hat1: float
     w_hat2: float
     phi0: np.ndarray
-    ancilla: int = 0
-    direction_qubit: int = 1
 
     def __post_init__(self):
         if self.M < 2 or self.M & (self.M - 1):

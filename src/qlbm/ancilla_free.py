@@ -320,9 +320,8 @@ def _advanced(loop_state: LoopState, state: QState, prob: float) -> LoopState:
 
 def sample_readout(loop_state: LoopState, shots: int, seed: int,
                    postselect: str = "exact") -> ShotHistogram:
-    """Measure the position register of a post-selected loop state.
-
-    Histogram keys are position-register bitstrings.  With
+    """Measure the position register of a post-selected loop state: the
+    multinomial counts per cell, in row-major cell order.  With
     ``postselect="rejection"`` the shot count is treated as a budget of
     whole-trajectory attempts instead: the number of surviving shots is
     binomial in the cumulative post-selection probability, mirroring a
@@ -333,8 +332,7 @@ def sample_readout(loop_state: LoopState, shots: int, seed: int,
         raise ValueError("shots must be >= 1")
     if postselect not in ("exact", "rejection"):
         raise ValueError("postselect must be 'exact' or 'rejection'")
-    d = loop_state.state.d_block()
-    probs = np.abs(d) ** 2
+    probs = np.abs(loop_state.state.amplitudes) ** 2
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     n_meas = shots
@@ -347,10 +345,7 @@ def sample_readout(loop_state: LoopState, shots: int, seed: int,
                 f"rejection sampling kept zero of {shots} trajectories: "
                 f"log10 P = {log10_p:.3f}, expected survivors {shots * p_cum:.3g}"
             )
-    draws = rng.multinomial(n_meas, probs)
-    n_bits = loop_state.state.layout.d_qubits
-    counts = {format(i, f"0{n_bits}b"): int(c) for i, c in enumerate(draws) if c > 0}
-    return ShotHistogram(counts=counts, shots=n_meas, seed=seed)
+    return ShotHistogram(rng.multinomial(n_meas, probs), n_meas)
 
 
 def run_sampled(initial: MacroField, spec: ModelSpec, loops: int, shots: int,
@@ -363,10 +358,8 @@ def run_sampled(initial: MacroField, spec: ModelSpec, loops: int, shots: int,
     """
     if loops < 1:
         raise ValueError("loops must be >= 1")
-    ls = encode_initial(initial, difference_mode)
-    for _ in range(loops):
-        ls = run_loop_exact(ls, spec)
-    return sample_readout(ls, shots, seed, postselect)
+    return sample_readout(run_exact(initial, spec, loops, difference_mode),
+                          shots, seed, postselect)
 
 
 def run_exact(initial: MacroField, spec: ModelSpec, loops: int,

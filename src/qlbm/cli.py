@@ -84,6 +84,11 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _numbers(raw: dict, key: str) -> tuple | None:
+    """A list of config numbers; only JSON null or an absent key is None."""
+    return None if raw.get(key) is None else tuple(map(_number, raw[key]))
+
+
 def _is_index(c) -> bool:
     return isinstance(c, int) and not isinstance(c, bool)
 
@@ -143,10 +148,9 @@ class RunConfig:
                 u=float(_number(raw.get("u", 0.0))),
                 v=float(_number(raw.get("v", 0.0))),
                 omega=float(_number(raw.get("omega", 1.0))),
-                weights=(tuple(map(_number, raw["weights"]))
-                         if raw.get("weights") else None),
+                weights=_numbers(raw, "weights"),
                 c_s2=None if raw.get("c_s2") is None else _number(raw["c_s2"]),
-                w_hat=tuple(map(_number, raw["w_hat"])) if raw.get("w_hat") else None,
+                w_hat=_numbers(raw, "w_hat"),
                 uniform=float(_number(initial.get("uniform", 0.0))),
                 # override values are checked by validate and MacroField:
                 # a per-value call costs ms on configs of 10^4 cells
@@ -239,9 +243,9 @@ class RunConfig:
             "u": self.u,
             "v": self.v,
             "omega": self.omega,
-            "weights": list(self.weights) if self.weights else None,
+            "weights": None if self.weights is None else list(self.weights),
             "c_s2": self.c_s2,
-            "w_hat": list(self.w_hat) if self.w_hat else None,
+            "w_hat": None if self.w_hat is None else list(self.w_hat),
             "initial": {
                 "uniform": self.uniform,
                 "overrides": [[list(c) if not isinstance(c, int) else c, v]

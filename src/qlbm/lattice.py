@@ -47,8 +47,6 @@ class ModelSpec:
     omega: float = 1.0
     weights: tuple[float, ...] | None = None
     c_s2: float | None = None
-    dx: float = 1.0
-    dt: float = 1.0
 
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
@@ -147,10 +145,10 @@ def effective_weights(spec: ModelSpec) -> DirectionWeights:
 
 
 def diffusion_coefficient(spec: ModelSpec) -> float:
-    """chi from the relaxation time via the scheme's dispersion constant."""
-    tau = spec.dt / spec.omega
-    d_n = _SCHEMES[spec.scheme]["dispersion"]
-    return spec.dx**2 / (d_n * spec.dt) * (tau / spec.dt - 0.5)
+    """chi from the relaxation time via the scheme's dispersion constant,
+    in lattice units (dx = dt = 1)."""
+    tau = 1.0 / spec.omega
+    return 1.0 / _SCHEMES[spec.scheme]["dispersion"] * (tau - 0.5)
 
 
 def weighted_stream_sum(field: MacroField, w_hat, e) -> MacroField:

@@ -43,23 +43,17 @@ class ReadoutReport:
 def macroscopic_from_counts(hist: ShotHistogram, l1: float,
                             geometry: tuple[int, ...] | None = None) -> MacroField:
     """Finite-shot field reconstruction from position-register counts."""
-    if hist.shots <= 0 or not hist.counts:
+    counts = hist.counts
+    if hist.shots <= 0 or not counts.any():
         raise ValueError("zero total shots")
     if l1 <= 0:
         raise ValueError("recorded 1-norm must be positive")
-    n_bits = len(next(iter(hist.counts)))
-    cells = 1 << n_bits
     if geometry is None:
-        geometry = (cells,)
-    if int(np.prod(geometry)) != cells:
-        raise ValueError("geometry does not match bitstring length")
-    amp_est = np.zeros(cells)
-    for bits, count in hist.counts.items():
-        if len(bits) != n_bits:
-            raise ValueError("inconsistent bitstring lengths in histogram")
-        amp_est[int(bits, 2)] = np.sqrt(count / hist.shots)
-    total = amp_est.sum()
-    return MacroField(amp_est / total * l1, geometry)
+        geometry = (counts.size,)
+    if int(np.prod(geometry)) != counts.size:
+        raise ValueError("geometry does not match the number of cells counted")
+    amp = np.sqrt(counts / hist.shots)
+    return MacroField(amp / amp.sum() * l1, geometry)
 
 
 def macroscopic_exact(state: QState, l1: float,

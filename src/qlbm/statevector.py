@@ -1,6 +1,6 @@
 """Dense statevector simulator for the solver's small register layouts.
 
-Bit ordering convention (used everywhere, including histogram bitstrings):
+Bit ordering convention (used everywhere, including readout counts):
 qubit 0 is the most significant bit of a basis index.  The direction
 register q occupies the top ``q_qubits`` qubits, the position register d
 sits below it.  For two-dimensional lattices the d register splits into an
@@ -65,9 +65,6 @@ class QubitLayout:
         offset = self.q_qubits + sum(self.axis_qubits[:axis])
         return offset, self.axis_qubits[axis]
 
-    def bitstring(self, index: int) -> str:
-        return format(index, f"0{self.n_qubits}b")
-
 
 _STATE_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
 
@@ -129,11 +126,11 @@ class Circuit:
 
 
 class ShotHistogram(NamedTuple):
-    """Measured bitstring counts from a finite-shot run."""
+    """Counts per cell from a finite-shot readout of the position register,
+    an int array in row-major cell order, and the shots they sum to."""
 
-    counts: dict[str, int]
+    counts: np.ndarray
     shots: int
-    seed: int
 
 
 class EncodedState(NamedTuple):
@@ -277,33 +274,26 @@ def encode_amplitudes(values: np.ndarray, layout: QubitLayout) -> EncodedState:
     return EncodedState(QState(amps, layout), l2, float(values.sum()))
 
 
-def project(state: QState, bitstring: str | None = None) -> tuple[float, QState]:
-    """Post-select the q register on a basis bitstring (default all zeros).
+def project(state: QState) -> tuple[float, QState]:
+    """Post-select the q register on |0..0>.
 
     Returns the success probability and the renormalized collapsed state.
     """
     layout = state.layout
-    if bitstring is None:
-        bitstring = "0" * layout.q_qubits
-    if len(bitstring) != layout.q_qubits:
-        raise ValueError("bitstring length must equal q_qubits")
-    q_value = int(bitstring, 2) if bitstring else 0
     d_dim = 1 << layout.d_qubits
-    block = slice(q_value * d_dim, (q_value + 1) * d_dim)
-    sub = state.amplitudes[block]
-    prob, kept = _renormalized(sub, bitstring)
-    amps = np.zeros(layout.dim, dtype=sub.dtype)
-    amps[block] = kept
+    prob, kept = _renormalized(state.amplitudes[:d_dim])
+    amps = np.zeros(layout.dim, dtype=kept.dtype)
+    amps[:d_dim] = kept
     return prob, QState(amps, layout)
 
 
-def _renormalized(sub: np.ndarray, bitstring: str) -> tuple[float, np.ndarray]:
-    """Probability of the q = ``bitstring`` block ``sub``, and the block
+def _renormalized(sub: np.ndarray) -> tuple[float, np.ndarray]:
+    """Probability of the q = |0..0> block ``sub``, and the block
     renormalized; the one rule of ``project`` and ``BlockProgram``."""
     prob = float(np.sum(np.abs(sub) ** 2))
     if prob < 1e-14:
         raise PostSelectionError(
-            f"post-selection impossible: q={bitstring!r} has probability {prob:.3e}"
+            f"post-selection impossible: q = |0..0> has probability {prob:.3e}"
         )
     # times the reciprocal, as numpy divides a complex array by a real
     # scalar, so real and complex states renormalize to the same bits
@@ -366,7 +356,7 @@ class BlockProgram:
                 values = [_combine(blocks, terms) for _, terms in step.writes]
                 for (dst, _), value in zip(step.writes, values):
                     blocks[dst] = value
-        prob, amps = _renormalized(blocks[0].reshape(-1), "0" * self.layout.q_qubits)
+        prob, amps = _renormalized(blocks[0].reshape(-1))
         return prob, QState(amps, self.block_layout)
 
 
@@ -435,18 +425,4 @@ def _pruned(gates: list[list]) -> tuple:
                 reads |= {src for _, terms in writes for _, src in terms}
         needed = (needed - written) | reads
     return tuple(reversed(kept))
-
-
-def sample(state: QState, shots: int, seed: int) -> ShotHistogram:
-    """Multinomial sampling of the full register; deterministic per seed."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    probs = np.abs(state.amplitudes) ** 2
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, probs)
-    counts = {
-        state.layout.bitstring(i): int(c) for i, c in enumerate(draws) if c > 0
-    }
-    return ShotHistogram(counts=counts, shots=shots, seed=seed)
 

@@ -371,7 +371,8 @@ def test_zero_postselection_probability_raises():
     amps = np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
     ls = LoopState(state=QState(amps, QubitLayout(0, (2,))), loop_index=0, initial_l1=1.0)
     for run in (run_loop_exact, run_loop_gates):
-        with pytest.raises(PostSelectionError, match="q='00'"):
+        with pytest.raises(PostSelectionError,
+                           match=r"post-selection impossible: q = \|0\.\.0>"):
             run(ls, spec)
 
 
@@ -420,6 +421,57 @@ def test_encode_initial_constant_field():
 
 # ---------------------------------------------------------------- sampling
 
+def position_state(amps) -> LoopState:
+    amps = np.asarray(amps, dtype=float)
+    layout = QubitLayout(0, (amps.size.bit_length() - 1,))
+    return LoopState(state=QState(amps, layout), loop_index=0, initial_l1=1.0)
+
+
+@pytest.mark.parametrize("postselect", ["exact", "rejection"])
+def test_sample_readout_counts_are_an_int_array_per_cell(postselect):
+    spec = ModelSpec(scheme="D1Q3", M=16, u=0.2)
+    phi = np.full(16, 0.1)
+    phi[3] = 0.4
+    ls = run_exact(MacroField(phi, (16,)), spec, 3)
+    hist = sample_readout(ls, 5000, seed=4, postselect=postselect)
+    assert type(hist.counts) is np.ndarray
+    assert np.issubdtype(hist.counts.dtype, np.integer)
+    assert hist.counts.shape == (16,)
+    assert hist.counts.sum() == hist.shots
+    assert (hist.shots == 5000) == (postselect == "exact")
+
+
+def test_sample_readout_basis_state():
+    amps = np.zeros(8)
+    amps[5] = 1.0
+    hist = sample_readout(position_state(amps), shots=100, seed=1)
+    expected = np.zeros(8, dtype=int)
+    expected[5] = 100
+    assert np.array_equal(hist.counts, expected)
+    assert hist.shots == 100
+
+
+def test_sample_readout_uniform_within_3_sigma():
+    shots = 4 * 10**6
+    hist = sample_readout(position_state(np.full(4, 0.5)), shots=shots, seed=42)
+    assert hist.counts.sum() == shots
+    sigma = np.sqrt(shots * 0.25 * 0.75)
+    assert np.all(np.abs(hist.counts - shots / 4) < 3 * sigma)
+
+
+def test_sample_readout_chi_square_goodness_of_fit():
+    # chi-square of the counts against |amplitude|^2, fixed seed;
+    # 15 degrees of freedom, critical value 37.70 at alpha = 1e-3
+    amps = np.random.default_rng(21).normal(size=16)
+    amps /= np.linalg.norm(amps)
+    shots = 10**6
+    hist = sample_readout(position_state(amps), shots, seed=3)
+    expected = amps**2 * shots
+    assert np.all(expected > 0)
+    chi2 = np.sum((hist.counts - expected) ** 2 / expected)
+    assert chi2 < 37.70
+
+
 def test_run_sampled_deterministic():
     spec = ModelSpec(scheme="D1Q3", M=16, u=0.2)
     phi = np.full(16, 0.1)
@@ -427,7 +479,8 @@ def test_run_sampled_deterministic():
     field = MacroField(phi, (16,))
     h1 = run_sampled(field, spec, 5, 20000, seed=13)
     h2 = run_sampled(field, spec, 5, 20000, seed=13)
-    assert h1 == h2
+    assert np.array_equal(h1.counts, h2.counts)
+    assert h1.shots == h2.shots
 
 
 def test_run_sampled_frequencies_converge():
@@ -440,7 +493,7 @@ def test_run_sampled_frequencies_converge():
     ref = classical_run(field, spec, 1).phi
     expected = ref**2 / np.sum(ref**2)
     for i, p in enumerate(expected):
-        freq = hist.counts.get(format(i, "03b"), 0) / shots
+        freq = hist.counts[i] / shots
         assert abs(freq - p) < 4 * np.sqrt(max(p, 1e-9) * (1 - p) / shots) + 1e-6
 
 
@@ -454,7 +507,7 @@ def test_run_sampled_rejection_mode_thins_shots():
     cum = run_exact(field, spec, 2).cumulative_postselect_prob
     assert hist.shots < shots
     assert abs(hist.shots - shots * cum) < 5 * np.sqrt(shots * cum * (1 - cum))
-    assert sum(hist.counts.values()) == hist.shots
+    assert hist.counts.sum() == hist.shots
 
 
 def test_d2q5_probabilities_within_bounds():

@@ -377,6 +377,10 @@ def test_bad_config_exit_code(tmp_path):
     {"snapshots": ["5"]},
     {"initial": {"uniform": "0.1"}},
     {"weights": ["0.5", 0.25, 0.25]},
+    {"weights": []},
+    {"weights": 0},
+    {"weights": False},
+    {"weights": ""},
     {"c_s2": "1.0"},
     {"scheme": "D1Q2", "mode": "classical", "w_hat": ["0.5", 0.5]},
     {"u": True},

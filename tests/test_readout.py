@@ -12,25 +12,25 @@ from qlbm.readout import (
 from qlbm.statevector import QState, QubitLayout, ShotHistogram
 
 
-def hist(counts, shots, seed=0):
-    return ShotHistogram(counts=counts, shots=shots, seed=seed)
+def hist(counts, shots):
+    return ShotHistogram(counts=np.array(counts), shots=shots)
 
 
 # ------------------------------------------------------------- from counts
 
 def test_counts_single_phase():
-    out = macroscopic_from_counts(hist({"00": 500}, 500), l1=3.0)
+    out = macroscopic_from_counts(hist([500, 0, 0, 0], 500), l1=3.0)
     assert np.allclose(out.phi, [3.0, 0.0, 0.0, 0.0])
 
 
 def test_counts_two_phase_example():
     # sqrt(9/25) = 0.6 and sqrt(16/25) = 0.8 -> weights 3/7 and 4/7
-    out = macroscopic_from_counts(hist({"0": 9, "1": 16}, 25), l1=7.0)
+    out = macroscopic_from_counts(hist([9, 16], 25), l1=7.0)
     assert np.allclose(out.phi, [3.0, 4.0])
 
 
 def test_counts_equal_split():
-    out = macroscopic_from_counts(hist({"00": 10, "01": 10, "10": 10, "11": 10}, 40),
+    out = macroscopic_from_counts(hist([10, 10, 10, 10], 40),
                                   l1=1.0)
     assert np.allclose(out.phi, 0.25)
 
@@ -40,19 +40,18 @@ def test_counts_sum_is_exactly_l1():
     for _ in range(10):
         draws = rng.integers(0, 50, size=8)
         draws[rng.integers(0, 8)] += 1  # never all zero
-        c = {format(i, "03b"): int(n) for i, n in enumerate(draws) if n}
         l1 = float(rng.uniform(0.1, 9.0))
-        out = macroscopic_from_counts(hist(c, int(draws.sum())), l1=l1)
+        out = macroscopic_from_counts(hist(draws, int(draws.sum())), l1=l1)
         assert out.phi.sum() == pytest.approx(l1, abs=1e-12)
 
 
 def test_counts_errors():
     with pytest.raises(ValueError, match="zero total shots"):
-        macroscopic_from_counts(hist({}, 0), l1=1.0)
+        macroscopic_from_counts(hist([0, 0, 0, 0], 0), l1=1.0)
     with pytest.raises(ValueError):
-        macroscopic_from_counts(hist({"00": 5}, 5), l1=-1.0)
+        macroscopic_from_counts(hist([5, 0, 0, 0], 5), l1=-1.0)
     with pytest.raises(ValueError, match="geometry"):
-        macroscopic_from_counts(hist({"00": 5}, 5), l1=1.0, geometry=(8,))
+        macroscopic_from_counts(hist([5, 0, 0, 0], 5), l1=1.0, geometry=(8,))
 
 
 # ------------------------------------------------------------------ exact

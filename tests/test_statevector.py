@@ -15,7 +15,6 @@ from qlbm.statevector import (
     apply,
     encode_amplitudes,
     project,
-    sample,
 )
 
 L22 = QubitLayout(q_qubits=2, axis_qubits=(2,))
@@ -368,60 +367,6 @@ def test_project_impossible():
     amps = np.array([0, 0, 1, 0], dtype=complex)  # all weight on q=1
     with pytest.raises(PostSelectionError, match="post-selection impossible"):
         project(QState(amps, layout))
-
-
-# ---------------------------------------------------------------- sampling
-
-def test_sample_basis_state():
-    hist = sample(basis(QubitLayout(1, (2,)), 5), shots=100, seed=1)
-    assert hist.counts == {"101": 100}
-    assert hist.shots == 100
-
-
-def test_sample_uniform_within_3_sigma():
-    layout = QubitLayout(0, (2,))
-    amps = np.full(4, 0.5, dtype=complex)
-    shots = 4 * 10**6
-    hist = sample(QState(amps, layout), shots=shots, seed=42)
-    assert sum(hist.counts.values()) == shots
-    sigma = np.sqrt(shots * 0.25 * 0.75)
-    for count in hist.counts.values():
-        assert abs(count - shots / 4) < 3 * sigma
-
-
-def test_sample_deterministic():
-    state = random_state(QubitLayout(1, (2,)), 9)
-    assert sample(state, 5000, seed=7) == sample(state, 5000, seed=7)
-
-
-def test_projection_consistent_with_sampling():
-    # relative frequency of q=0 bitstrings approaches the projector probability
-    layout = QubitLayout(2, (2,))
-    state = random_state(layout, 21)
-    prob, _ = project(state)
-    shots = 10**6
-    hist = sample(state, shots, seed=3)
-    freq = sum(c for bits, c in hist.counts.items() if bits[:2] == "00") / shots
-    sigma = np.sqrt(prob * (1 - prob) / shots)
-    assert abs(freq - prob) < 4 * sigma
-
-
-def test_sampling_chi_square_goodness_of_fit():
-    # chi-square of the full histogram against |amplitude|^2, fixed seed;
-    # 15 degrees of freedom, critical value 37.70 at alpha = 1e-3
-    layout = QubitLayout(2, (2,))
-    state = random_state(layout, 21)
-    probs = np.abs(state.amplitudes) ** 2
-    shots = 10**6
-    hist = sample(state, shots, seed=3)
-    observed = np.zeros(16)
-    for bits, count in hist.counts.items():
-        observed[int(bits, 2)] = count
-    expected = probs * shots
-    mask = expected > 0
-    chi2 = np.sum((observed[mask] - expected[mask]) ** 2 / expected[mask])
-    assert int(mask.sum()) == 16
-    assert chi2 < 37.70
 
 
 # ------------------------------------------- gate-level shift equivalence
