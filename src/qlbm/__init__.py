@@ -3,7 +3,6 @@
 from .analysis import (
     GateInventory,
     circuit_inventory,
-    decompose_shift,
     postselect_probability,
     prior_method_toffoli_count,
     probability_bounds,

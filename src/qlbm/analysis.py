@@ -1,9 +1,10 @@
 """Gate-resource accounting and post-selection probability analysis.
 
 Cyclic shifts are executed as permutations in the simulator, but counted
-here through their ripple-carry multi-controlled-NOT cascade: one MCX per
-block qubit, control counts extra, extra+1, ..., extra+n-1.  An n-controlled
-NOT costs max(2n-3, 0) Toffoli gates (n=2 is one Toffoli, n<=1 is free).
+here as the gates ``shift_gate_ops`` lowers them to: a ripple-carry
+multi-controlled-NOT cascade, one MCX per block qubit with control counts
+extra, extra+1, ..., extra+n-1.  An n-controlled NOT costs max(2n-3, 0)
+Toffoli gates (n=2 is one Toffoli, n<=1 is free).
 """
 from __future__ import annotations
 
@@ -33,13 +34,6 @@ class GateInventory:
     def add_other(self, name: str, count: int = 1):
         self.other[name] = self.other.get(name, 0) + count
 
-    def merge(self, inv: "GateInventory") -> "GateInventory":
-        for n, c in inv.mcx.items():
-            self.add_mcx(n, c)
-        for name, c in inv.other.items():
-            self.add_other(name, c)
-        return self
-
     def toffoli_total(self) -> int:
         return sum(c * toffolis_per_mcx(n) for n, c in self.mcx.items())
 
@@ -49,22 +43,6 @@ class GateInventory:
             "other": dict(sorted(self.other.items())),
             "toffoli_total": self.toffoli_total(),
         }
-
-
-def decompose_shift(n_qubits: int, direction: int, extra_controls: int) -> GateInventory:
-    """MCX census of one cyclic shift on an n-qubit block.
-
-    Both directions use the same gates (the decrement is the increment
-    cascade reversed), so the census is direction independent.
-    """
-    if n_qubits < 1:
-        raise ValueError("n_qubits must be >= 1")
-    if direction not in (+1, -1):
-        raise ValueError("direction must be +1 or -1")
-    inv = GateInventory()
-    for j in range(n_qubits):
-        inv.add_mcx(extra_controls + n_qubits - 1 - j)
-    return inv
 
 
 def shift_gate_ops(n_qubits: int, direction: int, block_offset: int,
@@ -118,43 +96,39 @@ def shift_unitary_check(n_qubits: int, direction: int) -> bool:
 def circuit_inventory(circuit: Circuit) -> GateInventory:
     """Canonicalized gate census of an emitted circuit.
 
-    Shifts expand to their MCX cascade; every negative control becomes the
-    positive-control gate plus an X pair.
+    Each shift is counted as the gates ``shift_gate_ops`` lowers it to, and
+    every negative control becomes the positive-control gate plus an X pair.
     """
     inv = GateInventory()
     for op in circuit.ops:
-        negatives = sum(1 for _, pol in op.controls if pol == 0)
-        if op.kind == "shift":
-            _, size = op.block
-            inv.merge(decompose_shift(size, op.direction, len(op.controls)))
-            inv.add_other("x", 2 * negatives)
-        elif op.kind == "x":
-            if op.controls:
-                inv.add_mcx(len(op.controls))
-                inv.add_other("x", 2 * negatives)
-            else:
-                inv.add_other("x")
+        if op.kind != "shift":
+            lowered = [op]
         else:
-            name = op.kind if not op.controls else f"{op.kind}[{len(op.controls)}c]"
-            inv.add_other(name)
-            inv.add_other("x", 2 * negatives)
+            offset, size = op.block
+            lowered = shift_gate_ops(size, op.direction, offset, op.controls)
+        for gate in lowered:
+            k = len(gate.controls)
+            if gate.kind == "x" and k:
+                inv.add_mcx(k)
+            else:
+                inv.add_other(f"{gate.kind}[{k}c]" if k else gate.kind)
+            negatives = sum(1 for _, pol in gate.controls if pol == 0)
+            if negatives:
+                inv.add_other("x", 2 * negatives)
     return inv
 
 
 def toffoli_count(scheme: str, M: int) -> int:
-    """Toffoli cost of one loop's streaming stage.
+    """Toffoli cost of one loop's streaming stage, in closed form.
 
-    One shift per moving direction, each controlled by every direction
-    qubit: D2Q5's four with 3 controls total 4 log2(M)^2 + 8 log2(M), and
-    D1Q3's two with 2 controls total 2 log2(M)^2.
+    One shift per moving direction, each an n-gate cascade controlled by
+    all q direction qubits, so its j-th gate has q + j controls: D2Q5's
+    four total 4 log2(M)^2 + 8 log2(M), and D1Q3's two total 2 log2(M)^2.
     """
     spec = ModelSpec(scheme=scheme, M=M)
     layout = layout_for(spec)
-    total = GateInventory()
-    for k in range(len(spec.e) - 1):
-        total.merge(decompose_shift(layout.axis_qubits[0], +1 if k % 2 == 0 else -1,
-                                    layout.q_qubits))
-    return total.toffoli_total()
+    n, q = layout.axis_qubits[0], layout.q_qubits
+    return (len(spec.e) - 1) * sum(toffolis_per_mcx(q + j) for j in range(n))
 
 
 def prior_method_toffoli_count(M: int) -> int:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import prior_method_toffoli_count, toffoli_count
-from .lattice import D2Q5, MacroField
+from .ancilla_free import layout_for
+from .lattice import D2Q5, MacroField, ModelSpec
 from .statevector import GateOp, QState, QubitLayout, apply
 
 
@@ -136,15 +137,13 @@ class OverheadReport:
 
 def compare_overhead(M: int) -> OverheadReport:
     """Per-loop resource comparison on an M x M five-direction lattice."""
-    if M < 2 or M & (M - 1):
-        raise ValueError("M must be a power of two >= 2")
-    n = int(math.log2(M))
+    qubits = layout_for(ModelSpec(D2Q5, M)).n_qubits  # raises for a bad M
     new = toffoli_count(D2Q5, M)
     old = prior_method_toffoli_count(M)
     return OverheadReport(
         M=M,
-        legacy_qubits=2 * n + 4,  # direction + two position blocks + ancilla
-        afqlbm_qubits=2 * n + 3,
+        legacy_qubits=qubits + 1,  # the same registers plus the collision ancilla
+        afqlbm_qubits=qubits,
         legacy_toffoli=old,
         afqlbm_toffoli=new,
         toffoli_saving=old - new,

@@ -242,15 +242,6 @@ def _circuits_for(spec: ModelSpec) -> _Loop:
     return loop
 
 
-def _require_unit_omega(spec: ModelSpec):
-    if spec.omega != 1.0:
-        raise ValueError(
-            "quantum pipeline requires omega = 1: the rotation-tree collision "
-            "replaces distributions by their equilibrium, which is exact only "
-            f"at omega = 1 (got omega = {spec.omega})"
-        )
-
-
 def encode_initial(field: MacroField, difference_mode: bool = False) -> LoopState:
     """Amplitude-encode a field, optionally as its offset from the minimum.
 
@@ -281,7 +272,6 @@ def run_loop_exact(loop_state: LoopState, spec: ModelSpec) -> LoopState:
     The returned position-register amplitudes are proportional to the
     classical field advanced by loop_index + 1 cycles.
     """
-    _require_unit_omega(spec)
     prob, state = _circuits_for(spec).program.run(loop_state.state)
     return _advanced(loop_state, state, prob)
 
@@ -291,7 +281,6 @@ def run_loop_gates(loop_state: LoopState, spec: ModelSpec) -> LoopState:
     to the full register, every gate of the three circuits is applied and
     the direction register is projected.  Same bits, 2**q times the state;
     the reference the block program is tested against."""
-    _require_unit_omega(spec)
     circuits = _circuits_for(spec).circuits
     block = loop_state.state
     layout = circuits[0].layout

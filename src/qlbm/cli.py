@@ -113,7 +113,7 @@ class RunConfig:
     omega: float = 1.0
     weights: tuple[float, ...] | None = None
     c_s2: float | None = None
-    w_hat: tuple[float, float] | None = None  # two-direction legacy model only
+    w_hat: tuple[float, float] | None = None  # two-direction scheme D1Q2 only
     uniform: float = 0.0
     overrides: tuple = ()
     difference_mode: bool = False
@@ -180,6 +180,8 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}")
         if self.loops < 0:
             raise ConfigError("loops must be >= 0")
+        if self.ndim == 1 and self.v != 0.0:
+            raise ConfigError(f"scheme {self.scheme} is one-dimensional: v must be 0")
         if self.scheme == D1Q2:
             if self.M < 2 or self.M & (self.M - 1):
                 raise ConfigError("M must be a power of two >= 2")
@@ -189,10 +191,19 @@ class RunConfig:
                 raise ConfigError("scheme D1Q2 needs explicit w_hat = [w1, w2]")
             if abs(sum(self.w_hat) - 1.0) > 1e-12:
                 raise ConfigError("w_hat must sum to 1")
+            if not all(0.0 <= w <= 1.0 for w in self.w_hat):
+                raise ConfigError("w_hat entries must lie in [0, 1]")
+            if self.weights is not None or self.c_s2 is not None or self.u != 0.0:
+                raise ConfigError("scheme D1Q2 takes w_hat alone: weights, c_s2 "
+                                  "and u must be unset")
+            if self.omega != 1.0:
+                raise ConfigError(f"omega must be 1 (got {self.omega})")
         elif self.mode == "legacy":
             raise ConfigError("mode legacy needs scheme D1Q2")
+        elif self.w_hat is not None:
+            raise ConfigError("w_hat is read by scheme D1Q2 only")
         else:
-            self.model_spec()  # scheme, lattice size, weights, c_s2 and omega range
+            self.model_spec()  # scheme, lattice size, weights, c_s2 and omega
         if self.mode == "legacy" and self.loops != 1:
             raise ConfigError("mode legacy runs exactly one loop")
         if self.mode == "quantum-sampled":
@@ -206,9 +217,6 @@ class RunConfig:
             idx = _cell_index(cell)
             if len(idx) != self.ndim or any(not 0 <= c < self.M for c in idx):
                 raise ConfigError(f"override cell {cell} outside the lattice")
-        # the quantum builders insist on omega = 1; fail early with context
-        if self.mode.startswith("quantum") and self.omega != 1.0:
-            raise ConfigError("quantum modes require omega = 1")
         if self.snapshots:
             if self.mode not in ("classical", "quantum-exact"):
                 raise ConfigError("snapshots need mode classical or quantum-exact")
@@ -403,14 +411,13 @@ def cmd_gatecount(scheme: str, m_list: list[int], out_dir: Path) -> int:
     lines = ["M,afqlbm_toffoli,prior_toffoli,saving"]
     inventories = {}
     for m in m_list:
-        if m < 2 or m & (m - 1):
-            raise ConfigError(f"M = {m} is not a power of two >= 2")
-        formula = toffoli_count(scheme, m)
-        spec = ModelSpec(scheme=scheme, M=m)
+        spec = ModelSpec(scheme=scheme, M=m)  # a bad M raises ValueError: exit 2
+        # the census of the lowered gates against the closed form
         emitted = circuit_inventory(build_streaming(scheme, layout_for(spec)))
+        formula = toffoli_count(scheme, m)
         if emitted.toffoli_total() != formula:
             raise AssertionError(
-                f"emitted streaming circuit for {scheme}, M={m} counts "
+                f"lowered streaming circuit for {scheme}, M={m} counts "
                 f"{emitted.toffoli_total()} Toffolis, formula says {formula}"
             )
         prior = prior_method_toffoli_count(m)

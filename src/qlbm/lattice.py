@@ -14,20 +14,17 @@ import numpy as np
 D1Q3 = "D1Q3"
 D2Q5 = "D2Q5"
 
-# velocity sets, default weights, default squared sound speed, and the
-# dispersion constant entering the diffusion-coefficient relation
+# velocity sets, default weights and default squared sound speed
 _SCHEMES = {
     D1Q3: {
         "e": ((0,), (1,), (-1,)),
         "w": (1 / 3, 1 / 3, 1 / 3),
         "c_s2": 1.0,
-        "dispersion": 1.0,
     },
     D2Q5: {
         "e": ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)),
         "w": (1 / 3, 1 / 6, 1 / 6, 1 / 6, 1 / 6),
         "c_s2": 1 / 3,
-        "dispersion": 3.0,
     },
 }
 
@@ -53,8 +50,9 @@ class ModelSpec:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if not _is_power_of_two(self.M):
             raise ValueError("M must be a power of two >= 2")
-        if not 0.0 < self.omega <= 2.0:
-            raise ValueError("omega must lie in (0, 2]")
+        if self.omega != 1.0:
+            raise ValueError(f"omega must be 1 (got {self.omega}): both solvers reset "
+                             "distributions to equilibrium, exact only at omega = 1")
         ref = _SCHEMES[self.scheme]
         if self.weights is None:
             self.weights = ref["w"]
@@ -144,11 +142,18 @@ def effective_weights(spec: ModelSpec) -> DirectionWeights:
     return DirectionWeights(w_hat=tuple(w_hat), e=spec.e)
 
 
-def diffusion_coefficient(spec: ModelSpec) -> float:
-    """chi from the relaxation time via the scheme's dispersion constant,
-    in lattice units (dx = dt = 1)."""
-    tau = 1.0 / spec.omega
-    return 1.0 / _SCHEMES[spec.scheme]["dispersion"] * (tau - 0.5)
+def diffusion_coefficient(spec: ModelSpec) -> np.ndarray:
+    """d x d diffusivity tensor of one step, in lattice units (dx = dt = 1).
+
+    A step moves mass by e_a with probability w_hat_a, so the field's
+    covariance grows by sum_a w_hat_a e_a e_a^T - m m^T per step, where
+    m = sum_a w_hat_a e_a is the drift; chi is half that growth.
+    """
+    w = effective_weights(spec)
+    e = np.asarray(w.e, dtype=float)
+    w_hat = np.asarray(w.w_hat)
+    drift = w_hat @ e
+    return 0.5 * ((e.T * w_hat) @ e - np.outer(drift, drift))
 
 
 def weighted_stream_sum(field: MacroField, w_hat, e) -> MacroField:
@@ -170,9 +175,9 @@ def weighted_stream_sum(field: MacroField, w_hat, e) -> MacroField:
 def classical_step(field: MacroField, spec: ModelSpec) -> MacroField:
     """One full collide-stream-sum cycle of the lattice solver.
 
-    Distributions are taken at the linear equilibrium w_hat_a * phi, which
-    the BGK relaxation leaves unchanged for any omega, so the cycle reduces
-    to streaming the equilibrium parts and summing.
+    Distributions are reset to the linear equilibrium w_hat_a * phi every
+    step, which is the BGK relaxation at omega = 1, so the cycle reduces to
+    streaming the equilibrium parts and summing.
     """
     if field.geometry != spec.geometry:
         raise ValueError("field geometry does not match spec")

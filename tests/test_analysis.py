@@ -3,7 +3,6 @@ import pytest
 
 from qlbm.analysis import (
     circuit_inventory,
-    decompose_shift,
     postselect_probability,
     prior_method_toffoli_count,
     probability_bounds,
@@ -14,6 +13,7 @@ from qlbm.analysis import (
 from qlbm.ancilla_free import build_streaming, build_summation, layout_for
 from qlbm.lattice import ModelSpec, effective_weights
 from qlbm.statevector import (
+    Circuit,
     GateOp,
     QState,
     QubitLayout,
@@ -31,23 +31,34 @@ def test_toffolis_per_mcx_rule():
     assert toffolis_per_mcx(5) == 7
 
 
+def shift_census(n_qubits, direction, controls):
+    """Census of one shift on an n-qubit block below its control qubits."""
+    layout = QubitLayout(q_qubits=len(controls), axis_qubits=(n_qubits,))
+    op = GateOp(kind="shift", block=layout.axis_block(0), direction=direction,
+                controls=controls)
+    return circuit_inventory(Circuit(layout, [op]))
+
+
 def test_decompose_shift_control_counts():
-    inv = decompose_shift(3, +1, extra_controls=2)
+    inv = shift_census(3, +1, controls=((0, 1), (1, 1)))
     assert inv.mcx == {2: 1, 3: 1, 4: 1}
     assert inv.toffoli_total() == 1 + 3 + 5  # 2n-3 per gate
 
 
 def test_decompose_shift_single_qubit_block():
-    inv = decompose_shift(1, +1, extra_controls=0)
-    assert inv.mcx == {0: 1}
+    # the one-gate cascade is a NOT with no controls: an X, not an MCX
+    inv = shift_census(1, +1, controls=())
+    assert inv.mcx == {}
+    assert inv.other == {"x": 1}
     assert inv.toffoli_total() == 0
 
 
 @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
 def test_decompose_shift_control_range(m):
     n = int(np.log2(m))
-    inv = decompose_shift(n, -1, extra_controls=3)
-    assert sorted(inv.mcx) == list(range(3, n + 3))
+    inv = shift_census(n, -1, controls=((0, 1), (1, 0), (2, 1)))
+    assert inv.mcx == {k: 1 for k in range(3, n + 3)}
+    assert inv.other == {"x": 2}  # the negative control's X pair
 
 
 def test_toffoli_count_values():
@@ -71,6 +82,25 @@ def test_formula_matches_emitted_circuit(scheme, m):
     spec = ModelSpec(scheme=scheme, M=m)
     inv = circuit_inventory(build_streaming(scheme, layout_for(spec)))
     assert inv.toffoli_total() == toffoli_count(scheme, m)
+
+
+@pytest.mark.parametrize("scheme", ["D1Q3", "D2Q5"])
+@pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
+def test_lowered_streaming_matches_permutations(scheme, m):
+    # the gates the census counts are the gates that realize the shifts
+    layout = layout_for(ModelSpec(scheme=scheme, M=m))
+    streaming = build_streaming(scheme, layout)
+    lowered = Circuit(layout, [
+        gate for op in streaming.ops
+        for gate in shift_gate_ops(op.block[1], op.direction, op.block[0], op.controls)])
+    rng = np.random.default_rng(m)
+    amps = rng.normal(size=layout.dim)
+    state = QState(amps / np.linalg.norm(amps), layout)
+    assert np.array_equal(apply_circuit(state, lowered).amplitudes,
+                          apply_circuit(state, streaming).amplitudes)
+    census = circuit_inventory(lowered)
+    assert census.toffoli_total() == toffoli_count(scheme, m)
+    assert census == circuit_inventory(streaming)
 
 
 def test_shift_gate_ops_match_permutation():

@@ -10,6 +10,8 @@ import qlbm.ancilla_free as ancilla_free
 import qlbm.cli as cli
 from qlbm.statevector import PostSelectionError
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"  # the shipped ones
+
 D1Q3_GAUSS = {
     "scheme": "D1Q3",
     "M": 64,
@@ -192,9 +194,8 @@ def test_run_with_snapshots_evolves_once(tmp_path, loop_counter):
 
 
 def test_block_program_and_gate_path_write_the_same_bytes(tmp_path, monkeypatch):
-    configs = Path(__file__).resolve().parent.parent / "configs"
-    exact = str(configs / "d2q5_gaussian_hill_exact.json")
-    sampled = str(configs / "d1q3_gaussian_hill_sampled.json")
+    exact = str(CONFIGS / "d2q5_gaussian_hill_exact.json")
+    sampled = str(CONFIGS / "d1q3_gaussian_hill_sampled.json")
     commands = [["run", "--config", exact], ["probe", "--config", exact],
                 ["run", "--config", sampled]]
 
@@ -220,9 +221,25 @@ def test_block_program_and_gate_path_write_the_same_bytes(tmp_path, monkeypatch)
     assert len(blocks) == 6 + 2 + 2  # run with 4 snapshots, probe, sampled run
 
 
+@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+def test_archived_config_reruns_to_the_same_bytes(tmp_path, config):
+    # the config a report archives is a valid config that reproduces it
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main(["run", "--config", str(config), "--out", str(first)]) == 0
+    archived = json.loads((first / "report.json").read_text())["config"]
+    (tmp_path / "archived.json").write_text(json.dumps(archived))
+    assert cli.main(["run", "--config", str(tmp_path / "archived.json"),
+                     "--out", str(second)]) == 0
+    names = sorted(p.name for p in first.iterdir())
+    assert {"field.csv", "report.json"} <= set(names)
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
 @pytest.mark.parametrize("updates", [
     {"mode": "classical"},
-    {"scheme": "D1Q2", "M": 8, "mode": "classical", "w_hat": [0.75, 0.25],
+    {"scheme": "D1Q2", "M": 8, "mode": "classical", "w_hat": [0.75, 0.25], "u": 0.0,
      "initial": {"uniform": 0.0, "overrides": [[2, 1.0]]}},
 ])
 def test_classical_snapshots_match_final_field(tmp_path, updates):
@@ -296,6 +313,11 @@ def test_gatecount_rows(tmp_path):
 def test_gatecount_assertion_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "toffoli_count", lambda scheme, m: 0)
     assert cli.main(["gatecount", "--m-list", "4", "--out", str(tmp_path)]) == 4
+
+
+def test_gatecount_bad_lattice_size_exit_code(tmp_path):
+    assert cli.main(["gatecount", "--m-list", "3", "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_probe_trace_and_verdict(tmp_path):
@@ -391,6 +413,15 @@ def test_bad_config_exit_code(tmp_path):
     {"initial": {"uniform": 0.1, "overrides": [[11, float("nan")]]}},
     {"weights": [float("nan"), 0.5, 0.5]},
     {"M": 2**1030},
+    # keys the scheme does not read
+    {"mode": "classical", "w_hat": [0.9, 0.1]},
+    {"mode": "classical", "v": 0.3},
+    {"scheme": "D1Q2", "mode": "classical", "u": 0.0, "w_hat": [0.5, 0.5],
+     "weights": [0.2, 0.3, 0.5]},
+    {"scheme": "D1Q2", "mode": "classical", "u": 0.4, "w_hat": [0.5, 0.5]},
+    {"scheme": "D1Q2", "mode": "classical", "u": 0.0, "w_hat": [0.5, 0.5], "c_s2": 0.5},
+    {"scheme": "D1Q2", "mode": "classical", "u": 0.0, "w_hat": [1.5, -0.5]},
+    {"scheme": "D1Q2", "mode": "classical", "u": 0.0, "w_hat": [0.5, 0.5], "omega": 0.5},
 ])
 def test_malformed_config_exit_code(tmp_path, updates):
     cfg = write_config(tmp_path, "bad.json", **updates)

@@ -65,9 +65,28 @@ def test_model_spec_validation():
 # ------------------------------------------------------------- diffusion
 
 def test_diffusion_coefficient_values():
-    assert np.isclose(diffusion_coefficient(d1_spec(omega=1.0)), 0.5)
-    assert np.isclose(diffusion_coefficient(ModelSpec(scheme="D2Q5", M=16)), 1 / 6)
-    assert np.isclose(diffusion_coefficient(d1_spec(omega=2.0)), 0.0)
+    assert np.allclose(diffusion_coefficient(d1_spec()), [[1 / 3]])
+    assert np.allclose(diffusion_coefficient(ModelSpec(scheme="D2Q5", M=16)), np.eye(2) / 6)
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec(scheme="D1Q3", M=256),
+    ModelSpec(scheme="D1Q3", M=256, u=0.2),
+    ModelSpec(scheme="D2Q5", M=256, u=0.2, v=0.15),
+    ModelSpec(scheme="D1Q3", M=256, u=0.1, weights=(2 / 3, 1 / 6, 1 / 6), c_s2=1 / 3),
+], ids=["d1q3", "d1q3-advected", "d2q5-advected", "d1q3-standard-weights"])
+def test_diffusion_coefficient_is_half_the_spread_rate_of_a_delta(spec):
+    # 100 steps move no mass further than 100 cells from the centre, so
+    # nothing wraps round the 256-cell lattice
+    steps = 100
+    delta = np.zeros(spec.geometry)
+    delta[(128,) * spec.ndim] = 1.0
+    phi = classical_run(MacroField(delta.ravel(), spec.geometry), spec, steps).phi
+    cells = np.indices(spec.geometry).reshape(spec.ndim, -1).T  # one row per cell
+    offsets = cells - phi @ cells  # from the centre of mass; the mass is 1
+    covariance = (offsets.T * phi) @ offsets
+    assert np.allclose(covariance / (2 * steps), diffusion_coefficient(spec),
+                       rtol=0, atol=1e-10)
 
 
 # ------------------------------------------------------------- stepping
