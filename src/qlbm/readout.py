@@ -31,7 +31,7 @@ class ReadoutReport:
         return {
             "method": self.method,
             "geometry": list(self.field.geometry),
-            "phi": [float(v) for v in self.field.phi],
+            "phi": self.field.phi.tolist(),
             "shots": self.shots,
             "seed": self.seed,
             "postselect_probs": self.postselect_probs,

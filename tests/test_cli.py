@@ -1,3 +1,4 @@
+import collections
 import json
 import subprocess
 import sys
@@ -191,6 +192,28 @@ def test_run_with_snapshots_evolves_once(tmp_path, loop_counter):
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     assert loop_counter == list(range(12))
     assert (out / "field_t12.csv").read_bytes() == (out / "field.csv").read_bytes()
+
+
+@pytest.mark.parametrize("updates, readouts", [
+    ({}, 3),  # loops 3 and 7, then the final state once
+    ({"mode": "classical"}, 0),
+])
+def test_run_reads_out_and_formats_the_final_state_once(tmp_path, monkeypatch,
+                                                        updates, readouts):
+    calls = collections.Counter()
+    for name in ("_quantum_report", "macroscopic_exact", "field_csv", "classical_step"):
+        def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    cfg = write_config(tmp_path, "c.json", loops=12, snapshots=[12, 3, 7], **updates)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert calls["_quantum_report"] == calls["macroscopic_exact"] == readouts
+    assert calls["classical_step"] == (12 if updates else 0)
+    assert calls["field_csv"] == 3  # field.csv, field_t3.csv and field_t7.csv
+    assert (out / "field_t12.csv").read_bytes() == (out / "field.csv").read_bytes()
+    assert (out / "field_t3.csv").read_bytes() != (out / "field_t7.csv").read_bytes()
 
 
 def test_block_program_and_gate_path_write_the_same_bytes(tmp_path, monkeypatch):
