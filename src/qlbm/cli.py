@@ -22,7 +22,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,7 @@ from .statevector import PostSelectionError
 D1Q2 = "D1Q2"
 D1Q2_VELOCITIES = ((1,), (-1,))  # two-direction baseline: w_hat on +1, -1
 MODES = ("classical", "quantum-exact", "quantum-sampled", "legacy")
+MODEL_SCHEMES = (D1Q3, D2Q5)  # the schemes a ModelSpec describes
 
 
 class ConfigError(ValueError):
@@ -74,12 +76,9 @@ class ConfigError(ValueError):
 def _number(value):
     """A config value that must be a finite JSON number, returned as given;
     a string, a boolean or NaN/Infinity is refused."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return value
-        except OverflowError:  # an int beyond the float range
-            pass
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value)):
+        return value
     raise ConfigError(f"{value!r} is not a finite number")
 
 
@@ -90,86 +89,113 @@ def _integer(value) -> int:
     return int(value)
 
 
-def _numbers(raw: dict, key: str) -> tuple | None:
-    """A list of config numbers; only JSON null or an absent key is None."""
-    return None if raw.get(key) is None else tuple(map(_number, raw[key]))
+def _real(value) -> float:
+    return float(_number(value))
 
 
-def _is_index(c) -> bool:
-    return isinstance(c, int) and not isinstance(c, bool)
+def _numbers(value) -> tuple:
+    return tuple(map(_number, value))
 
 
-def _cell_index(cell) -> tuple[int, ...]:
-    """Index tuple of an override cell: an int in 1-D, [x, y] in 2-D."""
-    if _is_index(cell):
-        return (cell,)
-    if not (isinstance(cell, (list, tuple)) and all(_is_index(c) for c in cell)):
-        raise ConfigError(f"override cell {cell!r} is not an integer index")
-    return tuple(cell)
+def _integers(value) -> tuple[int, ...]:
+    return tuple(map(_integer, value))
+
+
+def _optional(parse):
+    """``parse``, taking JSON null as None too: for a key whose default is None."""
+    return lambda value: None if value is None else parse(value)
+
+
+def _choice(*options):
+    """A parser taking one of ``options`` and of its type: 1 is not true."""
+    def parse(value):
+        if (type(value), value) not in [(type(o), o) for o in options]:
+            raise ConfigError(f"{value!r} is not one of {options}")
+        return value
+    return parse
+
+
+def _initial(value) -> dict:
+    """The initial field: a uniform value, and the ``[cell, value]`` override
+    rows as the JSON parser returned them (``RunConfig`` checks them)."""
+    if not isinstance(value, dict) or not value.keys() <= {"uniform", "overrides"}:
+        raise ConfigError("initial is an object with the keys uniform and overrides")
+    uniform = _real(value.get("uniform", 0.0))
+    if uniform < 0:
+        raise ConfigError("field values must be nonnegative")
+    return {"uniform": uniform, "overrides": value.get("overrides", [])}
+
+
+def _override_leaves(rows) -> list[tuple] | None:
+    """The columns of a list of ``[cell, value]`` rows, the cell an int or
+    ``[x, y]`` of ints and the value an int or float: ``[cells, values]`` or
+    ``[xs, ys, values]``, or None if ``rows`` is not such a list.  Each test
+    is one C-level pass; a JSON boolean fails them, as its type is bool."""
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {2}:
+        return None
+    cells, values = zip(*rows)
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    cell_types = set(map(type, cells))
+    if cell_types == {int}:
+        return [cells, values]
+    if cell_types == {list} and set(map(len, cells)) == {2}:
+        xs, ys = zip(*cells)
+        if set(map(type, xs + ys)) == {int}:
+            return [xs, ys, values]
+    return None
+
+
+def _key(parse, schemes=None, modes=None, **default):
+    """A top-level config key, declared as a ``RunConfig`` field: the parser
+    of its JSON value, its default (none for a required key), and the
+    schemes and modes that read it (None: every one)."""
+    return field(**default, metadata={"parse": parse, "schemes": schemes, "modes": modes})
 
 
 @dataclass
 class RunConfig:
-    scheme: str
-    M: int
-    mode: str
-    loops: int
-    u: float = 0.0
-    v: float = 0.0
-    omega: float = 1.0
-    weights: tuple[float, ...] | None = None
-    c_s2: float | None = None
-    w_hat: tuple[float, float] | None = None  # two-direction scheme D1Q2 only
-    uniform: float = 0.0
-    overrides: tuple = ()
-    difference_mode: bool = False
-    shots: int = 10000
-    seed: int = 0
-    snapshots: tuple[int, ...] = ()
+    """A run's JSON config, one field per key (see ``_key``).
+
+    A key set away from its default where its scheme or mode does not read
+    it is refused; every default passes, so an archived config re-runs.
+    """
+
+    scheme: str = _key(_choice(*MODEL_SCHEMES, D1Q2))
+    M: int = _key(_integer)
+    mode: str = _key(_choice(*MODES))
+    loops: int = _key(_integer, default=1)
+    u: float = _key(_real, MODEL_SCHEMES, default=0.0)
+    v: float = _key(_real, (D2Q5,), default=0.0)
+    omega: float = _key(_real, default=1.0)
+    weights: tuple[float, ...] | None = _key(_optional(_numbers), MODEL_SCHEMES,
+                                             default=None)
+    c_s2: float | None = _key(_optional(_number), MODEL_SCHEMES, default=None)
+    w_hat: tuple[float, float] | None = _key(_optional(_numbers), (D1Q2,), default=None)
+    initial: dict = _key(_initial, default_factory=lambda: _initial({}))
+    difference_mode: bool = _key(_choice(False, True),
+                                 modes=("quantum-exact", "quantum-sampled"), default=False)
+    shots: int = _key(_integer, modes=("quantum-sampled",), default=10000)
+    # every mode reads a seed: `compare --seed` sets it on both configs, and
+    # the config archived from either must re-run
+    seed: int = _key(_integer, default=0)
+    snapshots: tuple[int, ...] = _key(_integers, modes=("classical", "quantum-exact"),
+                                      default=())
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = {
-            "scheme", "M", "mode", "loops", "u", "v", "omega", "weights",
-            "c_s2", "w_hat", "initial", "difference_mode", "shots", "seed",
-            "snapshots",
-        }
         if not isinstance(raw, dict):
             raise ConfigError("a config is a JSON object")
-        unknown = set(raw) - known
+        parsers = {f.name: f.metadata["parse"] for f in fields(cls)}
+        unknown = raw.keys() - parsers.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        initial = raw.get("initial", {})
-        if not isinstance(initial, dict):
-            raise ConfigError("initial must be an object")
-        difference_mode = raw.get("difference_mode", False)
-        if not isinstance(difference_mode, bool):
-            raise ConfigError("difference_mode must be true or false")
         try:
-            cfg = cls(
-                scheme=raw["scheme"],
-                M=_integer(raw["M"]),
-                mode=raw["mode"],
-                loops=_integer(raw.get("loops", 1)),
-                u=float(_number(raw.get("u", 0.0))),
-                v=float(_number(raw.get("v", 0.0))),
-                omega=float(_number(raw.get("omega", 1.0))),
-                weights=_numbers(raw, "weights"),
-                c_s2=None if raw.get("c_s2") is None else _number(raw["c_s2"]),
-                w_hat=_numbers(raw, "w_hat"),
-                uniform=float(_number(initial.get("uniform", 0.0))),
-                # override values are checked by validate and MacroField:
-                # a per-value call costs ms on configs of 10^4 cells
-                overrides=tuple(tuple(o) for o in initial.get("overrides", ())),
-                difference_mode=difference_mode,
-                shots=_integer(raw.get("shots", 10000)),
-                seed=_integer(raw.get("seed", 0)),
-                snapshots=tuple(_integer(t) for t in raw.get("snapshots", ())),
-            )
+            cfg = cls(**{key: parsers[key](value) for key, value in raw.items()})
             cfg.validate()
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad config: {exc}") from exc
         return cfg
 
@@ -182,12 +208,14 @@ class RunConfig:
         return cls.from_dict(raw)
 
     def validate(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}")
+        for f in fields(self):
+            schemes, modes = f.metadata["schemes"], f.metadata["modes"]
+            if ((schemes and self.scheme not in schemes or modes and self.mode not in modes)
+                    and getattr(self, f.name) != f.default):
+                raise ConfigError(f"{f.name} is not read by scheme {self.scheme} in "
+                                  f"mode {self.mode}: leave it unset")
         if self.loops < 0:
             raise ConfigError("loops must be >= 0")
-        if self.ndim == 1 and self.v != 0.0:
-            raise ConfigError(f"scheme {self.scheme} is one-dimensional: v must be 0")
         if self.scheme == D1Q2:
             if self.M < 2 or self.M & (self.M - 1):
                 raise ConfigError("M must be a power of two >= 2")
@@ -199,17 +227,12 @@ class RunConfig:
                 raise ConfigError("w_hat must sum to 1")
             if not all(0.0 <= w <= 1.0 for w in self.w_hat):
                 raise ConfigError("w_hat entries must lie in [0, 1]")
-            if self.weights is not None or self.c_s2 is not None or self.u != 0.0:
-                raise ConfigError("scheme D1Q2 takes w_hat alone: weights, c_s2 "
-                                  "and u must be unset")
             if self.omega != 1.0:
                 raise ConfigError(f"omega must be 1 (got {self.omega})")
         elif self.mode == "legacy":
             raise ConfigError("mode legacy needs scheme D1Q2")
-        elif self.w_hat is not None:
-            raise ConfigError("w_hat is read by scheme D1Q2 only")
         else:
-            self.model_spec()  # scheme, lattice size, weights, c_s2 and omega
+            self.model_spec()  # lattice size, weights, c_s2 and omega
         if self.mode == "legacy" and self.loops != 1:
             raise ConfigError("mode legacy runs exactly one loop")
         if self.mode == "quantum-sampled":
@@ -217,60 +240,52 @@ class RunConfig:
                 raise ConfigError("shots must be >= 1")
             if self.loops < 1:
                 raise ConfigError("quantum-sampled needs loops >= 1")
-        if self.uniform < 0 or any(v < 0 for _, v in self.overrides):
-            raise ConfigError("field values must be nonnegative")
-        for cell, _ in self.overrides:
-            idx = _cell_index(cell)
-            if len(idx) != self.ndim or any(not 0 <= c < self.M for c in idx):
-                raise ConfigError(f"override cell {cell} outside the lattice")
-        if self.snapshots:
-            if self.mode not in ("classical", "quantum-exact"):
-                raise ConfigError("snapshots need mode classical or quantum-exact")
-            if any(not 1 <= t <= self.loops for t in self.snapshots):
-                raise ConfigError("snapshot times must lie in [1, loops]")
-
-    @property
-    def ndim(self) -> int:
-        return 2 if self.scheme == D2Q5 else 1
+        self._overrides  # noqa: B018 -- the rows' one check, kept for initial_field
+        if any(not 1 <= t <= self.loops for t in self.snapshots):
+            raise ConfigError("snapshot times must lie in [1, loops]")
 
     @property
     def geometry(self) -> tuple[int, ...]:
-        return (self.M,) * self.ndim
+        return (self.M,) * (2 if self.scheme == D2Q5 else 1)
+
+    @cached_property
+    def _overrides(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat row-major cell index and value of each override row, from one
+        pass over the rows: a row must be ``[cell, value]``, the cell an int
+        in 1-D and ``[x, y]`` in 2-D on the lattice, the value a finite
+        nonnegative number.  A cell given twice keeps its last value."""
+        rows = self.initial["overrides"]
+        if rows == []:
+            return np.empty(0, np.intp), np.empty(0)
+        leaves = _override_leaves(rows)
+        if leaves is None or len(leaves) != len(self.geometry) + 1:
+            raise ConfigError("override rows must be [cell, value], the cell an int "
+                              "in 1-D and [x, y] in 2-D, the value a number")
+        *index, values = leaves
+        if min(map(min, index)) < 0 or max(map(max, index)) >= self.M:
+            raise ConfigError(f"an override cell lies outside the {self.geometry} lattice")
+        values = np.array(values, dtype=float)
+        if not (np.isfinite(values) & (values >= 0)).all():
+            raise ConfigError("field values must be finite and nonnegative")
+        cells = np.ravel_multi_index(index, self.geometry)
+        # numpy does not say which value an assignment to a repeated index
+        # keeps, so pick each cell's last row here
+        last = cells.size - 1 - np.unique(cells[::-1], return_index=True)[1]
+        return cells[last], values[last]
 
     def initial_field(self) -> MacroField:
-        field = uniform_field(self.geometry, self.uniform)
-        grid = field.grid()
-        for cell, value in self.overrides:
-            grid[_cell_index(cell)] = value
-        return MacroField(grid.ravel(), self.geometry)
+        out = uniform_field(self.geometry, self.initial["uniform"])
+        cells, values = self._overrides
+        out.phi[cells] = values
+        return out
 
     def model_spec(self) -> ModelSpec:
         return ModelSpec(scheme=self.scheme, M=self.M, u=self.u, v=self.v,
                          omega=self.omega, weights=self.weights, c_s2=self.c_s2)
 
     def resolved(self) -> dict:
-        out = {
-            "scheme": self.scheme,
-            "M": self.M,
-            "mode": self.mode,
-            "loops": self.loops,
-            "u": self.u,
-            "v": self.v,
-            "omega": self.omega,
-            "weights": None if self.weights is None else list(self.weights),
-            "c_s2": self.c_s2,
-            "w_hat": None if self.w_hat is None else list(self.w_hat),
-            "initial": {
-                "uniform": self.uniform,
-                "overrides": [[list(c) if not isinstance(c, int) else c, v]
-                              for c, v in self.overrides],
-            },
-            "difference_mode": self.difference_mode,
-            "shots": self.shots,
-            "seed": self.seed,
-            "snapshots": list(self.snapshots),
-        }
-        return out
+        """Every key with its value; the override rows are the parsed JSON's own."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -381,28 +396,16 @@ def _json_numbers(items: list, nl: str) -> str | None:
 def _json_overrides(rows: list, nl: str) -> str | None:
     """The items of a list of ``[cell, value]`` rows, the cell an int or
     ``[x, y]`` and the value a finite number, or None if it is not one."""
-    if set(map(type, rows)) != {list} or set(map(len, rows)) != {2}:
+    leaves = _override_leaves(rows)
+    if leaves is None:
         return None
-    cells, values = zip(*rows)
-    if not set(map(type, values)) <= {int, float}:
-        return None
-    n, nl2, nl3 = len(rows), nl + "  ", nl + "    "
-    cell_types = set(map(type, cells))
-    if cell_types == {int}:
-        leaves = [cells, values]
-        row = f"[{nl2}%r,{nl2}%r{nl}]"
-    elif cell_types == {list} and set(map(len, cells)) == {2}:
-        xs, ys = zip(*cells)
-        if set(map(type, xs + ys)) != {int}:
-            return None
-        leaves = [xs, ys, values]
-        row = f"[{nl2}[{nl3}%r,{nl3}%r{nl2}],{nl2}%r{nl}]"
-    else:
-        return None
-    flat = [None] * (n * len(leaves))
+    nl2, nl3 = nl + "  ", nl + "    "
+    row = (f"[{nl2}%r,{nl2}%r{nl}]" if len(leaves) == 2
+           else f"[{nl2}[{nl3}%r,{nl3}%r{nl2}],{nl2}%r{nl}]")
+    flat = [None] * (len(rows) * len(leaves))
     for i, leaf in enumerate(leaves):
         flat[i::len(leaves)] = leaf
-    text = ("," + nl).join([row] * n) % tuple(flat)
+    text = ("," + nl).join([row] * len(rows)) % tuple(flat)
     return None if "n" in text else text
 
 
@@ -565,25 +568,17 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         out_dir = Path(args.out)
-        if args.command == "run":
-            cfg = RunConfig.from_json(args.config)
-            if args.seed is not None:
-                cfg.seed = args.seed
-            return cmd_run(cfg, out_dir)
-        if args.command == "compare":
-            cfg_a = RunConfig.from_json(args.config[0])
-            cfg_b = RunConfig.from_json(args.config[1])
-            if args.seed is not None:
-                cfg_a.seed = args.seed
-                cfg_b.seed = args.seed
-            return cmd_compare(cfg_a, cfg_b, out_dir, args.seeds)
         if args.command == "gatecount":
             m_list = [int(m) for m in args.m_list.split(",") if m]
             return cmd_gatecount(args.scheme, m_list, out_dir)
-        cfg = RunConfig.from_json(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        return cmd_probe(cfg, out_dir)
+        paths = args.config if args.command == "compare" else [args.config]
+        cfgs = [RunConfig.from_json(path) for path in paths]
+        if args.seed is not None:  # on both configs of compare
+            for cfg in cfgs:
+                cfg.seed = args.seed
+        if args.command == "compare":
+            return cmd_compare(*cfgs, out_dir, args.seeds)
+        return (cmd_run if args.command == "run" else cmd_probe)(*cfgs, out_dir)
     except PostSelectionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -445,11 +445,52 @@ def test_bad_config_exit_code(tmp_path):
     {"scheme": "D1Q2", "mode": "classical", "u": 0.0, "w_hat": [0.5, 0.5], "c_s2": 0.5},
     {"scheme": "D1Q2", "mode": "classical", "u": 0.0, "w_hat": [1.5, -0.5]},
     {"scheme": "D1Q2", "mode": "classical", "u": 0.0, "w_hat": [0.5, 0.5], "omega": 0.5},
+    # keys the mode does not read
+    {"mode": "classical", "difference_mode": True},
+    {"mode": "classical", "shots": 5},
+    {"shots": 5},
+    # initial holds uniform and overrides only; override values are finite
+    # nonnegative numbers, and an override row is [cell, value] on the lattice
+    {"initial": {"uniform": 0.1, "overridez": [[11, 0.2]]}},
+    {"initial": {"uniform": 0.1, "overrides": [[3, True]]}},
+    {"initial": {"uniform": 0.1, "overrides": [[3, None]]}},
+    {"initial": {"uniform": 0.1, "overrides": [[3, 2**1030]]}},
+    {"initial": {"uniform": 0.1, "overrides": [[3, -0.5], [3, 0.5]]}},
+    {"initial": {"uniform": 0.1, "overrides": [[64, 0.5]]}},
+    {"initial": {"uniform": 0.1, "overrides": [[[11], 0.2]]}},
+    {"initial": {"uniform": 0.1, "overrides": {}}},
 ])
 def test_malformed_config_exit_code(tmp_path, updates):
     cfg = write_config(tmp_path, "bad.json", **updates)
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("updates", [
+    {"mode": "classical", "difference_mode": False, "shots": 10000.0, "seed": 3},
+    {"shots": 10000, "snapshots": [], "v": 0},
+    {"scheme": "D1Q2", "mode": "legacy", "loops": 1, "w_hat": [0.75, 0.25], "u": 0,
+     "v": 0.0, "weights": None, "c_s2": None, "difference_mode": False,
+     "initial": {"overrides": [[2, 1.0]]}},
+])
+def test_unread_keys_at_their_defaults_are_accepted(tmp_path, updates):
+    cfg = write_config(tmp_path, "ok.json", **updates)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_configs_archived_by_a_seeded_compare_rerun(tmp_path):
+    # every mode reads a seed: `compare --seed` sets it on both configs, so the
+    # classical config archived with seed 5 must be valid
+    cfg_s = write_config(tmp_path, "s.json", mode="quantum-sampled", shots=1000, loops=3)
+    cfg_c = write_config(tmp_path, "c.json", mode="classical", loops=3)
+    assert cli.main(["compare", "--config", str(cfg_s), str(cfg_c), "--seed", "5",
+                     "--out", str(tmp_path / "cmp")]) == 0
+    summary = json.loads((tmp_path / "cmp" / "summary.json").read_text())
+    for key in ("config_a", "config_b"):
+        assert summary[key]["seed"] == 5
+        (tmp_path / f"{key}.json").write_text(json.dumps(summary[key]))
+        assert cli.main(["run", "--config", str(tmp_path / f"{key}.json"),
+                         "--out", str(tmp_path / key)]) == 0
 
 
 def test_config_that_is_not_an_object_exit_code(tmp_path):
