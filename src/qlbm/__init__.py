@@ -15,7 +15,6 @@ from .ancilla_free import (
     build_collision,
     build_streaming,
     build_summation,
-    collision_angles,
     encode_initial,
     layout_for,
     run_exact,
@@ -24,6 +23,7 @@ from .ancilla_free import (
     sample_readout,
 )
 from .lattice import (
+    D1Q2,
     D1Q3,
     D2Q5,
     DirectionWeights,

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ancilla_free import layout_for
-from .lattice import ModelSpec
+from .lattice import lattice_qubits, scheme_row
 from .statevector import Circuit, GateOp, QState, QubitLayout, apply
 
 
@@ -121,14 +120,15 @@ def circuit_inventory(circuit: Circuit) -> GateInventory:
 def toffoli_count(scheme: str, M: int) -> int:
     """Toffoli cost of one loop's streaming stage, in closed form.
 
-    One shift per moving direction, each an n-gate cascade controlled by
-    all q direction qubits, so its j-th gate has q + j controls: D2Q5's
-    four total 4 log2(M)^2 + 8 log2(M), and D1Q3's two total 2 log2(M)^2.
+    One shift per nonzero velocity component, each an n-gate cascade
+    controlled by all q direction qubits, so its j-th gate has q + j
+    controls: D2Q5's four total 4 log2(M)^2 + 8 log2(M), D1Q3's two
+    2 log2(M)^2, and D1Q2's two 2 (log2(M) - 1)^2.
     """
-    spec = ModelSpec(scheme=scheme, M=M)
-    layout = layout_for(spec)
-    n, q = layout.axis_qubits[0], layout.q_qubits
-    return (len(spec.e) - 1) * sum(toffolis_per_mcx(q + j) for j in range(n))
+    row = scheme_row(scheme)
+    n = lattice_qubits(M)
+    return int(np.count_nonzero(row.e)) * sum(toffolis_per_mcx(row.q_qubits + j)
+                                              for j in range(n))
 
 
 def prior_method_toffoli_count(M: int) -> int:
@@ -159,6 +159,6 @@ def probability_bounds(scheme: str) -> tuple[float, float]:
     bounds |sum f_a|^2 between sum |f_a|^2 and m * sum |f_a|^2, giving
     [1/2^q, m/2^q].
     """
-    spec = ModelSpec(scheme=scheme, M=2)
-    m, q = len(spec.e), layout_for(spec).q_qubits
+    row = scheme_row(scheme)
+    m, q = len(row.e), row.q_qubits
     return 1.0 / (1 << q), m / (1 << q)

@@ -19,14 +19,13 @@ gate-level resource numbers come from the closed-form counts below.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import prior_method_toffoli_count, toffoli_count
 from .ancilla_free import layout_for
-from .lattice import D2Q5, MacroField, ModelSpec
+from .lattice import D2Q5, MacroField, ModelSpec, lattice_qubits
 from .statevector import GateOp, QState, QubitLayout, apply
 
 
@@ -40,8 +39,7 @@ class LegacySpec:
     phi0: np.ndarray
 
     def __post_init__(self):
-        if self.M < 2 or self.M & (self.M - 1):
-            raise ValueError("M must be a power of two >= 2")
+        lattice_qubits(self.M)
         if abs(self.w_hat1 + self.w_hat2 - 1.0) > 1e-12:
             raise ValueError("w_hat1 + w_hat2 must equal 1")
         if not (0.0 <= self.w_hat1 <= 1.0 and 0.0 <= self.w_hat2 <= 1.0):
@@ -55,7 +53,7 @@ class LegacySpec:
     @property
     def layout(self) -> QubitLayout:
         # ancilla as the 1-qubit "q" register; direction + position below
-        return QubitLayout(q_qubits=1, axis_qubits=(1, int(math.log2(self.M))))
+        return QubitLayout(q_qubits=1, axis_qubits=(1, lattice_qubits(self.M)))
 
 
 @dataclass

@@ -14,8 +14,8 @@ circuits: it never stores the 2**q - 1 direction blocks that post-selection
 discards.  ``run_loop_gates`` runs the same circuits gate by gate on the
 full register and is the reference the tests hold it to.
 
-Direction encoding on the q register (most significant qubits first):
-rest |0..0>, then +x |10>/|100>, -x |11>/|101>, +y |110>, -y |111>.
+Every circuit is built from the scheme's row in ``lattice._SCHEMES``: its
+velocities and the q-register code of each.
 """
 from __future__ import annotations
 
@@ -28,12 +28,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import (
-    D1Q3,
-    D2Q5,
     DirectionWeights,
     MacroField,
     ModelSpec,
     effective_weights,
+    lattice_qubits,
+    scheme_row,
 )
 from .statevector import (
     BlockProgram,
@@ -110,18 +110,16 @@ class LoopState:
         return math.exp(self.log_cumulative_postselect_prob)
 
 
-def layout_for(lattice: ModelSpec | MacroField) -> QubitLayout:
-    """Register layout of a lattice's geometry (a spec's or a field's).
+def layout_for(spec: ModelSpec) -> QubitLayout:
+    """Register layout of a model: the direction qubits its codes need,
+    above one position block of log2(M) qubits per axis."""
+    return QubitLayout(q_qubits=spec.row.q_qubits,
+                       axis_qubits=(lattice_qubits(spec.M),) * spec.ndim)
 
-    A d-dimensional lattice runs the 2d + 1 directions of D1Q3 or D2Q5,
-    addressed by ceil(log2(2d + 1)) direction qubits, above one position
-    block of log2(M) qubits per axis.
-    """
-    geometry = lattice.geometry
-    if any(m < 2 or m & (m - 1) for m in geometry):
-        raise ValueError("lattice sizes must be powers of two")
-    return QubitLayout(q_qubits=(2 * len(geometry)).bit_length(),
-                       axis_qubits=tuple(m.bit_length() - 1 for m in geometry))
+
+def _code_controls(code: int, width: int) -> tuple[tuple[int, int], ...]:
+    """Controls reading ``code`` on direction qubits 0..width-1, MSB first."""
+    return tuple((i, code >> (width - 1 - i) & 1) for i in range(width))
 
 
 def _half_angle(numer: float, denom: float) -> float:
@@ -132,81 +130,52 @@ def _half_angle(numer: float, denom: float) -> float:
     return 2.0 * math.acos(min(max(numer / denom, 0.0), 1.0))
 
 
-def collision_angles(weights: DirectionWeights) -> tuple[float, ...]:
-    """Ry angles realizing the direction-register superposition.
+def build_collision(weights: DirectionWeights, layout: QubitLayout) -> Circuit:
+    """Rotation tree taking q = |0..0> to sum_a w_hat_a |code_a>, normalized.
 
-    Each angle is 2*arccos of the ratio between one weight and the 2-norm
-    of the weights still to be distributed, so cos(angle/2) reproduces that
-    ratio exactly.
+    The tree is binary over the q-bit codes, qubit 0 at the root (Grover &
+    Rudolph, arXiv quant-ph/0208112).  A node whose two subtrees both hold a
+    code gets an Ry on its qubit, controlled on its prefix, by 2*acos(left
+    norm / node norm); which nodes get one depends on the codes, not on the
+    weights, so a zero weight still emits its Ry(0).  A node's norm is the
+    hypot of two leaves and sqrt(l**2 + r**2) above that: the order of
+    evaluation that the tests' frozen D1Q3/D2Q5 circuits fix bit for bit.
     """
     w = np.asarray(weights.w_hat, dtype=float)
     if np.any(w < 0):
         raise ValueError("effective weights must be nonnegative")
     if not np.any(w > 0):
         raise ValueError("all-zero weight set")
-    if len(w) == 3:
-        rest = math.hypot(w[1], w[2])
-        a1 = _half_angle(w[0], math.sqrt(w[0] ** 2 + rest**2))
-        a2 = _half_angle(w[1], rest)
-        return a1, a2
-    if len(w) == 5:
-        sx = math.hypot(w[1], w[2])
-        sy = math.hypot(w[3], w[4])
-        moving = math.sqrt(sx**2 + sy**2)
-        a1 = _half_angle(w[0], math.sqrt(w[0] ** 2 + moving**2))
-        a2 = _half_angle(sx, moving)
-        a3 = _half_angle(w[1], sx)
-        a4 = _half_angle(w[3], sy)
-        return a1, a2, a3, a4
-    raise ValueError("weight sets must have 3 (D1Q3) or 5 (D2Q5) entries")
+    q = layout.q_qubits
+    leaf = dict(zip(weights.codes, w))
 
+    def subtree(prefix: int, depth: int):
+        """Norm of the weights under ``prefix`` and the gates below it, in
+        the order they apply; None if no code starts with ``prefix``."""
+        if depth == q:
+            return None if prefix not in leaf else (leaf[prefix], [])
+        left = subtree(prefix << 1, depth + 1)
+        right = subtree(prefix << 1 | 1, depth + 1)
+        if left is None or right is None:
+            return left or right
+        (l, l_ops), (r, r_ops) = left, right
+        norm = math.hypot(l, r) if depth == q - 1 else math.sqrt(l**2 + r**2)
+        gate = GateOp(kind="ry", target=depth, angle=_half_angle(l, norm),
+                      controls=_code_controls(prefix, depth))
+        return norm, [gate, *l_ops, *r_ops]
 
-def build_collision(weights: DirectionWeights, layout: QubitLayout) -> Circuit:
-    """Rotation tree taking q = |0..0> to the weight superposition.
-
-    Three directions: w0|00> + w1|10> + w2|11>, normalized.  Five:
-    w0|000> + w1|100> + w2|101> + w3|110> + w4|111>, normalized.
-    """
-    a = collision_angles(weights)
-    if len(a) == 2:
-        ops = [
-            GateOp(kind="ry", target=0, angle=a[0]),
-            GateOp(kind="ry", target=1, angle=a[1], controls=((0, 1),)),
-        ]
-    else:
-        ops = [
-            GateOp(kind="ry", target=0, angle=a[0]),
-            GateOp(kind="ry", target=1, angle=a[1], controls=((0, 1),)),
-            GateOp(kind="ry", target=2, angle=a[2], controls=((0, 1), (1, 0))),
-            GateOp(kind="ry", target=2, angle=a[3], controls=((0, 1), (1, 1))),
-        ]
-    return Circuit(layout, ops)
+    return Circuit(layout, subtree(0, 0)[1])
 
 
 def build_streaming(scheme: str, layout: QubitLayout) -> Circuit:
-    """Cyclic shifts on the position blocks, one per moving direction,
-    controlled by that direction's q-register phase."""
-    if scheme == D1Q3:
-        block = layout.axis_block(0)
-        ops = [
-            GateOp(kind="shift", block=block, direction=+1, controls=((0, 1), (1, 0))),
-            GateOp(kind="shift", block=block, direction=-1, controls=((0, 1), (1, 1))),
-        ]
-    elif scheme == D2Q5:
-        x_block = layout.axis_block(0)
-        y_block = layout.axis_block(1)
-        ops = [
-            GateOp(kind="shift", block=x_block, direction=+1,
-                   controls=((0, 1), (1, 0), (2, 0))),
-            GateOp(kind="shift", block=x_block, direction=-1,
-                   controls=((0, 1), (1, 0), (2, 1))),
-            GateOp(kind="shift", block=y_block, direction=+1,
-                   controls=((0, 1), (1, 1), (2, 0))),
-            GateOp(kind="shift", block=y_block, direction=-1,
-                   controls=((0, 1), (1, 1), (2, 1))),
-        ]
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    """One cyclic shift per nonzero velocity component, by that component
+    on its axis's position block, controlled by the velocity's code on all
+    q direction qubits."""
+    row = scheme_row(scheme)
+    ops = [GateOp(kind="shift", block=layout.axis_block(axis), direction=step,
+                  controls=_code_controls(code, layout.q_qubits))
+           for ea, code in zip(row.e, row.codes)
+           for axis, step in enumerate(ea) if step]
     return Circuit(layout, ops)
 
 
@@ -228,7 +197,7 @@ _circuit_cache: dict = {}
 
 def _circuits_for(spec: ModelSpec) -> _Loop:
     # keyed on the fields the circuits derive from, so a hit computes nothing
-    key = (spec.scheme, spec.M, spec.u, spec.v, tuple(spec.weights), spec.c_s2)
+    key = (spec.scheme, spec.M, spec.u, spec.v, spec.weights, spec.c_s2, spec.w_hat)
     loop = _circuit_cache.get(key)
     if loop is None:
         layout = layout_for(spec)
@@ -249,7 +218,6 @@ def encode_initial(field: MacroField, difference_mode: bool = False) -> LoopStat
     uniform part is a fixed point of the dynamics and is added back at
     readout.  The encoded vector's 1-norm is recorded for the readout.
     """
-    layout = layout_for(field)
     values = field.phi
     baseline = None
     if difference_mode:
@@ -257,7 +225,8 @@ def encode_initial(field: MacroField, difference_mode: bool = False) -> LoopStat
         values = values - baseline
         if not np.any(values > 0):
             raise ValueError("difference mode needs nonuniform field")
-    encoded = encode_amplitudes(values, QubitLayout(0, layout.axis_qubits))
+    axis_qubits = tuple(map(lattice_qubits, field.geometry))
+    encoded = encode_amplitudes(values, QubitLayout(0, axis_qubits))
     return LoopState(
         state=encoded.state,
         loop_index=0,

@@ -45,14 +45,15 @@ from .ancilla_free import (
     sample_readout,
 )
 from .lattice import (
+    D1Q2,
     D1Q3,
     D2Q5,
     MacroField,
     ModelSpec,
     classical_run,  # noqa: F401 -- unused here; bench/tracer.py wraps it by name
     classical_step,
+    scheme_row,
     uniform_field,
-    weighted_stream_sum,
 )
 from .readout import (
     ReadoutReport,
@@ -63,10 +64,7 @@ from .readout import (
 )
 from .statevector import PostSelectionError
 
-D1Q2 = "D1Q2"
-D1Q2_VELOCITIES = ((1,), (-1,))  # two-direction baseline: w_hat on +1, -1
 MODES = ("classical", "quantum-exact", "quantum-sampled", "legacy")
-MODEL_SCHEMES = (D1Q3, D2Q5)  # the schemes a ModelSpec describes
 
 
 class ConfigError(ValueError):
@@ -146,11 +144,12 @@ def _override_leaves(rows) -> list[tuple] | None:
     return None
 
 
-def _key(parse, schemes=None, modes=None, **default):
+def _key(parse, modes=None, **default):
     """A top-level config key, declared as a ``RunConfig`` field: the parser
-    of its JSON value, its default (none for a required key), and the
-    schemes and modes that read it (None: every one)."""
-    return field(**default, metadata={"parse": parse, "schemes": schemes, "modes": modes})
+    of its JSON value, its default (none for a required key), and the modes
+    that read it (None: every one).  ``ModelSpec`` refuses the model keys
+    its scheme's row does not read."""
+    return field(**default, metadata={"parse": parse, "modes": modes})
 
 
 @dataclass
@@ -161,26 +160,24 @@ class RunConfig:
     it is refused; every default passes, so an archived config re-runs.
     """
 
-    scheme: str = _key(_choice(*MODEL_SCHEMES, D1Q2))
+    scheme: str = _key(str)  # a name not in the scheme table fails in ModelSpec
     M: int = _key(_integer)
     mode: str = _key(_choice(*MODES))
     loops: int = _key(_integer, default=1)
-    u: float = _key(_real, MODEL_SCHEMES, default=0.0)
-    v: float = _key(_real, (D2Q5,), default=0.0)
+    u: float = _key(_real, default=0.0)
+    v: float = _key(_real, default=0.0)
     omega: float = _key(_real, default=1.0)
-    weights: tuple[float, ...] | None = _key(_optional(_numbers), MODEL_SCHEMES,
-                                             default=None)
-    c_s2: float | None = _key(_optional(_number), MODEL_SCHEMES, default=None)
-    w_hat: tuple[float, float] | None = _key(_optional(_numbers), (D1Q2,), default=None)
+    weights: tuple[float, ...] | None = _key(_optional(_numbers), default=None)
+    c_s2: float | None = _key(_optional(_number), default=None)
+    w_hat: tuple[float, ...] | None = _key(_optional(_numbers), default=None)
     initial: dict = _key(_initial, default_factory=lambda: _initial({}))
-    difference_mode: bool = _key(_choice(False, True),
-                                 modes=("quantum-exact", "quantum-sampled"), default=False)
-    shots: int = _key(_integer, modes=("quantum-sampled",), default=10000)
+    difference_mode: bool = _key(_choice(False, True), ("quantum-exact", "quantum-sampled"),
+                                 default=False)
+    shots: int = _key(_integer, ("quantum-sampled",), default=10000)
     # every mode reads a seed: `compare --seed` sets it on both configs, and
     # the config archived from either must re-run
     seed: int = _key(_integer, default=0)
-    snapshots: tuple[int, ...] = _key(_integers, modes=("classical", "quantum-exact"),
-                                      default=())
+    snapshots: tuple[int, ...] = _key(_integers, ("classical", "quantum-exact"), default=())
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -209,30 +206,14 @@ class RunConfig:
 
     def validate(self):
         for f in fields(self):
-            schemes, modes = f.metadata["schemes"], f.metadata["modes"]
-            if ((schemes and self.scheme not in schemes or modes and self.mode not in modes)
-                    and getattr(self, f.name) != f.default):
-                raise ConfigError(f"{f.name} is not read by scheme {self.scheme} in "
-                                  f"mode {self.mode}: leave it unset")
+            modes = f.metadata["modes"]
+            if modes and self.mode not in modes and getattr(self, f.name) != f.default:
+                raise ConfigError(f"{f.name} is not read in mode {self.mode}: leave it unset")
         if self.loops < 0:
             raise ConfigError("loops must be >= 0")
-        if self.scheme == D1Q2:
-            if self.M < 2 or self.M & (self.M - 1):
-                raise ConfigError("M must be a power of two >= 2")
-            if self.mode not in ("legacy", "classical"):
-                raise ConfigError("scheme D1Q2 supports modes legacy and classical only")
-            if self.w_hat is None or len(self.w_hat) != 2:
-                raise ConfigError("scheme D1Q2 needs explicit w_hat = [w1, w2]")
-            if abs(sum(self.w_hat) - 1.0) > 1e-12:
-                raise ConfigError("w_hat must sum to 1")
-            if not all(0.0 <= w <= 1.0 for w in self.w_hat):
-                raise ConfigError("w_hat entries must lie in [0, 1]")
-            if self.omega != 1.0:
-                raise ConfigError(f"omega must be 1 (got {self.omega})")
-        elif self.mode == "legacy":
-            raise ConfigError("mode legacy needs scheme D1Q2")
-        else:
-            self.model_spec()  # lattice size, weights, c_s2 and omega
+        if self.mode == "legacy" and self.scheme != D1Q2:
+            raise ConfigError("mode legacy runs the two-direction model: scheme D1Q2")
+        self.model_spec()  # lattice size, the row's model keys and omega
         if self.mode == "legacy" and self.loops != 1:
             raise ConfigError("mode legacy runs exactly one loop")
         if self.mode == "quantum-sampled":
@@ -246,7 +227,7 @@ class RunConfig:
 
     @property
     def geometry(self) -> tuple[int, ...]:
-        return (self.M,) * (2 if self.scheme == D2Q5 else 1)
+        return (self.M,) * scheme_row(self.scheme).ndim
 
     @cached_property
     def _overrides(self) -> tuple[np.ndarray, np.ndarray]:
@@ -280,8 +261,8 @@ class RunConfig:
         return out
 
     def model_spec(self) -> ModelSpec:
-        return ModelSpec(scheme=self.scheme, M=self.M, u=self.u, v=self.v,
-                         omega=self.omega, weights=self.weights, c_s2=self.c_s2)
+        return ModelSpec(scheme=self.scheme, M=self.M, u=self.u, v=self.v, omega=self.omega,
+                         weights=self.weights, c_s2=self.c_s2, w_hat=self.w_hat)
 
     def resolved(self) -> dict:
         """Every key with its value; the override rows are the parsed JSON's own."""
@@ -335,16 +316,11 @@ def execute(cfg: RunConfig) -> Evolved:
                                           postselect_probs=[result.probability]), [])
 
     classical = cfg.mode == "classical"
-    spec = None if cfg.scheme == D1Q2 else cfg.model_spec()
+    spec = cfg.model_spec()
     state = field0 if classical else encode_initial(field0, cfg.difference_mode)
     snapshots = []
     for t in range(1, cfg.loops + 1):
-        if not classical:
-            state = run_loop_exact(state, spec)
-        elif spec is None:
-            state = weighted_stream_sum(state, cfg.w_hat, D1Q2_VELOCITIES)
-        else:
-            state = classical_step(state, spec)
+        state = classical_step(state, spec) if classical else run_loop_exact(state, spec)
         if t in cfg.snapshots and t < cfg.loops:
             snapshots.append((t, state if classical
                               else _quantum_report(cfg, state, cfg.seed).field))
@@ -376,7 +352,7 @@ def _csv(header: list[str], axes: list[list[str]], *columns) -> str:
 
 def field_csv(geometry: tuple[int, ...], **columns: np.ndarray) -> str:
     """One row per cell in row-major order: its index, then each named column."""
-    header = (["cell"] if len(geometry) == 1 else ["x", "y"]) + list(columns)
+    header = (["cell"] if len(geometry) == 1 else list("xyz"[: len(geometry)])) + list(columns)
     return _csv(header, [[str(i) for i in range(m)] for m in geometry], *columns.values())
 
 

@@ -11,31 +11,69 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+D1Q2 = "D1Q2"
 D1Q3 = "D1Q3"
 D2Q5 = "D2Q5"
 
-# velocity sets, default weights and default squared sound speed
+
+@dataclass(frozen=True)
+class Scheme:
+    """One velocity set, the q-register code of each velocity, and the
+    default weights and squared sound speed, which a row without them
+    replaces by an explicit w_hat."""
+
+    e: tuple[tuple[int, ...], ...]
+    codes: tuple[int, ...]
+    w: tuple[float, ...] | None = None
+    c_s2: float | None = None
+
+    @property
+    def ndim(self) -> int:
+        return len(self.e[0])
+
+    @property
+    def q_qubits(self) -> int:
+        """Direction qubits: enough bits for the largest code."""
+        return max(self.codes).bit_length()
+
+
+# Direction encoding on the q register, most significant qubit first: a
+# velocity's code is the basis state of its distribution.  D1Q3: rest |00>,
+# +x |10>, -x |11>.  D2Q5: rest |000>, +x |100>, -x |101>, +y |110>,
+# -y |111>.  D1Q2, the prior method's two-direction model (no rest
+# direction, explicit w_hat): +x |0>, -x |1>.
 _SCHEMES = {
-    D1Q3: {
-        "e": ((0,), (1,), (-1,)),
-        "w": (1 / 3, 1 / 3, 1 / 3),
-        "c_s2": 1.0,
-    },
-    D2Q5: {
-        "e": ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)),
-        "w": (1 / 3, 1 / 6, 1 / 6, 1 / 6, 1 / 6),
-        "c_s2": 1 / 3,
-    },
+    D1Q3: Scheme(e=((0,), (1,), (-1,)), codes=(0, 2, 3),
+                 w=(1 / 3, 1 / 3, 1 / 3), c_s2=1.0),
+    D2Q5: Scheme(e=((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)), codes=(0, 4, 5, 6, 7),
+                 w=(1 / 3, 1 / 6, 1 / 6, 1 / 6, 1 / 6), c_s2=1 / 3),
+    D1Q2: Scheme(e=((1,), (-1,)), codes=(0, 1)),
 }
 
 
-def _is_power_of_two(m: int) -> bool:
-    return m >= 2 and (m & (m - 1)) == 0
+def scheme_row(name: str) -> Scheme:
+    """The table row of a scheme name."""
+    try:
+        return _SCHEMES[name]
+    except KeyError:
+        raise ValueError(f"unknown scheme {name!r}") from None
+
+
+def lattice_qubits(m: int) -> int:
+    """log2 of a lattice size, which must be a power of two >= 2."""
+    if m < 2 or m & (m - 1):
+        raise ValueError("M must be a power of two >= 2")
+    return m.bit_length() - 1
 
 
 @dataclass
 class ModelSpec:
-    """Lattice geometry, velocities, weights and transport parameters."""
+    """Lattice geometry, velocities, weights and transport parameters.
+
+    A scheme row with default weights derives w_hat from ``weights``,
+    ``c_s2`` and the velocity; a row without them (D1Q2) takes ``w_hat`` as
+    given and reads none of those.
+    """
 
     scheme: str
     M: int
@@ -44,43 +82,57 @@ class ModelSpec:
     omega: float = 1.0
     weights: tuple[float, ...] | None = None
     c_s2: float | None = None
+    w_hat: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not _is_power_of_two(self.M):
-            raise ValueError("M must be a power of two >= 2")
+        ref = scheme_row(self.scheme)
+        lattice_qubits(self.M)
         if self.omega != 1.0:
             raise ValueError(f"omega must be 1 (got {self.omega}): both solvers reset "
                              "distributions to equilibrium, exact only at omega = 1")
-        ref = _SCHEMES[self.scheme]
-        if self.weights is None:
-            self.weights = ref["w"]
+        n = len(ref.e)
+        if ref.w is None:  # the row takes w_hat as given and reads no other weight key
+            if (self.u, self.v, self.weights, self.c_s2) != (0, 0, None, None):
+                raise ValueError(f"{self.scheme} reads w_hat: leave u, v, weights, c_s2 unset")
+            self.w_hat = tuple(() if self.w_hat is None else self.w_hat)
+            if len(self.w_hat) != n or not all(0.0 <= w <= 1.0 for w in self.w_hat):
+                raise ValueError(f"scheme {self.scheme} needs w_hat: {n} entries in [0, 1]")
+            if abs(sum(self.w_hat) - 1.0) > 1e-12:
+                raise ValueError("w_hat must sum to 1")
+            return
+        if self.w_hat is not None:
+            raise ValueError(f"{self.scheme} derives w_hat from its weights: leave it unset")
+        if any((self.u, self.v)[ref.ndim:]):
+            raise ValueError(f"{self.scheme} reads no v: leave it unset")
+        self.weights = tuple(ref.w if self.weights is None else self.weights)
         if self.c_s2 is None:
-            self.c_s2 = ref["c_s2"]
+            self.c_s2 = ref.c_s2
         if self.c_s2 <= 0:
             raise ValueError("c_s2 must be positive")
-        e = ref["e"]
-        if len(self.weights) != len(e):
-            raise ValueError(f"{self.scheme} needs {len(e)} weights")
+        if len(self.weights) != n:
+            raise ValueError(f"{self.scheme} needs {n} weights")
         w = np.asarray(self.weights, dtype=float)
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
-        first_moment = sum(wa * np.asarray(ea) for wa, ea in zip(w, e))
+        first_moment = sum(wa * np.asarray(ea) for wa, ea in zip(w, ref.e))
         if np.max(np.abs(first_moment)) > 1e-12:
             raise ValueError("velocity set must be symmetric (sum w_a e_a = 0)")
 
     @property
+    def row(self) -> Scheme:
+        return _SCHEMES[self.scheme]
+
+    @property
     def e(self) -> tuple[tuple[int, ...], ...]:
-        return _SCHEMES[self.scheme]["e"]
+        return self.row.e
 
     @property
     def ndim(self) -> int:
-        return len(self.e[0])
+        return self.row.ndim
 
     @property
     def velocity(self) -> tuple[float, ...]:
-        return (self.u,) if self.ndim == 1 else (self.u, self.v)
+        return (self.u, self.v)[: self.ndim]
 
     @property
     def geometry(self) -> tuple[int, ...]:
@@ -90,10 +142,11 @@ class ModelSpec:
 @dataclass(frozen=True)
 class DirectionWeights:
     """Effective weights w_hat_a = w_a (1 + e_a.u / c_s^2) and their
-    velocity vectors, ordered by direction index."""
+    velocity vectors and q-register codes, ordered by direction index."""
 
     w_hat: tuple[float, ...]
     e: tuple[tuple[int, ...], ...]
+    codes: tuple[int, ...]
 
 
 @dataclass
@@ -127,7 +180,11 @@ def uniform_field(geometry: tuple[int, ...], value: float) -> MacroField:
 
 
 def effective_weights(spec: ModelSpec) -> DirectionWeights:
-    """Fold the advection velocity into the weight set."""
+    """Fold the advection velocity into the weight set, or take a row's
+    explicit w_hat as given."""
+    codes = spec.row.codes
+    if spec.w_hat is not None:
+        return DirectionWeights(w_hat=spec.w_hat, e=spec.e, codes=codes)
     u = np.asarray(spec.velocity, dtype=float)
     w_hat = []
     for wa, ea in zip(spec.weights, spec.e):
@@ -139,7 +196,7 @@ def effective_weights(spec: ModelSpec) -> DirectionWeights:
             )
         w_hat.append(val)
     assert abs(sum(w_hat) - 1.0) < 1e-12
-    return DirectionWeights(w_hat=tuple(w_hat), e=spec.e)
+    return DirectionWeights(w_hat=tuple(w_hat), e=spec.e, codes=codes)
 
 
 def diffusion_coefficient(spec: ModelSpec) -> np.ndarray:
@@ -157,10 +214,7 @@ def diffusion_coefficient(spec: ModelSpec) -> np.ndarray:
 
 
 def weighted_stream_sum(field: MacroField, w_hat, e) -> MacroField:
-    """phi'(x) = sum_a w_hat_a phi(x - e_a), periodic wrap-around.
-
-    Shared by the scheme steppers and the two-direction baseline model.
-    """
+    """phi'(x) = sum_a w_hat_a phi(x - e_a), periodic wrap-around."""
     grid = field.grid()
     out = np.zeros_like(grid)
     for wa, ea in zip(w_hat, e):

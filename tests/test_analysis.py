@@ -24,6 +24,11 @@ from qlbm.statevector import (
 )
 
 
+def model(scheme, m):
+    """A spec of the scheme on an M-cell lattice; D1Q2 needs an explicit w_hat."""
+    return ModelSpec(scheme=scheme, M=m, w_hat=(0.5, 0.5) if scheme == "D1Q2" else None)
+
+
 def test_toffolis_per_mcx_rule():
     assert toffolis_per_mcx(0) == 0
     assert toffolis_per_mcx(1) == 0  # plain CNOT
@@ -72,23 +77,25 @@ def test_toffoli_count_closed_forms(m):
     n = int(np.log2(m))
     assert toffoli_count("D2Q5", m) == 4 * n * n + 8 * n
     assert toffoli_count("D1Q3", m) == 2 * n * n
+    # two shifts of n gates on one direction qubit, the j-th with j + 1 controls
+    assert toffoli_count("D1Q2", m) == 2 * (n - 1) ** 2
     assert prior_method_toffoli_count(m) == 4 * n * n + 16 * n
     assert prior_method_toffoli_count(m) - toffoli_count("D2Q5", m) == 8 * n
 
 
-@pytest.mark.parametrize("scheme", ["D1Q3", "D2Q5"])
+@pytest.mark.parametrize("scheme", ["D1Q3", "D2Q5", "D1Q2"])
 @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
 def test_formula_matches_emitted_circuit(scheme, m):
-    spec = ModelSpec(scheme=scheme, M=m)
+    spec = model(scheme, m)
     inv = circuit_inventory(build_streaming(scheme, layout_for(spec)))
     assert inv.toffoli_total() == toffoli_count(scheme, m)
 
 
-@pytest.mark.parametrize("scheme", ["D1Q3", "D2Q5"])
+@pytest.mark.parametrize("scheme", ["D1Q3", "D2Q5", "D1Q2"])
 @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
 def test_lowered_streaming_matches_permutations(scheme, m):
     # the gates the census counts are the gates that realize the shifts
-    layout = layout_for(ModelSpec(scheme=scheme, M=m))
+    layout = layout_for(model(scheme, m))
     streaming = build_streaming(scheme, layout)
     lowered = Circuit(layout, [
         gate for op in streaming.ops
@@ -184,3 +191,4 @@ def test_postselect_probability_matches_projector():
 def test_probability_bounds():
     assert probability_bounds("D1Q3") == (0.25, 0.75)
     assert probability_bounds("D2Q5") == (0.125, 0.625)
+    assert probability_bounds("D1Q2") == (0.5, 1.0)

@@ -10,7 +10,6 @@ from qlbm.ancilla_free import (
     build_collision,
     build_streaming,
     build_summation,
-    collision_angles,
     encode_initial,
     layout_for,
     run_exact,
@@ -29,6 +28,7 @@ from qlbm.lattice import (
 )
 from qlbm.statevector import (
     BlockProgram,
+    GateOp,
     PostSelectionError,
     QState,
     QubitLayout,
@@ -38,7 +38,7 @@ from qlbm.statevector import (
 
 
 def d1_weights(w_hat):
-    return DirectionWeights(w_hat=tuple(w_hat), e=((0,), (1,), (-1,)))
+    return DirectionWeights(w_hat=tuple(w_hat), e=((0,), (1,), (-1,)), codes=(0, 2, 3))
 
 
 def random_d1_weights(rng):
@@ -50,7 +50,65 @@ def random_d2_weights(rng):
     w = rng.random(5)
     w = w / w.sum()
     return DirectionWeights(w_hat=tuple(w),
-                            e=((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)))
+                            e=((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)),
+                            codes=(0, 4, 5, 6, 7))
+
+
+def collision_angles(weights):
+    """The Ry angles of the collision circuit the scheme table builds."""
+    layout = QubitLayout(max(weights.codes).bit_length(), (1,))
+    return tuple(op.angle for op in build_collision(weights, layout).ops)
+
+
+# -------------------------------------------------- frozen reference circuits
+# The D1Q3 and D2Q5 circuits as they were written out by hand before the
+# scheme table built them.  The table's tree must reproduce them exactly.
+
+def frozen_half_angle(numer, denom):
+    if denom < 1e-300:
+        return 0.0
+    return 2.0 * math.acos(min(max(numer / denom, 0.0), 1.0))
+
+
+def frozen_collision(w_hat):
+    w = np.asarray(w_hat, dtype=float)
+    if len(w) == 3:
+        rest = math.hypot(w[1], w[2])
+        return [
+            GateOp(kind="ry", target=0,
+                   angle=frozen_half_angle(w[0], math.sqrt(w[0] ** 2 + rest**2))),
+            GateOp(kind="ry", target=1, angle=frozen_half_angle(w[1], rest),
+                   controls=((0, 1),)),
+        ]
+    sx = math.hypot(w[1], w[2])
+    sy = math.hypot(w[3], w[4])
+    moving = math.sqrt(sx**2 + sy**2)
+    return [
+        GateOp(kind="ry", target=0,
+               angle=frozen_half_angle(w[0], math.sqrt(w[0] ** 2 + moving**2))),
+        GateOp(kind="ry", target=1, angle=frozen_half_angle(sx, moving),
+               controls=((0, 1),)),
+        GateOp(kind="ry", target=2, angle=frozen_half_angle(w[1], sx),
+               controls=((0, 1), (1, 0))),
+        GateOp(kind="ry", target=2, angle=frozen_half_angle(w[3], sy),
+               controls=((0, 1), (1, 1))),
+    ]
+
+
+def frozen_streaming(scheme, layout):
+    x_block = layout.axis_block(0)
+    if scheme == "D1Q3":
+        return [
+            GateOp(kind="shift", block=x_block, direction=+1, controls=((0, 1), (1, 0))),
+            GateOp(kind="shift", block=x_block, direction=-1, controls=((0, 1), (1, 1))),
+        ]
+    y_block = layout.axis_block(1)
+    return [
+        GateOp(kind="shift", block=x_block, direction=+1, controls=((0, 1), (1, 0), (2, 0))),
+        GateOp(kind="shift", block=x_block, direction=-1, controls=((0, 1), (1, 0), (2, 1))),
+        GateOp(kind="shift", block=y_block, direction=+1, controls=((0, 1), (1, 1), (2, 0))),
+        GateOp(kind="shift", block=y_block, direction=-1, controls=((0, 1), (1, 1), (2, 1))),
+    ]
 
 
 # ------------------------------------------------------------------ angles
@@ -312,15 +370,19 @@ def test_continuing_a_state_twice_keeps_both_histories():
 
 
 @st.composite
-def loop_models(draw):
-    """A D1Q3/D2Q5 spec with M in 2..64, default or overridden weights and
+def loop_models(draw, schemes=("D1Q3", "D2Q5", "D1Q2")):
+    """A spec with M in 2..64.  D1Q3/D2Q5: default or overridden weights and
     c_s2, and a velocity anywhere up to the advection limit |u| = c_s2,
-    where the weight of one direction is zero."""
-    scheme = draw(st.sampled_from(["D1Q3", "D2Q5"]))
+    where the weight of one direction is zero.  D1Q2: a random w_hat, 0 and
+    1 included."""
+    scheme = draw(st.sampled_from(schemes))
     m = 2 ** draw(st.integers(1, 6))
+    if scheme == "D1Q2":
+        w1 = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+        return ModelSpec(scheme=scheme, M=m, w_hat=(w1, 1.0 - w1))
     weights = c_s2 = None
     if draw(st.booleans()):
-        # a zero moving weight takes collision_angles' zero-denominator branch
+        # a zero weight gives the collision tree a zero-denominator node
         rest = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
         x_share = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
         wx, wy = (1 - rest) * x_share / 2, (1 - rest) * (1 - x_share) / 2
@@ -331,6 +393,21 @@ def loop_models(draw):
     u = limit * draw(ratio)
     v = limit * draw(ratio) if scheme == "D2Q5" else 0.0
     return ModelSpec(scheme=scheme, M=m, u=u, v=v, weights=weights, c_s2=c_s2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=loop_models(("D1Q3", "D2Q5")), data=st.data())
+def test_table_built_circuits_equal_the_frozen_ones(spec, data):
+    layout = layout_for(spec)
+    weights = effective_weights(spec)
+    assert build_collision(weights, layout).ops == frozen_collision(weights.w_hat)
+    # any nonnegative weights, zeros included, not only a model's
+    n = len(weights.codes)
+    raw = data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                             min_size=n, max_size=n).filter(any))
+    arbitrary = DirectionWeights(tuple(raw), weights.e, weights.codes)
+    assert build_collision(arbitrary, layout).ops == frozen_collision(raw)
+    assert build_streaming(spec.scheme, layout).ops == frozen_streaming(spec.scheme, layout)
 
 
 @settings(max_examples=150, deadline=None)
@@ -347,6 +424,18 @@ def test_block_program_matches_gate_path(spec, difference_mode, loops, seed):
         assert np.array_equal(blocks.state.amplitudes, gates.state.amplitudes)
     assert np.array_equal(blocks.loop_probs, gates.loop_probs)
     assert blocks.log_cumulative_postselect_prob == gates.log_cumulative_postselect_prob
+
+
+def test_two_direction_specs_differing_in_w_hat_evolve_differently():
+    # the compiled loop is cached per spec: w_hat must be part of its key
+    field = MacroField(np.arange(1.0, 9.0), (8,))
+    forward = run_exact(field, ModelSpec(scheme="D1Q2", M=8, w_hat=(0.8, 0.2)), 3)
+    backward = run_exact(field, ModelSpec(scheme="D1Q2", M=8, w_hat=(0.2, 0.8)), 3)
+    assert not np.allclose(forward.state.amplitudes, backward.state.amplitudes)
+    for ls, w_hat in ((forward, (0.8, 0.2)), (backward, (0.2, 0.8))):
+        spec = ModelSpec(scheme="D1Q2", M=8, w_hat=w_hat)
+        ref = classical_run(field, spec, 3).phi
+        assert np.max(np.abs(postselected_field(ls) * ref.sum() - ref)) < 1e-12
 
 
 @pytest.mark.parametrize("scheme, pairs, kept", [("D1Q3", 4, 3), ("D2Q5", 12, 7)])

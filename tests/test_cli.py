@@ -1,4 +1,6 @@
 import collections
+import importlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -155,6 +157,45 @@ def test_compare_legacy_vs_classical(tmp_path):
     assert cli.main(["compare", "--config", str(a), str(b), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["l2_error"] < 1e-12
+
+
+# the ancilla-free loop on the prior method's own two-direction model
+TWO_DIRECTION = {
+    "scheme": "D1Q2", "M": 32, "w_hat": [0.7, 0.3],
+    "initial": {"uniform": 0.1, "overrides": [[5, 0.6], [6, 0.3], [20, 0.4]]},
+}
+
+
+def compare_two_direction(tmp_path, a, b):
+    paths = []
+    for name, updates in (("a.json", a), ("b.json", b)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps({**TWO_DIRECTION, **updates}))
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", "--config", *map(str, paths), "--out", str(out)]) == 0
+    return json.loads((out / "summary.json").read_text())
+
+
+@pytest.mark.parametrize("difference_mode", [False, True])
+def test_two_direction_quantum_exact_matches_classical(tmp_path, difference_mode):
+    summary = compare_two_direction(
+        tmp_path, {"mode": "quantum-exact", "loops": 25, "difference_mode": difference_mode},
+        {"mode": "classical", "loops": 25})
+    assert summary["linf_error"] <= 1e-10
+
+
+def test_two_direction_quantum_exact_matches_legacy_step(tmp_path):
+    summary = compare_two_direction(tmp_path, {"mode": "quantum-exact"}, {"mode": "legacy"})
+    assert summary["linf_error"] <= 1e-10
+
+
+def test_two_direction_probe_within_bounds(tmp_path):
+    cfg = tmp_path / "q.json"
+    cfg.write_text(json.dumps({**TWO_DIRECTION, "mode": "quantum-exact", "loops": 25}))
+    assert cli.main(["probe", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 0
+    verdict = json.loads((tmp_path / "p" / "verdict.json").read_text())
+    assert verdict["bounds"] == [0.5, 1.0]
+    assert verdict["within_bounds"] is True
 
 
 def test_compare_seed_sweep(tmp_path):
@@ -541,3 +582,15 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "field.csv").exists()
     assert "run finished" in proc.stderr
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # bench/tracer.py replaces these functions by name when it traces a run
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("qlbm_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [(module, attr) for module, attr, _ in tracer._TARGETS
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []
+    assert "from_json" in cli.RunConfig.__dict__

@@ -60,6 +60,20 @@ def test_model_spec_validation():
         ModelSpec(scheme="D1Q3", M=8, weights=(0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         ModelSpec(scheme="D4Q9", M=8)
+    with pytest.raises(ValueError, match="reads no v"):
+        ModelSpec(scheme="D1Q3", M=8, v=0.1)
+    with pytest.raises(ValueError, match="leave it unset"):
+        ModelSpec(scheme="D1Q3", M=8, w_hat=(0.5, 0.5))
+    # the two-direction row takes w_hat as given, and nothing it does not read
+    for bad in ({}, {"w_hat": (0.5, 0.25, 0.25)}, {"w_hat": (0.6, 0.6)},
+                {"w_hat": (1.5, -0.5)}, {"w_hat": (0.5, 0.5), "u": 0.1},
+                {"w_hat": (0.5, 0.5), "weights": (0.5, 0.5)},
+                {"w_hat": (0.5, 0.5), "c_s2": 1.0}):
+        with pytest.raises(ValueError):
+            ModelSpec(scheme="D1Q2", M=8, **bad)
+    spec = ModelSpec(scheme="D1Q2", M=8, w_hat=[0.75, 0.25])
+    assert effective_weights(spec).w_hat == (0.75, 0.25)
+    assert (spec.weights, spec.c_s2, spec.geometry) == (None, None, (8,))
 
 
 # ------------------------------------------------------------- diffusion

@@ -45,6 +45,7 @@ def hills(geometry):
      300, True),
     (ModelSpec(scheme="D2Q5", M=16, u=0.1, v=-0.2, weights=(0.2, 0.25, 0.25, 0.15, 0.15),
                c_s2=0.5), 100, False),
+    (ModelSpec(scheme="D1Q2", M=32, w_hat=(0.7, 0.3)), 300, True),
 ])
 def test_exact_loops_match_spectral_oracle(spec, loops, difference_mode):
     phi = hills(spec.geometry)
