@@ -8,21 +8,27 @@ position-register amplitudes are then proportional to one classical
 collide-stream cycle of the field, so loops chain without any classical
 readout in between.
 
-So a ``LoopState`` holds the position register alone, and ``run_loop_exact``
-runs one ``BlockProgram`` per model, compiled once from the loop's three
-circuits: it never stores the 2**q - 1 direction blocks that post-selection
-discards.  ``run_loop_gates`` runs the same circuits gate by gate on the
-full register and is the reference the tests hold it to.
+So a ``LoopState`` holds the position register alone.  Per model, the
+loop's three circuits compile once to a ``BlockProgram``, which never stores
+the 2**q - 1 direction blocks that post-selection discards, and the program
+folds to a ``Stencil``: the post-selected block is sum_a c_a roll(block,
+e_a), with c_a checked against w_hat_a / (||w_hat|| 2**(q/2)) when it is
+compiled.  A loop runs on three paths with one signature:
+
+- ``run_loop_exact`` runs the stencil, ``loops`` loops per call;
+- ``run_loop_blocks`` runs ``BlockProgram.run`` loop by loop, bit for bit
+  the gate path; the stencil rounds differently and is held to it within a
+  few ulp;
+- ``run_loop_gates`` runs every gate on the full register, the reference
+  for both.
 
 Every circuit is built from the scheme's row in ``lattice._SCHEMES``: its
 velocities and the q-register code of each.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,49 +48,11 @@ from .statevector import (
     QState,
     QubitLayout,
     ShotHistogram,
+    Stencil,
     apply_circuit,
     encode_amplitudes,
     project,
 )
-
-
-class ProbHistory(Sequence):
-    """Per-loop post-selection probabilities of one trajectory, oldest first.
-
-    Read-only.  A history continued by one more loop shares its
-    predecessor's list, which only ever grows at the end, so recording a
-    loop costs amortised O(1) and no history changes once made; continuing
-    a history that has already been continued copies its part of the list.
-    """
-
-    __slots__ = ("_probs", "_n")
-
-    def __init__(self, probs=()):
-        self._probs = list(probs)
-        self._n = len(self._probs)
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return self._probs[: self._n][i]
-        return self._probs[range(self._n)[i]]
-
-    def __iter__(self):
-        return itertools.islice(self._probs, self._n)
-
-    def __repr__(self) -> str:
-        return f"ProbHistory({self._probs[: self._n]!r})"
-
-    def appended(self, prob: float) -> "ProbHistory":
-        probs = self._probs
-        if len(probs) != self._n:  # another trajectory continued from here
-            probs = probs[: self._n]
-        probs.append(prob)
-        out = ProbHistory.__new__(ProbHistory)
-        out._probs, out._n = probs, self._n + 1
-        return out
 
 
 @dataclass
@@ -92,7 +60,8 @@ class LoopState:
     """State threaded through successive loops.
 
     ``state`` is the post-selected position register, ``QubitLayout(0,
-    axis_qubits)``.  The cumulative post-selection probability is carried
+    axis_qubits)``, and ``loop_probs`` the post-selection probability of
+    each loop so far, oldest first.  The cumulative probability is carried
     as its natural log: after thousands of loops it is far below the
     smallest float.
     """
@@ -101,7 +70,7 @@ class LoopState:
     loop_index: int
     initial_l1: float
     baseline: float | None = None
-    loop_probs: ProbHistory = dc_field(default_factory=ProbHistory)
+    loop_probs: tuple[float, ...] = ()
     log_cumulative_postselect_prob: float = 0.0
 
     @property
@@ -122,24 +91,20 @@ def _code_controls(code: int, width: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, code >> (width - 1 - i) & 1) for i in range(width))
 
 
-def _half_angle(numer: float, denom: float) -> float:
-    # zero denominator means the remaining branch carries no amplitude;
-    # any angle works there, 0 keeps the circuit minimal
-    if denom < 1e-300:
-        return 0.0
-    return 2.0 * math.acos(min(max(numer / denom, 0.0), 1.0))
-
-
 def build_collision(weights: DirectionWeights, layout: QubitLayout) -> Circuit:
     """Rotation tree taking q = |0..0> to sum_a w_hat_a |code_a>, normalized.
 
     The tree is binary over the q-bit codes, qubit 0 at the root (Grover &
     Rudolph, arXiv quant-ph/0208112).  A node whose two subtrees both hold a
-    code gets an Ry on its qubit, controlled on its prefix, by 2*acos(left
-    norm / node norm); which nodes get one depends on the codes, not on the
-    weights, so a zero weight still emits its Ry(0).  A node's norm is the
-    hypot of two leaves and sqrt(l**2 + r**2) above that: the order of
-    evaluation that the tests' frozen D1Q3/D2Q5 circuits fix bit for bit.
+    code gets an Ry on its qubit, controlled on its prefix, by 2*atan2(right
+    norm, left norm); which nodes get one depends on the codes, not on the
+    weights, so a zero weight still emits its Ry(0), and two empty subtrees
+    give Ry(0) too.  atan2 keeps a side far lighter than the other, where
+    2*acos(left norm / node norm) rounds to 0 once the right side's share
+    falls below about 1e-8 and the loop runs without that direction.  A
+    node's norm is the hypot of two leaves and sqrt(l**2 + r**2) above that:
+    the order of evaluation that the tests' frozen D1Q3/D2Q5 circuits fix
+    bit for bit.
     """
     w = np.asarray(weights.w_hat, dtype=float)
     if np.any(w < 0):
@@ -160,7 +125,7 @@ def build_collision(weights: DirectionWeights, layout: QubitLayout) -> Circuit:
             return left or right
         (l, l_ops), (r, r_ops) = left, right
         norm = math.hypot(l, r) if depth == q - 1 else math.sqrt(l**2 + r**2)
-        gate = GateOp(kind="ry", target=depth, angle=_half_angle(l, norm),
+        gate = GateOp(kind="ry", target=depth, angle=2.0 * math.atan2(r, l),
                       controls=_code_controls(prefix, depth))
         return norm, [gate, *l_ops, *r_ops]
 
@@ -186,10 +151,12 @@ def build_summation(layout: QubitLayout) -> Circuit:
 
 
 class _Loop(NamedTuple):
-    """One loop's circuits, and the block program compiled from them."""
+    """One loop's circuits, the block program compiled from them and the
+    stencil folded from the program."""
 
     circuits: tuple[Circuit, Circuit, Circuit]  # collision, streaming, summation
     program: BlockProgram
+    stencil: Stencil
 
 
 _circuit_cache: dict = {}
@@ -201,14 +168,32 @@ def _circuits_for(spec: ModelSpec) -> _Loop:
     loop = _circuit_cache.get(key)
     if loop is None:
         layout = layout_for(spec)
+        weights = effective_weights(spec)
         circuits = (
-            build_collision(effective_weights(spec), layout),
+            build_collision(weights, layout),
             build_streaming(spec.scheme, layout),
             build_summation(layout),
         )
         program = BlockProgram([op for c in circuits for op in c.ops], layout)
-        loop = _circuit_cache[key] = _Loop(circuits, program)
+        terms = program.fold()
+        _check_fold(terms, weights, layout.q_qubits)
+        stencil = Stencil(terms, program.block_layout)
+        loop = _circuit_cache[key] = _Loop(circuits, program, stencil)
     return loop
+
+
+def _check_fold(terms: dict, weights: DirectionWeights, q_qubits: int):
+    """The fold of the gates must be the weighted stream-sum the paper
+    derives: one term per velocity e_a, with c_a = w_hat_a / (||w_hat||
+    2**(q/2)).  This sets the gate algebra (Ry angles, controls, Hadamards)
+    against ``effective_weights``; the stencil itself runs on the fold."""
+    w_hat = np.asarray(weights.w_hat, dtype=float)
+    scale = 1.0 / (np.linalg.norm(w_hat) * 2.0 ** (q_qubits / 2))
+    expected = dict(zip(weights.e, (w_hat * scale).tolist()))
+    if terms.keys() != expected.keys() or any(
+            abs(terms[e] - c) > 1e-12 for e, c in expected.items()):
+        raise AssertionError(f"the loop's gates fold to {terms}, "
+                             f"the weights give {expected}")
 
 
 def encode_initial(field: MacroField, difference_mode: bool = False) -> LoopState:
@@ -235,44 +220,63 @@ def encode_initial(field: MacroField, difference_mode: bool = False) -> LoopStat
     )
 
 
-def run_loop_exact(loop_state: LoopState, spec: ModelSpec) -> LoopState:
-    """One collision-streaming-summation-postselection loop.
+def run_loop_exact(loop_state: LoopState, spec: ModelSpec, loops: int = 1) -> LoopState:
+    """``loops`` collision-streaming-summation-postselection loops, run as
+    the stencil folded from the loop's gates in one call.
 
     The returned position-register amplitudes are proportional to the
-    classical field advanced by loop_index + 1 cycles.
+    classical field advanced by loop_index + loops cycles.
     """
-    prob, state = _circuits_for(spec).program.run(loop_state.state)
-    return _advanced(loop_state, state, prob)
+    state, probs = _circuits_for(spec).stencil.run(loop_state.state, loops)
+    return _advanced(loop_state, state, probs.tolist())
 
 
-def run_loop_gates(loop_state: LoopState, spec: ModelSpec) -> LoopState:
-    """``run_loop_exact`` gate by gate: the position register is expanded
-    to the full register, every gate of the three circuits is applied and
-    the direction register is projected.  Same bits, 2**q times the state;
-    the reference the block program is tested against."""
+def run_loop_blocks(loop_state: LoopState, spec: ModelSpec, loops: int = 1) -> LoopState:
+    """``run_loop_exact`` by ``BlockProgram.run``, one loop at a time: the
+    gates' arithmetic in their order, so the bits of ``run_loop_gates``; the
+    reference the stencil is tested against."""
+    program = _circuits_for(spec).program
+    state, probs = loop_state.state, []
+    for _ in range(loops):
+        prob, state = program.run(state)
+        probs.append(prob)
+    return _advanced(loop_state, state, probs)
+
+
+def run_loop_gates(loop_state: LoopState, spec: ModelSpec, loops: int = 1) -> LoopState:
+    """``run_loop_exact`` gate by gate: each loop expands the position
+    register to the full register, applies every gate of the three circuits
+    and projects the direction register.  2**q times the state; the
+    reference the block program is tested against."""
     circuits = _circuits_for(spec).circuits
     block = loop_state.state
     layout = circuits[0].layout
     if block.layout != QubitLayout(0, layout.axis_qubits):
         raise ValueError(f"loop state layout {block.layout} does not match {layout}")
-    amps = np.zeros(layout.dim, dtype=block.amplitudes.dtype)
-    amps[: block.layout.dim] = block.amplitudes
-    state = QState(amps, layout)
-    for circuit in circuits:
-        state = apply_circuit(state, circuit)
-    prob, state = project(state)
-    return _advanced(loop_state, QState(state.d_block(), block.layout), prob)
+    probs = []
+    for _ in range(loops):
+        amps = np.zeros(layout.dim, dtype=block.amplitudes.dtype)
+        amps[: block.layout.dim] = block.amplitudes
+        state = QState(amps, layout)
+        for circuit in circuits:
+            state = apply_circuit(state, circuit)
+        prob, state = project(state)
+        block = QState(state.d_block(), block.layout)
+        probs.append(prob)
+    return _advanced(loop_state, block, probs)
 
 
-def _advanced(loop_state: LoopState, state: QState, prob: float) -> LoopState:
+def _advanced(loop_state: LoopState, state: QState, probs: list[float]) -> LoopState:
+    log_p = loop_state.log_cumulative_postselect_prob
+    for prob in probs:
+        log_p += math.log(prob)
     return LoopState(
         state=state,
-        loop_index=loop_state.loop_index + 1,
+        loop_index=loop_state.loop_index + len(probs),
         initial_l1=loop_state.initial_l1,
         baseline=loop_state.baseline,
-        loop_probs=loop_state.loop_probs.appended(prob),
-        log_cumulative_postselect_prob=(loop_state.log_cumulative_postselect_prob
-                                        + math.log(prob)),
+        loop_probs=loop_state.loop_probs + tuple(probs),
+        log_cumulative_postselect_prob=log_p,
     )
 
 
@@ -323,7 +327,4 @@ def run_sampled(initial: MacroField, spec: ModelSpec, loops: int, shots: int,
 def run_exact(initial: MacroField, spec: ModelSpec, loops: int,
               difference_mode: bool = False) -> LoopState:
     """Convenience wrapper: encode and advance ``loops`` exact loops."""
-    ls = encode_initial(initial, difference_mode)
-    for _ in range(loops):
-        ls = run_loop_exact(ls, spec)
-    return ls
+    return run_loop_exact(encode_initial(initial, difference_mode), spec, loops=loops)

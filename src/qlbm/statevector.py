@@ -21,6 +21,15 @@ A circuit on the direction register that ends in post-selection of q =
 blocks, blocks known to be zero are never stored, and only the updates whose
 results reach the post-selected block are kept.  Each kept update does the
 same arithmetic as ``apply``, so both give the same bits.
+
+A block program is a straight-line linear map of its input block, so
+``BlockProgram.fold`` runs its steps on {shift: coefficient} maps and gives
+the post-selected block as sum_a c_a roll(input, s_a).  A ``Stencil`` runs
+that sum for many loops in one call, on buffers allocated once; it rounds
+differently from the step-by-step program, by a few ulp.  So a loop has
+three paths: the stencil runs it, ``BlockProgram.run`` is the bit-exact
+reference on the position block, and ``apply`` gate by gate on the full
+register is the reference both are held to.
 """
 from __future__ import annotations
 
@@ -289,15 +298,21 @@ def project(state: QState) -> tuple[float, QState]:
 
 def _renormalized(sub: np.ndarray) -> tuple[float, np.ndarray]:
     """Probability of the q = |0..0> block ``sub``, and the block
-    renormalized; the one rule of ``project`` and ``BlockProgram``."""
+    renormalized; the rule of ``project``, ``BlockProgram`` and ``Stencil``."""
     prob = float(np.sum(np.abs(sub) ** 2))
+    return prob, sub * _rescale(prob)
+
+
+def _rescale(prob: float) -> float:
+    """The factor renormalizing a post-selected block of probability
+    ``prob``; the one floor below which post-selection has failed."""
     if prob < 1e-14:
         raise PostSelectionError(
             f"post-selection impossible: q = |0..0> has probability {prob:.3e}"
         )
     # times the reciprocal, as numpy divides a complex array by a real
     # scalar, so real and complex states renormalize to the same bits
-    return prob, sub * (1.0 / np.sqrt(prob))
+    return 1.0 / np.sqrt(prob)
 
 
 class _Pair(NamedTuple):
@@ -358,6 +373,97 @@ class BlockProgram:
                     blocks[dst] = value
         prob, amps = _renormalized(blocks[0].reshape(-1))
         return prob, QState(amps, self.block_layout)
+
+    def fold(self) -> dict[tuple[int, ...], float]:
+        """The post-selected block before renormalization as one linear map
+        of the input: {shift: c} with block 0 = sum c * roll(input, shift).
+
+        The steps run on coefficient maps in place of blocks: a roll moves
+        every shift one position along its axis, a pair update adds the
+        scaled maps of its sources.
+        """
+        ndim = len(self.layout.axis_qubits)
+        axes = {self.layout.axis_block(i): i for i in range(ndim)}
+        maps = {0: {(0,) * ndim: 1.0}}
+        for step in self.steps:
+            if type(step) is _Roll:
+                axis, by = axes[step.op.block], step.op.direction
+                maps[step.block] = {s[:axis] + (s[axis] + by,) + s[axis + 1:]: c
+                                    for s, c in maps[step.block].items()}
+                continue
+            values = []
+            for _, terms in step.writes:
+                out = {}
+                for c, src in terms:
+                    for s, x in maps[src].items():
+                        out[s] = out.get(s, 0.0) + c * x
+                values.append(out)
+            for (dst, _), value in zip(step.writes, values):
+                maps[dst] = value
+        return maps[0]
+
+
+class Stencil:
+    """One loop as sum_a c_a roll(block, s_a) followed by ``_renormalized``'s
+    post-selection, run ``loops`` times per call.
+
+    The block sits inside a buffer padded by a periodic halo as wide as the
+    largest shift on each axis, so each roll is a fixed view of the buffer.
+    Every view and the two work blocks are made once per call, and each loop
+    is a fixed sequence of ufunc calls writing into them: no allocation and
+    no BLAS, whose threads cost far more than the sums at these sizes.
+    """
+
+    def __init__(self, terms: dict[tuple[int, ...], float], block_layout: QubitLayout):
+        if block_layout.q_qubits:
+            raise ValueError(f"a stencil runs on a position block, got {block_layout}")
+        self.block_layout = block_layout
+        self.shape = tuple(1 << a for a in block_layout.axis_qubits)
+        # roll by s equals roll by s mod M: keep the representative nearest 0
+        self.terms = tuple(
+            (tuple((sk + m // 2) % m - m // 2 for sk, m in zip(s, self.shape)), c)
+            for s, c in terms.items())
+        self.halo = tuple(max(abs(s[k]) for s, _ in self.terms) for k in range(len(self.shape)))
+
+    def run(self, block: QState, loops: int) -> tuple[QState, np.ndarray]:
+        """The block after ``loops`` loops, renormalized, and the
+        post-selection probability of each loop."""
+        if block.layout != self.block_layout:
+            raise ValueError(f"stencil runs on {self.block_layout}, got {block.layout}")
+        if loops < 0:
+            raise ValueError("loops must be >= 0")
+        amps = block.amplitudes.reshape(self.shape)
+        pad = np.empty(tuple(m + 2 * h for m, h in zip(self.shape, self.halo)), amps.dtype)
+        inner = pad[tuple(slice(h, h + m) for m, h in zip(self.shape, self.halo))]
+        views = [(pad[tuple(slice(h - sk, h - sk + m)
+                            for sk, m, h in zip(s, self.shape, self.halo))], c)
+                 for s, c in self.terms]
+        (first, c_first), rest = views[0], views[1:]
+        # per padded axis, low halo <- the block's last h rows and high halo
+        # <- its first h; axis by axis over the whole buffer fills the corners
+        halos = []
+        for k, (m, h) in enumerate(zip(self.shape, self.halo)):
+            if h:
+                lead = (slice(None),) * k
+                halos += [(pad[lead + (slice(0, h),)], pad[lead + (slice(m, m + h),)]),
+                          (pad[lead + (slice(m + h, m + 2 * h),)], pad[lead + (slice(h, 2 * h),)])]
+        work, term = np.empty(self.shape, amps.dtype), np.empty(self.shape, amps.dtype)
+        square = term if amps.dtype == np.float64 else np.empty(self.shape)
+        probs = np.empty(loops)
+        multiply, add, absolute, copyto = np.multiply, np.add, np.absolute, np.copyto
+        copyto(inner, amps)
+        for t in range(loops):
+            for dst, src in halos:
+                copyto(dst, src)
+            multiply(first, c_first, out=work)
+            for view, c in rest:
+                add(work, multiply(view, c, out=term), out=work)
+            absolute(work, out=square)
+            multiply(square, square, out=square)
+            prob = float(add.reduce(square, axis=None))
+            multiply(work, _rescale(prob), out=inner)
+            probs[t] = prob
+        return QState(inner.reshape(-1), self.block_layout), probs
 
 
 def _combine(blocks: list, terms: tuple) -> np.ndarray:

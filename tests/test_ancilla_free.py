@@ -12,7 +12,10 @@ from qlbm.ancilla_free import (
     build_summation,
     encode_initial,
     layout_for,
+    _circuits_for,
+    _check_fold,
     run_exact,
+    run_loop_blocks,
     run_loop_exact,
     run_loop_gates,
     run_sampled,
@@ -62,12 +65,11 @@ def collision_angles(weights):
 
 # -------------------------------------------------- frozen reference circuits
 # The D1Q3 and D2Q5 circuits as they were written out by hand before the
-# scheme table built them.  The table's tree must reproduce them exactly.
+# scheme table built them, with each angle 2*atan2(right, left) where they
+# had 2*acos(left / node norm).  The table's tree must reproduce them exactly.
 
-def frozen_half_angle(numer, denom):
-    if denom < 1e-300:
-        return 0.0
-    return 2.0 * math.acos(min(max(numer / denom, 0.0), 1.0))
+def frozen_half_angle(left, right):
+    return 2.0 * math.atan2(right, left)
 
 
 def frozen_collision(w_hat):
@@ -76,8 +78,8 @@ def frozen_collision(w_hat):
         rest = math.hypot(w[1], w[2])
         return [
             GateOp(kind="ry", target=0,
-                   angle=frozen_half_angle(w[0], math.sqrt(w[0] ** 2 + rest**2))),
-            GateOp(kind="ry", target=1, angle=frozen_half_angle(w[1], rest),
+                   angle=frozen_half_angle(w[0], rest)),
+            GateOp(kind="ry", target=1, angle=frozen_half_angle(w[1], w[2]),
                    controls=((0, 1),)),
         ]
     sx = math.hypot(w[1], w[2])
@@ -85,12 +87,12 @@ def frozen_collision(w_hat):
     moving = math.sqrt(sx**2 + sy**2)
     return [
         GateOp(kind="ry", target=0,
-               angle=frozen_half_angle(w[0], math.sqrt(w[0] ** 2 + moving**2))),
-        GateOp(kind="ry", target=1, angle=frozen_half_angle(sx, moving),
+               angle=frozen_half_angle(w[0], moving)),
+        GateOp(kind="ry", target=1, angle=frozen_half_angle(sx, sy),
                controls=((0, 1),)),
-        GateOp(kind="ry", target=2, angle=frozen_half_angle(w[1], sx),
+        GateOp(kind="ry", target=2, angle=frozen_half_angle(w[1], w[2]),
                controls=((0, 1), (1, 0))),
-        GateOp(kind="ry", target=2, angle=frozen_half_angle(w[3], sy),
+        GateOp(kind="ry", target=2, angle=frozen_half_angle(w[3], w[4]),
                controls=((0, 1), (1, 1))),
     ]
 
@@ -130,6 +132,23 @@ def test_angles_default_benchmark_weights():
     a1, a2 = collision_angles(d1_weights((1 / 3, 0.4, 4 / 15)))
     assert np.isclose(a1, 1.9290607157591335, atol=1e-12)
     assert np.isclose(a2, 1.1760052070951350, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec(scheme="D1Q2", M=16, w_hat=(1 - 4e-9, 4e-9)),
+    ModelSpec(scheme="D1Q3", M=16, weights=(1 - 4e-9, 2e-9, 2e-9), c_s2=1.0, u=1e-9),
+    ModelSpec(scheme="D2Q5", M=8, weights=(1 - 4e-9, 1e-9, 1e-9, 1e-9, 1e-9), c_s2=1.0,
+              u=0.5e-9, v=-0.5e-9),
+])
+def test_a_weight_far_below_the_others_is_kept(spec):
+    # 2*acos(left / node norm) rounded these angles to 0 and dropped the
+    # light side: after 1000 loops the fields were 2.7e-6, 8.8e-7 and
+    # 4.4e-7 off the classical ones
+    field = MacroField(0.1 + np.exp(-(np.arange(spec.M ** len(spec.geometry)) % spec.M - 5.0)
+                                    ** 2 / 4), spec.geometry)
+    ls = run_exact(field, spec, 1000)
+    ref = classical_run(field, spec, 1000).phi
+    assert np.max(np.abs(postselected_field(ls) * ref.sum() - ref)) < 1e-10
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -410,20 +429,89 @@ def test_table_built_circuits_equal_the_frozen_ones(spec, data):
     assert build_streaming(spec.scheme, layout).ops == frozen_streaming(spec.scheme, layout)
 
 
+def random_field(spec, seed):
+    return MacroField(np.random.default_rng(seed).random(spec.M ** len(spec.geometry)),
+                      spec.geometry)
+
+
 @settings(max_examples=150, deadline=None)
 @given(spec=loop_models(), difference_mode=st.booleans(), loops=st.integers(1, 12),
        seed=st.integers(0, 2**31))
 def test_block_program_matches_gate_path(spec, difference_mode, loops, seed):
-    field = MacroField(np.random.default_rng(seed).random(spec.M ** len(spec.geometry)),
-                       spec.geometry)
-    blocks = gates = encode_initial(field, difference_mode)
+    # run_loop_blocks is BlockProgram.run loop by loop
+    blocks = gates = encode_initial(random_field(spec, seed), difference_mode)
     position_register = blocks.state.layout
     for _ in range(loops):
-        blocks, gates = run_loop_exact(blocks, spec), run_loop_gates(gates, spec)
+        blocks, gates = run_loop_blocks(blocks, spec), run_loop_gates(gates, spec)
         assert blocks.state.layout == gates.state.layout == position_register
         assert np.array_equal(blocks.state.amplitudes, gates.state.amplitudes)
     assert np.array_equal(blocks.loop_probs, gates.loop_probs)
     assert blocks.log_cumulative_postselect_prob == gates.log_cumulative_postselect_prob
+
+
+# The stencil sums the folded terms where the block program applies the
+# gates step by step, so the two round differently.  Over 3000 drawn cases
+# of up to 40 loops the largest gaps were 9 eps on an amplitude of the
+# unit-norm block, 9 ulp on a loop probability and 5e-14 on ln P; the
+# bounds below leave room above those.
+AMPLITUDE_EPS, PROBABILITY_ULP, LOG_P_ABS = 64, 16, 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=loop_models(), difference_mode=st.booleans(), loops=st.integers(1, 40),
+       seed=st.integers(0, 2**31))
+def test_stencil_matches_block_program(spec, difference_mode, loops, seed):
+    start = encode_initial(random_field(spec, seed), difference_mode)
+    stencil = run_loop_exact(start, spec, loops=loops)
+    blocks = run_loop_blocks(start, spec, loops=loops)
+    assert stencil.state.layout == blocks.state.layout == start.state.layout
+    assert stencil.loop_index == blocks.loop_index == loops
+    gap = np.abs(stencil.state.amplitudes - blocks.state.amplitudes)
+    assert np.max(gap) <= AMPLITUDE_EPS * np.finfo(float).eps
+    probs = np.array(blocks.loop_probs)
+    assert np.all(np.abs(np.array(stencil.loop_probs) - probs)
+                  <= PROBABILITY_ULP * np.spacing(probs))
+    assert abs(stencil.log_cumulative_postselect_prob
+               - blocks.log_cumulative_postselect_prob) <= LOG_P_ABS
+
+
+@settings(max_examples=50, deadline=None)
+@given(spec=loop_models(), splits=st.lists(st.integers(0, 6), max_size=4),
+       seed=st.integers(0, 2**31))
+def test_stencil_calls_chain(spec, splits, seed):
+    # T loops in one call equal the same loops in several calls: each call
+    # starts from the renormalized block the last one returned
+    start = encode_initial(random_field(spec, seed))
+    whole = run_loop_exact(start, spec, loops=sum(splits))
+    ls = start
+    for loops in splits:
+        ls = run_loop_exact(ls, spec, loops=loops)
+    assert np.array_equal(ls.state.amplitudes, whole.state.amplitudes)
+    assert ls.loop_probs == whole.loop_probs
+    assert ls.loop_index == whole.loop_index == sum(splits)
+
+
+@pytest.mark.parametrize("spec", [ModelSpec(scheme="D1Q3", M=8, u=0.2),
+                                  ModelSpec(scheme="D2Q5", M=4, u=0.1, v=-0.2),
+                                  ModelSpec(scheme="D1Q2", M=4, w_hat=(0.3, 0.7))])
+def test_fold_is_the_weighted_stream_sum(spec):
+    loop = _circuits_for(spec)
+    terms = loop.program.fold()
+    weights = effective_weights(spec)
+    assert sorted(terms) == sorted(weights.e)  # one term per velocity, no more
+    norm = math.sqrt(sum(w * w for w in weights.w_hat))
+    q = layout_for(spec).q_qubits
+    for e, w in zip(weights.e, weights.w_hat):
+        assert abs(terms[e] - w / (norm * 2 ** (q / 2))) <= 1e-15
+    # the stencil runs on the fold's own coefficients
+    assert [c for _, c in loop.stencil.terms] == list(terms.values())
+    # a fold that is not the weighted stream-sum fails the check
+    _check_fold(terms, weights, q)
+    wrong = {**terms, weights.e[0]: terms[weights.e[0]] + 1e-9}
+    with pytest.raises(AssertionError, match="fold to"):
+        _check_fold(wrong, weights, q)
+    with pytest.raises(AssertionError, match="fold to"):
+        _check_fold({e: c for e, c in terms.items() if e != weights.e[-1]}, weights, q)
 
 
 def test_two_direction_specs_differing_in_w_hat_evolve_differently():
@@ -459,7 +547,7 @@ def test_zero_postselection_probability_raises():
     spec = ModelSpec(scheme="D1Q3", M=4, weights=(0.0, 0.5, 0.5))
     amps = np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
     ls = LoopState(state=QState(amps, QubitLayout(0, (2,))), loop_index=0, initial_l1=1.0)
-    for run in (run_loop_exact, run_loop_gates):
+    for run in (run_loop_exact, run_loop_blocks, run_loop_gates):
         with pytest.raises(PostSelectionError,
                            match=r"post-selection impossible: q = \|0\.\.0>"):
             run(ls, spec)

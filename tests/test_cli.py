@@ -2,6 +2,7 @@ import collections
 import importlib
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -213,13 +214,14 @@ def test_compare_seed_sweep(tmp_path):
 
 @pytest.fixture
 def loop_counter(monkeypatch):
-    """Record the loop index of every exact loop the CLI evolves."""
+    """Record the loop index of every exact loop the CLI evolves: a call
+    advancing k loops from loop i records i, ..., i + k - 1."""
     calls = []
     original = cli.run_loop_exact
 
-    def counted(ls, spec):
-        calls.append(ls.loop_index)
-        return original(ls, spec)
+    def counted(ls, spec, loops=1):
+        calls.extend(range(ls.loop_index, ls.loop_index + loops))
+        return original(ls, spec, loops=loops)
 
     # run_exact looks the loop up in its own module
     monkeypatch.setattr(cli, "run_loop_exact", counted)
@@ -257,32 +259,62 @@ def test_run_reads_out_and_formats_the_final_state_once(tmp_path, monkeypatch,
     assert (out / "field_t3.csv").read_bytes() != (out / "field_t7.csv").read_bytes()
 
 
+def test_a_fold_off_the_weights_exits_4(tmp_path, monkeypatch, capsys):
+    fold = ancilla_free.BlockProgram.fold
+
+    def off(program):
+        return {s: c * (1 + 1e-9) for s, c in fold(program).items()}
+
+    monkeypatch.setattr(ancilla_free.BlockProgram, "fold", off)
+    monkeypatch.setattr(ancilla_free, "_circuit_cache", {})
+    cfg = write_config(tmp_path, "q.json", loops=3)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert "fold to" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_block_program_and_gate_path_write_the_same_bytes(tmp_path, monkeypatch):
     exact = str(CONFIGS / "d2q5_gaussian_hill_exact.json")
     sampled = str(CONFIGS / "d1q3_gaussian_hill_sampled.json")
     commands = [["run", "--config", exact], ["probe", "--config", exact],
                 ["run", "--config", sampled]]
 
-    def outputs(tag):
+    def outputs(tag, loop=None):
+        if loop is not None:
+            # run_exact looks the loop up in its own module
+            monkeypatch.setattr(cli, "run_loop_exact", loop)
+            monkeypatch.setattr(ancilla_free, "run_loop_exact", loop)
         root = tmp_path / tag
         for i, argv in enumerate(commands):
             assert cli.main(argv + ["--out", str(root / str(i))]) == 0
-        return {p.relative_to(root): p.read_bytes()
+        return {str(p.relative_to(root)): p.read_bytes()
                 for p in sorted(root.rglob("*")) if p.is_file()}
 
-    blocks = outputs("blocks")
-    gate_loops = []
+    stencil = outputs("stencil")
+    advanced = []
 
-    def gates(ls, spec):
-        gate_loops.append(ls.loop_index)
-        return ancilla_free.run_loop_gates(ls, spec)
+    def counted(reference):
+        def run(ls, spec, loops=1):
+            advanced.append(loops)
+            return reference(ls, spec, loops=loops)
+        return run
 
-    # run_exact looks the loop up in its own module
-    monkeypatch.setattr(cli, "run_loop_exact", gates)
-    monkeypatch.setattr(ancilla_free, "run_loop_exact", gates)
-    assert outputs("gates") == blocks
-    assert len(gate_loops) == 20 + 20 + 30
+    blocks = outputs("blocks", counted(ancilla_free.run_loop_blocks))
+    assert sum(advanced) == 20 + 20 + 30
+    assert outputs("gates", counted(ancilla_free.run_loop_gates)) == blocks
+    assert sum(advanced) == 2 * (20 + 20 + 30)
     assert len(blocks) == 6 + 2 + 2  # run with 4 snapshots, probe, sampled run
+
+    # the stencil rounds differently from both references: each file has
+    # their text between its numbers, and each number is within the
+    # oracle's tolerance of theirs
+    number = rb"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?"
+    assert stencil.keys() == blocks.keys()
+    for name, data in blocks.items():
+        assert re.sub(number, b"#", stencil[name]) == re.sub(number, b"#", data), name
+        ours, theirs = (np.array(re.findall(number, text), dtype=float)
+                        for text in (stencil[name], data))
+        assert np.max(np.abs(ours - theirs)) <= 1e-10, name
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)

@@ -11,6 +11,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_ancilla_free import loop_models
 
 from qlbm.ancilla_free import layout_for, run_exact
 from qlbm.lattice import MacroField, ModelSpec, effective_weights
@@ -48,6 +51,18 @@ def hills(geometry):
     (ModelSpec(scheme="D1Q2", M=32, w_hat=(0.7, 0.3)), 300, True),
 ])
 def test_exact_loops_match_spectral_oracle(spec, loops, difference_mode):
+    check_against_oracle(spec, loops, difference_mode)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=loop_models(), loops=st.integers(1, 300), difference_mode=st.booleans())
+def test_any_model_matches_spectral_oracle(spec, loops, difference_mode):
+    # loop_models draws velocities up to the advection limit, where one
+    # direction's weight is zero and a loop is a pure shift on D1Q2
+    check_against_oracle(spec, loops, difference_mode)
+
+
+def check_against_oracle(spec, loops, difference_mode):
     phi = hills(spec.geometry)
     ls = run_exact(MacroField(phi.ravel(), spec.geometry), spec, loops, difference_mode)
     phi0 = phi - phi.min() if difference_mode else phi

@@ -12,6 +12,7 @@ from qlbm.statevector import (
     PostSelectionError,
     QState,
     QubitLayout,
+    Stencil,
     apply,
     encode_amplitudes,
     project,
@@ -271,6 +272,63 @@ def test_block_program_matches_gates_and_projection(case, is_complex, seed):
     assert got_prob == prob
     assert np.array_equal(got.amplitudes, expected.d_block())
     assert np.array_equal(block.amplitudes, before)  # run leaves its input alone
+
+
+def random_block(block_layout, is_complex, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=block_layout.dim)
+    if is_complex:
+        amps = amps + 1j * rng.normal(size=block_layout.dim)
+    return QState(amps / np.linalg.norm(amps), block_layout)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=direction_circuits(), is_complex=st.booleans(), seed=st.integers(0, 2**31))
+def test_stencil_folded_from_a_program_runs_it(case, is_complex, seed):
+    # any program: rolls add up past the axis length and mix axes, so the
+    # shifts wrap and the halo corners are read
+    layout, ops = case
+    program = BlockProgram(ops, layout)
+    stencil = Stencil(program.fold(), program.block_layout)
+    block = random_block(program.block_layout, is_complex, seed)
+    before = block.amplitudes.copy()
+    try:
+        prob, expected = program.run(block)
+    except PostSelectionError:
+        return
+    if prob < 1e-12:  # the two sides round to either side of the floor
+        return
+    got, probs = stencil.run(block, 1)
+    assert got.layout == program.block_layout
+    assert got.amplitudes.dtype == before.dtype
+    assert abs(probs[0] - prob) <= 1e-13
+    # compared before renormalization, which scales rounding by 1/sqrt(prob)
+    assert np.max(np.abs(got.amplitudes * np.sqrt(probs[0])
+                         - expected.amplitudes * np.sqrt(prob))) <= 1e-13
+    assert np.array_equal(block.amplitudes, before)  # run leaves its input alone
+
+
+def test_stencil_checks_its_input():
+    stencil = Stencil({(1,): 0.5, (-1,): 0.5}, QubitLayout(0, (2,)))
+    block = QState(np.array([1.0, 0.0, 0.0, 0.0]), QubitLayout(0, (2,)))
+    with pytest.raises(ValueError, match="runs on"):
+        stencil.run(QState(np.full(8, 8**-0.5), QubitLayout(0, (3,))), 1)
+    with pytest.raises(ValueError, match="loops must be >= 0"):
+        stencil.run(block, -1)
+    same, probs = stencil.run(block, 0)
+    assert np.array_equal(same.amplitudes, block.amplitudes) and probs.size == 0
+    moved, probs = stencil.run(block, 1)  # half to cell 1, half to cell 3
+    assert np.allclose(moved.amplitudes, [0.0, 0.5**0.5, 0.0, 0.5**0.5])
+    assert np.isclose(probs[0], 0.5)
+    # a shift past the axis length wraps: 5 cells on 4 is 1 cell
+    ramp = QState(np.arange(1.0, 5.0) / 30**0.5, QubitLayout(0, (2,)))
+    wrapped, _ = Stencil({(5,): 1.0}, QubitLayout(0, (2,))).run(ramp, 1)
+    assert np.allclose(wrapped.amplitudes, np.roll(ramp.amplitudes, 1), rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="position block"):
+        Stencil({(1,): 1.0}, QubitLayout(1, (2,)))
+    # the alternating block: the two rolls cancel
+    with pytest.raises(PostSelectionError, match="probability 0"):
+        stencil.run(QState(np.array([1.0, 0.0, -1.0, 0.0]) / 2**0.5, QubitLayout(0, (2,))), 1)
 
 
 @pytest.mark.parametrize("layout, op", [
