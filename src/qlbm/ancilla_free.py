@@ -8,19 +8,17 @@ position-register amplitudes are then proportional to one classical
 collide-stream cycle of the field, so loops chain without any classical
 readout in between.
 
-So a ``LoopState`` holds the position register alone.  Per model, the
-loop's three circuits compile once to a ``BlockProgram``, which never stores
-the 2**q - 1 direction blocks that post-selection discards, and the program
-folds to a ``Stencil``: the post-selected block is sum_a c_a roll(block,
-e_a), with c_a checked against w_hat_a / (||w_hat|| 2**(q/2)) when it is
-compiled.  A loop runs on three paths with one signature:
+So a ``LoopState`` holds the position register alone.  The post-selected
+loop is a linear map of that register which commutes with translation, so
+it is one weighted stream-sum, sum_a c_a roll(block, e_a).  Per model, the
+loop's three circuits run once through ``apply`` on a unit delta, the
+post-selected block they leave holds the c_a, and those are checked against
+w_hat_a / (||w_hat|| 2**(q/2)) before a ``Stencil`` runs them.  A loop runs
+on two paths with one signature:
 
 - ``run_loop_exact`` runs the stencil, ``loops`` loops per call;
-- ``run_loop_blocks`` runs ``BlockProgram.run`` loop by loop, bit for bit
-  the gate path; the stencil rounds differently and is held to it within a
-  few ulp;
 - ``run_loop_gates`` runs every gate on the full register, the reference
-  for both.
+  the stencil is held to within a few ulp.
 
 Every circuit is built from the scheme's row in ``lattice._SCHEMES``: its
 velocities and the q-register code of each.
@@ -29,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -42,7 +39,6 @@ from .lattice import (
     scheme_row,
 )
 from .statevector import (
-    BlockProgram,
     Circuit,
     GateOp,
     QState,
@@ -150,50 +146,65 @@ def build_summation(layout: QubitLayout) -> Circuit:
     return Circuit(layout, ops)
 
 
-class _Loop(NamedTuple):
-    """One loop's circuits, the block program compiled from them and the
-    stencil folded from the program."""
-
-    circuits: tuple[Circuit, Circuit, Circuit]  # collision, streaming, summation
-    program: BlockProgram
-    stencil: Stencil
+def _loop_circuits(scheme: str, weights: DirectionWeights,
+                   layout: QubitLayout) -> tuple[Circuit, Circuit, Circuit]:
+    """One loop's collision, streaming and summation circuits."""
+    return (build_collision(weights, layout), build_streaming(scheme, layout),
+            build_summation(layout))
 
 
-_circuit_cache: dict = {}
+def _stencil_for(spec: ModelSpec) -> Stencil:
+    # folded on every call, a few ``apply`` calls on 2**(q + 2d) amplitudes:
+    # with no cache, every run of a model does the same gate work, so the
+    # gate counts of one run are those of the next
+    weights = effective_weights(spec)
+    q = spec.row.q_qubits
+    kernel = _fold(spec, weights)
+    _check_fold(kernel, weights, q)
+    # in the order the summation Hadamards add the direction blocks,
+    # qubit 0 innermost: ascending code read from its last bit
+    order = sorted(zip(weights.codes, weights.e),
+                   key=lambda code_e: format(code_e[0], f"0{q}b")[::-1])
+    terms = {e: float(kernel[_cell(e)]) for _, e in order}
+    return Stencil(terms, QubitLayout(0, layout_for(spec).axis_qubits))
 
 
-def _circuits_for(spec: ModelSpec) -> _Loop:
-    # keyed on the fields the circuits derive from, so a hit computes nothing
-    key = (spec.scheme, spec.M, spec.u, spec.v, spec.weights, spec.c_s2, spec.w_hat)
-    loop = _circuit_cache.get(key)
-    if loop is None:
-        layout = layout_for(spec)
-        weights = effective_weights(spec)
-        circuits = (
-            build_collision(weights, layout),
-            build_streaming(spec.scheme, layout),
-            build_summation(layout),
-        )
-        program = BlockProgram([op for c in circuits for op in c.ops], layout)
-        terms = program.fold()
-        _check_fold(terms, weights, layout.q_qubits)
-        stencil = Stencil(terms, program.block_layout)
-        loop = _circuit_cache[key] = _Loop(circuits, program, stencil)
-    return loop
+def _cell(e: tuple[int, ...]) -> tuple[int, ...]:
+    """The cell of the 4-per-axis fold lattice that a shift by e lands on."""
+    return tuple(k % 4 for k in e)
 
 
-def _check_fold(terms: dict, weights: DirectionWeights, q_qubits: int):
+def _fold(spec: ModelSpec, weights: DirectionWeights) -> np.ndarray:
+    """The loop's kernel: its three circuits run through ``apply`` on
+    |q = 0, x = 0> of a lattice of 4 cells per axis, and the post-selected
+    block before renormalization, one array axis per lattice axis.
+
+    The post-selected map commutes with translation, so the delta's image is
+    sum_a c_a at cell e_a mod 4, and the same c_a act on any M.  Four cells
+    keep the shifts +1 and -1 apart, which land on one cell when M = 2.
+    """
+    layout = QubitLayout(spec.row.q_qubits, (2,) * spec.ndim)
+    amps = np.zeros(layout.dim)
+    amps[0] = 1.0
+    state = QState(amps, layout)
+    for circuit in _loop_circuits(spec.scheme, weights, layout):
+        state = apply_circuit(state, circuit)
+    return state.d_block().reshape((4,) * spec.ndim)
+
+
+def _check_fold(kernel: np.ndarray, weights: DirectionWeights, q_qubits: int):
     """The fold of the gates must be the weighted stream-sum the paper
-    derives: one term per velocity e_a, with c_a = w_hat_a / (||w_hat||
-    2**(q/2)).  This sets the gate algebra (Ry angles, controls, Hadamards)
-    against ``effective_weights``; the stencil itself runs on the fold."""
-    w_hat = np.asarray(weights.w_hat, dtype=float)
-    scale = 1.0 / (np.linalg.norm(w_hat) * 2.0 ** (q_qubits / 2))
-    expected = dict(zip(weights.e, (w_hat * scale).tolist()))
-    if terms.keys() != expected.keys() or any(
-            abs(terms[e] - c) > 1e-12 for e, c in expected.items()):
-        raise AssertionError(f"the loop's gates fold to {terms}, "
-                             f"the weights give {expected}")
+    derives: c_a = w_hat_a / (||w_hat|| 2**(q/2)) at each velocity's cell
+    and 0 at every other.  This sets the gate algebra (Ry angles, controls,
+    Hadamards) against ``effective_weights``; the stencil itself runs on the
+    kernel."""
+    scale = 1.0 / (math.hypot(*weights.w_hat) * 2.0 ** (q_qubits / 2))
+    expected = np.zeros_like(kernel)
+    for e, w in zip(weights.e, weights.w_hat):
+        expected[_cell(e)] = w * scale
+    if not np.all(np.abs(kernel - expected) <= 1e-12):
+        raise AssertionError(f"the loop's gates fold to {kernel.tolist()}, "
+                             f"the weights give {expected.tolist()}")
 
 
 def encode_initial(field: MacroField, difference_mode: bool = False) -> LoopState:
@@ -227,30 +238,18 @@ def run_loop_exact(loop_state: LoopState, spec: ModelSpec, loops: int = 1) -> Lo
     The returned position-register amplitudes are proportional to the
     classical field advanced by loop_index + loops cycles.
     """
-    state, probs = _circuits_for(spec).stencil.run(loop_state.state, loops)
+    state, probs = _stencil_for(spec).run(loop_state.state, loops)
     return _advanced(loop_state, state, probs.tolist())
-
-
-def run_loop_blocks(loop_state: LoopState, spec: ModelSpec, loops: int = 1) -> LoopState:
-    """``run_loop_exact`` by ``BlockProgram.run``, one loop at a time: the
-    gates' arithmetic in their order, so the bits of ``run_loop_gates``; the
-    reference the stencil is tested against."""
-    program = _circuits_for(spec).program
-    state, probs = loop_state.state, []
-    for _ in range(loops):
-        prob, state = program.run(state)
-        probs.append(prob)
-    return _advanced(loop_state, state, probs)
 
 
 def run_loop_gates(loop_state: LoopState, spec: ModelSpec, loops: int = 1) -> LoopState:
     """``run_loop_exact`` gate by gate: each loop expands the position
     register to the full register, applies every gate of the three circuits
     and projects the direction register.  2**q times the state; the
-    reference the block program is tested against."""
-    circuits = _circuits_for(spec).circuits
+    reference the stencil is tested against."""
+    layout = layout_for(spec)
+    circuits = _loop_circuits(spec.scheme, effective_weights(spec), layout)
     block = loop_state.state
-    layout = circuits[0].layout
     if block.layout != QubitLayout(0, layout.axis_qubits):
         raise ValueError(f"loop state layout {block.layout} does not match {layout}")
     probs = []

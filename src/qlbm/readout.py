@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import MacroField
-from .statevector import QState, ShotHistogram
+from .statevector import QState, ShotHistogram, l2_norm
 
 
 @dataclass
@@ -85,6 +85,6 @@ def error_metrics(field: MacroField, reference: MacroField) -> tuple[float, floa
     if field.geometry != reference.geometry:
         raise ValueError("geometry mismatch")
     diff = field.phi - reference.phi
-    l2 = float(np.linalg.norm(diff) / np.linalg.norm(reference.phi))
+    l2 = l2_norm(diff) / l2_norm(reference.phi)
     linf = float(np.max(np.abs(diff)))
     return l2, linf

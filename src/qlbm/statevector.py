@@ -16,23 +16,16 @@ Everything that depends only on the gate and the register size -- the view
 shape, the pinned slices and the 2x2 coefficients -- is a plan built once
 per (gate, register size) and cached; a shift is two slice moves.
 
-A circuit on the direction register that ends in post-selection of q =
-|0..0> compiles to a ``BlockProgram``: the state is a list of 2**q position
-blocks, blocks known to be zero are never stored, and only the updates whose
-results reach the post-selected block are kept.  Each kept update does the
-same arithmetic as ``apply``, so both give the same bits.
-
-A block program is a straight-line linear map of its input block, so
-``BlockProgram.fold`` runs its steps on {shift: coefficient} maps and gives
-the post-selected block as sum_a c_a roll(input, s_a).  A ``Stencil`` runs
-that sum for many loops in one call, on buffers allocated once; it rounds
-differently from the step-by-step program, by a few ulp.  So a loop has
-three paths: the stencil runs it, ``BlockProgram.run`` is the bit-exact
-reference on the position block, and ``apply`` gate by gate on the full
-register is the reference both are held to.
+A loop's circuits followed by post-selection of q = |0..0> are one linear
+map of the position block that commutes with translation, so it is
+sum_a c_a roll(block, s_a).  A ``Stencil`` runs that sum for many loops in
+one call, on buffers allocated once.  It sums the terms where ``apply`` runs
+the gates one by one, so the two round differently, by a few ulp; ``apply``
+gate by gate on the full register, then ``project``, is the reference.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -196,12 +189,17 @@ def _plan(op: GateOp, n: int) -> _Plan:
         index = _pin_controls(n, op.controls, range(offset, offset + size))
         # the block's qubits merge into one axis of 2**size positions
         shape = (2,) * offset + (1 << size,) + (2,) * (n - offset - size)
+        # (dst, src) pairs: the bulk moves one step, the position that
+        # falls off one end re-enters at the other
+        moves = ((slice(1, None), slice(None, -1)), (slice(0, 1), slice(-1, None)))
+        if op.direction == -1:
+            moves = tuple(move[::-1] for move in moves)
         head, tail = index[:offset], index[offset + size:]
 
         def at(block_slice):
             return tuple(head + [block_slice] + tail)
 
-        return _Plan(shape, _roll_moves(at, op.direction))
+        return _Plan(shape, tuple((at(to), at(frm)) for to, frm in moves))
     if not 0 <= op.target < n:
         raise IndexError(f"target qubit {op.target} out of range for {n} qubits")
     index = _pin_controls(n, op.controls, range(op.target, op.target + 1))
@@ -222,18 +220,6 @@ def _coefficients(op: GateOp) -> tuple[float, float, float, float]:
         c, s = np.cos(op.angle / 2), np.sin(op.angle / 2)
         u = np.array([[c, -s], [s, c]])
     return tuple(u.ravel().tolist())
-
-
-def _roll_moves(at, direction: int) -> tuple:
-    """(dst, src) slice pairs that roll one axis by one position; ``at``
-    turns a slice of that axis into an index of the whole view."""
-    # the bulk moves one step, the position that falls off one end
-    # re-enters at the other
-    if direction == +1:
-        return ((at(slice(1, None)), at(slice(None, -1))),
-                (at(slice(0, 1)), at(slice(-1, None))))
-    return ((at(slice(None, -1)), at(slice(1, None))),
-            (at(slice(-1, None)), at(slice(0, 1))))
 
 
 def apply(state: QState, op: GateOp) -> QState:
@@ -275,12 +261,19 @@ def encode_amplitudes(values: np.ndarray, layout: QubitLayout) -> EncodedState:
         )
     if np.any(values < 0):
         raise ValueError("non-encodable field: negative entries")
-    l2 = float(np.linalg.norm(values))
+    l2 = l2_norm(values)
     if l2 == 0.0:
         raise ValueError("empty field: all entries are zero")
     amps = np.zeros(layout.dim)
     amps[: values.size] = values / l2
     return EncodedState(QState(amps, layout), l2, float(values.sum()))
+
+
+def l2_norm(values: np.ndarray) -> float:
+    """2-norm of a real array by numpy's pairwise sum of squares: unlike
+    ``np.linalg.norm`` it calls no BLAS, whose threads split the sum and
+    can move its last bit."""
+    return math.sqrt(float(np.add.reduce(values * values, axis=None)))
 
 
 def project(state: QState) -> tuple[float, QState]:
@@ -290,22 +283,17 @@ def project(state: QState) -> tuple[float, QState]:
     """
     layout = state.layout
     d_dim = 1 << layout.d_qubits
-    prob, kept = _renormalized(state.amplitudes[:d_dim])
-    amps = np.zeros(layout.dim, dtype=kept.dtype)
-    amps[:d_dim] = kept
-    return prob, QState(amps, layout)
-
-
-def _renormalized(sub: np.ndarray) -> tuple[float, np.ndarray]:
-    """Probability of the q = |0..0> block ``sub``, and the block
-    renormalized; the rule of ``project``, ``BlockProgram`` and ``Stencil``."""
+    sub = state.amplitudes[:d_dim]
     prob = float(np.sum(np.abs(sub) ** 2))
-    return prob, sub * _rescale(prob)
+    amps = np.zeros(layout.dim, dtype=sub.dtype)
+    amps[:d_dim] = sub * _rescale(prob)
+    return prob, QState(amps, layout)
 
 
 def _rescale(prob: float) -> float:
     """The factor renormalizing a post-selected block of probability
-    ``prob``; the one floor below which post-selection has failed."""
+    ``prob``; the one floor below which post-selection has failed, for
+    ``project`` and ``Stencil`` alike."""
     if prob < 1e-14:
         raise PostSelectionError(
             f"post-selection impossible: q = |0..0> has probability {prob:.3e}"
@@ -315,96 +303,8 @@ def _rescale(prob: float) -> float:
     return 1.0 / np.sqrt(prob)
 
 
-class _Pair(NamedTuple):
-    """One gate's update of a block pair, reduced to the outputs kept: each
-    write is (block, ((coefficient, source block), ...)), and every source
-    is read before any output is written."""
-
-    op: GateOp
-    writes: tuple
-
-
-class _Roll(NamedTuple):
-    """One block rolled along one position axis by two slice moves."""
-
-    op: GateOp
-    block: int
-    moves: tuple
-
-
-class BlockProgram:
-    """Gates on the direction register followed by post-selection of
-    q = |0..0>, compiled once into updates of the 2**q position blocks.
-
-    The state is a list of blocks, ``None`` for one known to be zero.  A
-    forward pass from block 0 finds the blocks each gate can make nonzero;
-    a backward pass from the post-selected block 0 drops every update whose
-    result is never read.  A kept update is ``apply``'s arithmetic on whole
-    blocks -- ``u00*a0 + u01*a1`` for a one-qubit gate, two slice moves on
-    one axis for a shift -- minus the products with zero blocks, so the
-    post-selected block has the bits the full register gives.  An op this
-    cannot express, a target or control in the position register or a shift
-    block that is not one axis, raises ``ValueError`` here.
-    """
-
-    def __init__(self, ops, layout: QubitLayout):
-        self.layout = layout
-        self.block_layout = QubitLayout(0, layout.axis_qubits)
-        self.steps = _pruned(_forward(ops, layout))
-        self._shape = tuple(1 << a for a in layout.axis_qubits)
-
-    def run(self, state: QState) -> tuple[float, QState]:
-        """Evolve a position-register state and post-select: the
-        probability and the renormalized q = |0..0> block."""
-        if state.layout != self.block_layout:
-            raise ValueError(f"program runs on {self.block_layout}, got {state.layout}")
-        blocks = [None] * (1 << self.layout.q_qubits)
-        blocks[0] = state.amplitudes.reshape(self._shape)
-        for step in self.steps:
-            if type(step) is _Roll:
-                src = blocks[step.block]
-                out = np.empty_like(src)
-                for to, frm in step.moves:
-                    out[to] = src[frm]
-                blocks[step.block] = out
-            else:
-                values = [_combine(blocks, terms) for _, terms in step.writes]
-                for (dst, _), value in zip(step.writes, values):
-                    blocks[dst] = value
-        prob, amps = _renormalized(blocks[0].reshape(-1))
-        return prob, QState(amps, self.block_layout)
-
-    def fold(self) -> dict[tuple[int, ...], float]:
-        """The post-selected block before renormalization as one linear map
-        of the input: {shift: c} with block 0 = sum c * roll(input, shift).
-
-        The steps run on coefficient maps in place of blocks: a roll moves
-        every shift one position along its axis, a pair update adds the
-        scaled maps of its sources.
-        """
-        ndim = len(self.layout.axis_qubits)
-        axes = {self.layout.axis_block(i): i for i in range(ndim)}
-        maps = {0: {(0,) * ndim: 1.0}}
-        for step in self.steps:
-            if type(step) is _Roll:
-                axis, by = axes[step.op.block], step.op.direction
-                maps[step.block] = {s[:axis] + (s[axis] + by,) + s[axis + 1:]: c
-                                    for s, c in maps[step.block].items()}
-                continue
-            values = []
-            for _, terms in step.writes:
-                out = {}
-                for c, src in terms:
-                    for s, x in maps[src].items():
-                        out[s] = out.get(s, 0.0) + c * x
-                values.append(out)
-            for (dst, _), value in zip(step.writes, values):
-                maps[dst] = value
-        return maps[0]
-
-
 class Stencil:
-    """One loop as sum_a c_a roll(block, s_a) followed by ``_renormalized``'s
+    """One loop as sum_a c_a roll(block, s_a) followed by ``project``'s
     post-selection, run ``loops`` times per call.
 
     The block sits inside a buffer padded by a periodic halo as wide as the
@@ -464,71 +364,3 @@ class Stencil:
             multiply(work, _rescale(prob), out=inner)
             probs[t] = prob
         return QState(inner.reshape(-1), self.block_layout), probs
-
-
-def _combine(blocks: list, terms: tuple) -> np.ndarray:
-    if len(terms) == 1:
-        ((c, src),) = terms
-        return c * blocks[src]
-    (c0, s0), (c1, s1) = terms
-    return c0 * blocks[s0] + c1 * blocks[s1]
-
-
-def _forward(ops, layout: QubitLayout) -> list[list]:
-    """Per gate, the block updates that can change a nonzero block, with
-    the terms of zero blocks left out."""
-    q = layout.q_qubits
-    axes = {layout.axis_block(i): i for i in range(len(layout.axis_qubits))}
-    live = {0}
-    gates = []
-    for op in ops:
-        _plan(op, layout.n_qubits)  # apply's range, polarity and overlap checks
-        qubits = [c for c, _ in op.controls]
-        if op.kind != "shift":
-            qubits.append(op.target)
-        if any(qubit >= q for qubit in qubits):
-            raise ValueError(f"{op} acts on the position register")
-        fires = [b for b in range(1 << q)
-                 if all((b >> (q - 1 - c)) & 1 == pol for c, pol in op.controls)]
-        if op.kind == "shift":
-            if op.block not in axes:
-                raise ValueError(f"shift block {op.block} is not one position axis")
-            lead = (slice(None),) * axes[op.block]
-            moves = _roll_moves(lambda s: lead + (s,), op.direction)
-            gates.append([_Roll(op, b, moves) for b in fires if b in live])
-            continue
-        u00, u01, u10, u11 = _coefficients(op)
-        bit = 1 << (q - 1 - op.target)
-        steps = []
-        for b0 in fires:
-            b1 = b0 | bit
-            if b0 & bit or not {b0, b1} & live:
-                continue
-            writes = tuple(
-                (dst, tuple((c, src) for c, src in ((c0, b0), (c1, b1)) if src in live))
-                for dst, c0, c1 in ((b0, u00, u01), (b1, u10, u11)))
-            steps.append(_Pair(op, writes))
-        live |= {b for step in steps for b, _ in step.writes}
-        gates.append(steps)
-    return gates
-
-
-def _pruned(gates: list[list]) -> tuple:
-    """The updates whose results reach block 0, in program order."""
-    needed = {0}
-    kept = []
-    for steps in reversed(gates):
-        if steps and type(steps[0]) is _Roll:
-            # a roll reads and writes its own block
-            kept += [step for step in reversed(steps) if step.block in needed]
-            continue
-        reads, written = set(), set()
-        for step in reversed(steps):
-            written |= {dst for dst, _ in step.writes}
-            writes = tuple(w for w in step.writes if w[0] in needed)
-            if writes:
-                kept.append(step._replace(writes=writes))
-                reads |= {src for _, terms in writes for _, src in terms}
-        needed = (needed - written) | reads
-    return tuple(reversed(kept))
-

@@ -12,10 +12,10 @@ from qlbm.ancilla_free import (
     build_summation,
     encode_initial,
     layout_for,
-    _circuits_for,
     _check_fold,
+    _fold,
+    _stencil_for,
     run_exact,
-    run_loop_blocks,
     run_loop_exact,
     run_loop_gates,
     run_sampled,
@@ -30,7 +30,6 @@ from qlbm.lattice import (
     uniform_field,
 )
 from qlbm.statevector import (
-    BlockProgram,
     GateOp,
     PostSelectionError,
     QState,
@@ -434,45 +433,30 @@ def random_field(spec, seed):
                       spec.geometry)
 
 
-@settings(max_examples=150, deadline=None)
-@given(spec=loop_models(), difference_mode=st.booleans(), loops=st.integers(1, 12),
-       seed=st.integers(0, 2**31))
-def test_block_program_matches_gate_path(spec, difference_mode, loops, seed):
-    # run_loop_blocks is BlockProgram.run loop by loop
-    blocks = gates = encode_initial(random_field(spec, seed), difference_mode)
-    position_register = blocks.state.layout
-    for _ in range(loops):
-        blocks, gates = run_loop_blocks(blocks, spec), run_loop_gates(gates, spec)
-        assert blocks.state.layout == gates.state.layout == position_register
-        assert np.array_equal(blocks.state.amplitudes, gates.state.amplitudes)
-    assert np.array_equal(blocks.loop_probs, gates.loop_probs)
-    assert blocks.log_cumulative_postselect_prob == gates.log_cumulative_postselect_prob
-
-
-# The stencil sums the folded terms where the block program applies the
-# gates step by step, so the two round differently.  Over 3000 drawn cases
-# of up to 40 loops the largest gaps were 9 eps on an amplitude of the
-# unit-norm block, 9 ulp on a loop probability and 5e-14 on ln P; the
-# bounds below leave room above those.
+# The stencil sums the folded terms where the gate path applies the gates
+# one by one, so the two round differently.  Over 3000 drawn cases of up to
+# 40 loops the largest gaps were 9 eps on an amplitude of the unit-norm
+# block, 9 ulp on a loop probability and 5e-14 on ln P; the bounds below
+# leave room above those.
 AMPLITUDE_EPS, PROBABILITY_ULP, LOG_P_ABS = 64, 16, 1e-12
 
 
 @settings(max_examples=200, deadline=None)
 @given(spec=loop_models(), difference_mode=st.booleans(), loops=st.integers(1, 40),
        seed=st.integers(0, 2**31))
-def test_stencil_matches_block_program(spec, difference_mode, loops, seed):
+def test_stencil_matches_gate_path(spec, difference_mode, loops, seed):
     start = encode_initial(random_field(spec, seed), difference_mode)
     stencil = run_loop_exact(start, spec, loops=loops)
-    blocks = run_loop_blocks(start, spec, loops=loops)
-    assert stencil.state.layout == blocks.state.layout == start.state.layout
-    assert stencil.loop_index == blocks.loop_index == loops
-    gap = np.abs(stencil.state.amplitudes - blocks.state.amplitudes)
+    gates = run_loop_gates(start, spec, loops=loops)
+    assert stencil.state.layout == gates.state.layout == start.state.layout
+    assert stencil.loop_index == gates.loop_index == loops
+    gap = np.abs(stencil.state.amplitudes - gates.state.amplitudes)
     assert np.max(gap) <= AMPLITUDE_EPS * np.finfo(float).eps
-    probs = np.array(blocks.loop_probs)
+    probs = np.array(gates.loop_probs)
     assert np.all(np.abs(np.array(stencil.loop_probs) - probs)
                   <= PROBABILITY_ULP * np.spacing(probs))
     assert abs(stencil.log_cumulative_postselect_prob
-               - blocks.log_cumulative_postselect_prob) <= LOG_P_ABS
+               - gates.log_cumulative_postselect_prob) <= LOG_P_ABS
 
 
 @settings(max_examples=50, deadline=None)
@@ -493,29 +477,45 @@ def test_stencil_calls_chain(spec, splits, seed):
 
 @pytest.mark.parametrize("spec", [ModelSpec(scheme="D1Q3", M=8, u=0.2),
                                   ModelSpec(scheme="D2Q5", M=4, u=0.1, v=-0.2),
-                                  ModelSpec(scheme="D1Q2", M=4, w_hat=(0.3, 0.7))])
+                                  ModelSpec(scheme="D1Q2", M=4, w_hat=(0.3, 0.7)),
+                                  # +1 and -1 land on one cell at M = 2; the
+                                  # fold is the same on any M
+                                  ModelSpec(scheme="D2Q5", M=2, u=0.1, v=0.2),
+                                  ModelSpec(scheme="D1Q3", M=256, u=-0.3)])
 def test_fold_is_the_weighted_stream_sum(spec):
-    loop = _circuits_for(spec)
-    terms = loop.program.fold()
     weights = effective_weights(spec)
-    assert sorted(terms) == sorted(weights.e)  # one term per velocity, no more
+    kernel = _fold(spec, weights)
+    assert kernel.shape == (4,) * spec.ndim  # 4 cells per axis, whatever M
     norm = math.sqrt(sum(w * w for w in weights.w_hat))
     q = layout_for(spec).q_qubits
+    expected = np.zeros_like(kernel)
     for e, w in zip(weights.e, weights.w_hat):
-        assert abs(terms[e] - w / (norm * 2 ** (q / 2))) <= 1e-15
-    # the stencil runs on the fold's own coefficients
-    assert [c for _, c in loop.stencil.terms] == list(terms.values())
-    # a fold that is not the weighted stream-sum fails the check
-    _check_fold(terms, weights, q)
-    wrong = {**terms, weights.e[0]: terms[weights.e[0]] + 1e-9}
-    with pytest.raises(AssertionError, match="fold to"):
-        _check_fold(wrong, weights, q)
-    with pytest.raises(AssertionError, match="fold to"):
-        _check_fold({e: c for e, c in terms.items() if e != weights.e[-1]}, weights, q)
+        cell = tuple(k % 4 for k in e)
+        assert abs(kernel[cell] - w / (norm * 2 ** (q / 2))) <= 1e-15
+        expected[cell] = kernel[cell]
+    assert np.array_equal(kernel, expected)  # one term per velocity, no more
+    # the stencil runs on the kernel's own coefficients, one term per
+    # velocity, in the order the Hadamards add the direction blocks
+    stencil = _stencil_for(spec)
+    order = {"D1Q3": ((0,), (1,), (-1,)), "D1Q2": ((1,), (-1,)),
+             "D2Q5": ((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1))}[spec.scheme]
+    assert [tuple(k % spec.M for k in e) for e, _ in stencil.terms] == [
+        tuple(k % spec.M for k in e) for e in order]
+    assert [c for _, c in stencil.terms] == [kernel[tuple(k % 4 for k in e)] for e in order]
+    # a kernel that is not the weighted stream-sum fails the check
+    _check_fold(kernel, weights, q)
+    last = tuple(k % 4 for k in weights.e[-1])
+    for cell, by in ((tuple(k % 4 for k in weights.e[0]), 1e-9),  # a coefficient off
+                     (last, -kernel[last]),  # a velocity missing
+                     ((2,) * spec.ndim, 1e-9)):  # a term at no velocity
+        wrong = kernel.copy()
+        wrong[cell] += by
+        with pytest.raises(AssertionError, match="fold to"):
+            _check_fold(wrong, weights, q)
 
 
 def test_two_direction_specs_differing_in_w_hat_evolve_differently():
-    # the compiled loop is cached per spec: w_hat must be part of its key
+    # the stencil is folded from the spec's own w_hat
     field = MacroField(np.arange(1.0, 9.0), (8,))
     forward = run_exact(field, ModelSpec(scheme="D1Q2", M=8, w_hat=(0.8, 0.2)), 3)
     backward = run_exact(field, ModelSpec(scheme="D1Q2", M=8, w_hat=(0.2, 0.8)), 3)
@@ -526,28 +526,13 @@ def test_two_direction_specs_differing_in_w_hat_evolve_differently():
         assert np.max(np.abs(postselected_field(ls) * ref.sum() - ref)) < 1e-12
 
 
-@pytest.mark.parametrize("scheme, pairs, kept", [("D1Q3", 4, 3), ("D2Q5", 12, 7)])
-def test_block_program_keeps_only_what_reaches_block_zero(scheme, pairs, kept):
-    spec = ModelSpec(scheme=scheme, M=8, u=0.1)
-    layout = layout_for(spec)
-    summation = build_summation(layout)
-    ops = [*build_collision(effective_weights(spec), layout).ops,
-           *build_streaming(scheme, layout).ops, *summation.ops]
-    steps = BlockProgram(ops, layout).steps
-    # every Hadamard pairs all 2**q blocks; the |0..0> branch needs a few
-    assert len(summation.ops) << (layout.q_qubits - 1) == pairs
-    hadamards = [step for step in steps if step.op.kind == "h"]
-    assert len(hadamards) == kept
-    assert all(len(step.writes) == 1 for step in hadamards)
-
-
 def test_zero_postselection_probability_raises():
     # rest weight 0 and the two moving weights equal: the rolls of an
     # alternating field cancel, so the |00> branch is empty
     spec = ModelSpec(scheme="D1Q3", M=4, weights=(0.0, 0.5, 0.5))
     amps = np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
     ls = LoopState(state=QState(amps, QubitLayout(0, (2,))), loop_index=0, initial_l1=1.0)
-    for run in (run_loop_exact, run_loop_blocks, run_loop_gates):
+    for run in (run_loop_exact, run_loop_gates):
         with pytest.raises(PostSelectionError,
                            match=r"post-selection impossible: q = \|0\.\.0>"):
             run(ls, spec)

@@ -260,20 +260,26 @@ def test_run_reads_out_and_formats_the_final_state_once(tmp_path, monkeypatch,
 
 
 def test_a_fold_off_the_weights_exits_4(tmp_path, monkeypatch, capsys):
-    fold = ancilla_free.BlockProgram.fold
+    fold = ancilla_free._fold
 
-    def off(program):
-        return {s: c * (1 + 1e-9) for s, c in fold(program).items()}
+    def coefficient_off(kernel):
+        return kernel * (1 + 1e-9)
 
-    monkeypatch.setattr(ancilla_free.BlockProgram, "fold", off)
-    monkeypatch.setattr(ancilla_free, "_circuit_cache", {})
+    def velocity_missing(kernel):
+        kernel = kernel.copy()
+        kernel[1] = 0.0  # the cell of e = +1
+        return kernel
+
     cfg = write_config(tmp_path, "q.json", loops=3)
-    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
-    assert "fold to" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    for i, wrong in enumerate((coefficient_off, velocity_missing)):
+        monkeypatch.setattr(ancilla_free, "_fold", lambda *args, wrong=wrong: wrong(fold(*args)))
+        out = tmp_path / f"o{i}"
+        assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 4
+        assert "fold to" in capsys.readouterr().err
+        assert not out.exists()
 
 
-def test_block_program_and_gate_path_write_the_same_bytes(tmp_path, monkeypatch):
+def test_stencil_and_gate_path_write_the_same_bytes(tmp_path, monkeypatch):
     exact = str(CONFIGS / "d2q5_gaussian_hill_exact.json")
     sampled = str(CONFIGS / "d1q3_gaussian_hill_sampled.json")
     commands = [["run", "--config", exact], ["probe", "--config", exact],
@@ -299,18 +305,16 @@ def test_block_program_and_gate_path_write_the_same_bytes(tmp_path, monkeypatch)
             return reference(ls, spec, loops=loops)
         return run
 
-    blocks = outputs("blocks", counted(ancilla_free.run_loop_blocks))
+    gates = outputs("gates", counted(ancilla_free.run_loop_gates))
     assert sum(advanced) == 20 + 20 + 30
-    assert outputs("gates", counted(ancilla_free.run_loop_gates)) == blocks
-    assert sum(advanced) == 2 * (20 + 20 + 30)
-    assert len(blocks) == 6 + 2 + 2  # run with 4 snapshots, probe, sampled run
+    assert len(gates) == 6 + 2 + 2  # run with 4 snapshots, probe, sampled run
 
-    # the stencil rounds differently from both references: each file has
-    # their text between its numbers, and each number is within the
-    # oracle's tolerance of theirs
+    # the stencil rounds differently from the gate path: each file has the
+    # gate path's text between its numbers, and each number is within the
+    # oracle's tolerance of the gate path's
     number = rb"-?\d+(?:\.\d*)?(?:e[-+]?\d+)?"
-    assert stencil.keys() == blocks.keys()
-    for name, data in blocks.items():
+    assert stencil.keys() == gates.keys()
+    for name, data in gates.items():
         assert re.sub(number, b"#", stencil[name]) == re.sub(number, b"#", data), name
         ours, theirs = (np.array(re.findall(number, text), dtype=float)
                         for text in (stencil[name], data))
