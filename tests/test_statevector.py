@@ -282,13 +282,14 @@ def random_block(block_layout, is_complex, seed):
     return QState(amps / np.linalg.norm(amps), block_layout)
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=direction_circuits(), is_complex=st.booleans(), seed=st.integers(0, 2**31))
-def test_stencil_folded_from_a_program_runs_it(case, is_complex, seed):
-    # gates on the direction register and post-selection commute with
-    # translation, so the image of a delta at cell 0, every cell a term, is
-    # the program's stencil; rolls add up past the axis length and mix
-    # axes, so the shifts wrap and the halo corners are read
+def fold_and_gate(case, is_complex, seed):
+    """A direction program's stencil, a random block, and the block after
+    the program's gates on the full register, before projection.
+
+    Gates on the direction register and post-selection commute with
+    translation, so the image of a delta at cell 0, every cell a term, is
+    the program's stencil; rolls add up past the axis length and mix axes,
+    so the shifts wrap and the halo corners are read."""
     layout, ops = case
     circuit = Circuit(layout, ops)
     block_layout = QubitLayout(0, layout.axis_qubits)
@@ -298,17 +299,47 @@ def test_stencil_folded_from_a_program_runs_it(case, is_complex, seed):
         tuple(1 << a for a in layout.axis_qubits))
     stencil = Stencil({s: float(kernel[s]) for s in np.ndindex(kernel.shape)}, block_layout)
     block = random_block(block_layout, is_complex, seed)
+    full = np.zeros(layout.dim, dtype=block.amplitudes.dtype)
+    full[: block_layout.dim] = block.amplitudes
+    state = QState(full, layout)
+    for op in ops:
+        state = apply(state, op)
+    return stencil, block, state
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=direction_circuits(), is_complex=st.booleans(), seed=st.integers(0, 2**31))
+def test_block_program_matches_gates_and_projection(case, is_complex, seed):
+    # the block's stencil post-selects where the gates and projection do:
+    # it raises where they cannot and otherwise reports their probability
+    stencil, block, state = fold_and_gate(case, is_complex, seed)
+    prob = float(np.sum(np.abs(state.d_block()) ** 2))
+    if prob < 1e-16:  # far enough below the floor that rounding stays under it
+        with pytest.raises(PostSelectionError):
+            project(state)
+        with pytest.raises(PostSelectionError):
+            stencil.run(block, 1)
+        return
+    if prob < 1e-12:  # the two sides round to either side of the floor
+        return
+    assert project(state)[0] == prob
+    _, probs = stencil.run(block, 1)
+    assert abs(probs[0] - prob) <= 1e-13
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=direction_circuits(), is_complex=st.booleans(), seed=st.integers(0, 2**31))
+def test_stencil_folded_from_a_program_runs_it(case, is_complex, seed):
+    stencil, block, state = fold_and_gate(case, is_complex, seed)
     before = block.amplitudes.copy()
-    full = np.zeros(layout.dim, dtype=before.dtype)
-    full[: block_layout.dim] = before
     try:
-        prob, expected = project(apply_circuit(QState(full, layout), circuit))
+        prob, expected = project(state)
     except PostSelectionError:
         return
     if prob < 1e-12:  # the two sides round to either side of the floor
         return
     got, probs = stencil.run(block, 1)
-    assert got.layout == block_layout
+    assert got.layout == block.layout
     assert got.amplitudes.dtype == before.dtype
     assert abs(probs[0] - prob) <= 1e-13
     # compared before renormalization, which scales rounding by 1/sqrt(prob)
