@@ -32,6 +32,7 @@ from .lattice import (
     classical_run,
     classical_step,
     diffusion_coefficient,
+    drift,
     effective_weights,
     uniform_field,
     weighted_stream_sum,

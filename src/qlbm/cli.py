@@ -9,7 +9,9 @@ Each output is formatted once: a CSV fills one row template with every
 value as ``%.17g``, and a JSON file has the layout of the stdlib's
 ``json.dumps(obj, indent=2, sort_keys=True)``, with number lists and config
 override rows joined in one pass each.  A snapshot of the final state
-reuses the final field's text.
+reuses the final field's text.  A run's field is written once, to
+``field.csv``: ``report.json`` holds no copy of it, only what decides
+whether it can be trusted.
 
 Exit codes: 0 success, 2 config error, 3 post-selection failure,
 4 internal assertion (regression tripwire).
@@ -301,7 +303,8 @@ def _quantum_report(cfg: RunConfig, ls: LoopState, seed: int) -> ReadoutReport:
     out = (difference_reconstruct(delta, ls.baseline)
            if cfg.difference_mode else delta)
     return ReadoutReport(field=out, method=cfg.mode.removeprefix("quantum-"),
-                         postselect_probs=list(ls.loop_probs),
+                         spec=cfg.model_spec(), postselect_probs=list(ls.loop_probs),
+                         log_postselect_cum=ls.log_cumulative_postselect_prob,
                          baseline=ls.baseline, initial_l1=ls.initial_l1, **sampled)
 
 
@@ -309,15 +312,16 @@ def execute(cfg: RunConfig) -> Evolved:
     """Walk the config's loops once, taking the requested snapshots on the
     way: a quantum run advances from one snapshot to the next in one call."""
     field0 = cfg.initial_field()
+    spec = cfg.model_spec()
     if cfg.mode == "legacy":
-        spec = LegacySpec(M=cfg.M, w_hat1=cfg.w_hat[0], w_hat2=cfg.w_hat[1],
-                          phi0=field0.phi)
-        result = run_legacy_step(spec)
-        return Evolved(cfg, ReadoutReport(field=result.field, method="legacy",
-                                          postselect_probs=[result.probability]), [])
+        result = run_legacy_step(LegacySpec(M=cfg.M, w_hat1=cfg.w_hat[0],
+                                            w_hat2=cfg.w_hat[1], phi0=field0.phi))
+        return Evolved(cfg, ReadoutReport(
+            field=result.field, method="legacy", spec=spec,
+            postselect_probs=[result.probability],
+            log_postselect_cum=math.log(result.probability)), [])
 
     classical = cfg.mode == "classical"
-    spec = cfg.model_spec()
     state = field0 if classical else encode_initial(field0, cfg.difference_mode)
     snapshots, done = [], 0
     for t in sorted(set(cfg.snapshots) | {cfg.loops}):
@@ -331,7 +335,7 @@ def execute(cfg: RunConfig) -> Evolved:
         if t < cfg.loops:
             snapshots.append((t, state if classical
                               else _quantum_report(cfg, state, cfg.seed).field))
-    report = (ReadoutReport(field=state, method="classical") if classical
+    report = (ReadoutReport(field=state, method="classical", spec=spec) if classical
               else _quantum_report(cfg, state, cfg.seed))
     if cfg.loops in cfg.snapshots:  # the final state, read out once
         snapshots.append((cfg.loops, report.field))
@@ -420,8 +424,6 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     t0 = time.perf_counter()
     run = execute(cfg)
     field = run.report.field
-    # report.json first, so the field's text (kept for a final snapshot) is
-    # not alive while the report is built: that raised the peak memory
     _write(out_dir / "report.json",
            _dump_json({"config": cfg.resolved(), "report": run.report.to_dict()}))
     text = field_csv(field.geometry, phi=field.phi)

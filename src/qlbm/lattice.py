@@ -199,18 +199,25 @@ def effective_weights(spec: ModelSpec) -> DirectionWeights:
     return DirectionWeights(w_hat=tuple(w_hat), e=spec.e, codes=codes)
 
 
+def drift(spec: ModelSpec) -> np.ndarray:
+    """Mean displacement of one step, m = sum_a w_hat_a e_a, in lattice units."""
+    w = effective_weights(spec)
+    return (np.asarray(w.w_hat)[:, None] * np.asarray(w.e, dtype=float)).sum(axis=0)
+
+
 def diffusion_coefficient(spec: ModelSpec) -> np.ndarray:
     """d x d diffusivity tensor of one step, in lattice units (dx = dt = 1).
 
     A step moves mass by e_a with probability w_hat_a, so the field's
     covariance grows by sum_a w_hat_a e_a e_a^T - m m^T per step, where
-    m = sum_a w_hat_a e_a is the drift; chi is half that growth.
+    m is the drift; chi is half that growth.  Both moments are ufunc sums,
+    not BLAS products, so their bits do not depend on the BLAS threads.
     """
     w = effective_weights(spec)
     e = np.asarray(w.e, dtype=float)
-    w_hat = np.asarray(w.w_hat)
-    drift = w_hat @ e
-    return 0.5 * ((e.T * w_hat) @ e - np.outer(drift, drift))
+    second = (np.asarray(w.w_hat)[:, None, None] * e[:, :, None] * e[:, None, :]).sum(axis=0)
+    m = drift(spec)
+    return 0.5 * (second - np.outer(m, m))
 
 
 def weighted_stream_sum(field: MacroField, w_hat, e) -> MacroField:

@@ -7,36 +7,53 @@ initial 1-norm over the cells, so the output always sums to exactly that
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import MacroField
+from .lattice import MacroField, ModelSpec, diffusion_coefficient, drift
 from .statevector import QState, ShotHistogram, l2_norm
 
 
 @dataclass
 class ReadoutReport:
-    """What one run produced, ready for JSON serialization."""
+    """What one run produced.  ``to_dict`` is its trust record for
+    report.json: the quantities that decide whether the field can be
+    believed.  The field itself is not in it; it is written once, as CSV.
+
+    ``log_postselect_cum`` is the natural log of the cumulative
+    post-selection probability, None for a run that post-selects nothing.
+    """
 
     field: MacroField
-    method: str  # "exact" | "sampled"
+    method: str  # "classical" | "exact" | "sampled" | "legacy"
+    spec: ModelSpec
     shots: int | None = None
     seed: int | None = None
     postselect_probs: list[float] | None = None
+    log_postselect_cum: float | None = None
     baseline: float | None = None
     initial_l1: float | None = None
 
     def to_dict(self) -> dict:
+        log_p = self.log_postselect_cum
         return {
             "method": self.method,
             "geometry": list(self.field.geometry),
-            "phi": self.field.phi.tolist(),
             "shots": self.shots,
             "seed": self.seed,
             "postselect_probs": self.postselect_probs,
+            # log10 P_cum stays finite where the product underflows
+            "log10_postselect_cum": None if log_p is None else log_p / math.log(10.0),
+            # shots are drawn from the post-selected state: a hardware run
+            # of this many trajectories keeps about this many of them
+            "expected_survivors": (None if self.shots is None
+                                   else self.shots * math.exp(log_p)),
             "baseline": self.baseline,
             "initial_l1": self.initial_l1,
+            "drift": drift(self.spec).tolist(),
+            "diffusion": diffusion_coefficient(self.spec).tolist(),
         }
 
 

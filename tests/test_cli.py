@@ -2,6 +2,7 @@ import collections
 import importlib
 import importlib.util
 import json
+import math
 import re
 import subprocess
 import sys
@@ -9,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_spectral import hills, spectral_log_postselect, spectral_run
 
 import qlbm.ancilla_free as ancilla_free
 import qlbm.cli as cli
+from qlbm.lattice import effective_weights
 from qlbm.statevector import PostSelectionError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"  # the shipped ones
@@ -79,8 +82,105 @@ def test_sampled_report_contents(tmp_path):
     assert report["seed"] == 7
     assert len(report["postselect_probs"]) == 5
     # difference mode: total mass = baseline * cells + recorded 1-norm
-    total = sum(report["phi"])
+    total = read_field_csv(tmp_path / "o" / "field.csv").sum()
     assert total == pytest.approx(report["baseline"] * 64 + report["initial_l1"])
+
+
+def run_report(tmp_path, name, **updates):
+    """The report section of the report.json a run of the updated config writes."""
+    cfg = write_config(tmp_path, f"{name}.json", **updates)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+    return json.loads((tmp_path / name / "report.json").read_text())["report"]
+
+
+def test_report_holds_no_field_and_does_not_grow_with_m(tmp_path):
+    sections = []
+    for m in (16, 64):
+        report = run_report(tmp_path, f"m{m}", scheme="D2Q5", M=m, v=0.15, loops=3,
+                            initial={"uniform": 0.1, "overrides": [[[4, 4], 0.3]]})
+        assert "phi" not in report  # the field is field.csv's alone
+        sections.append(json.dumps(report, indent=2, sort_keys=True).encode())
+    small, large = sections
+    # the same keys and as many numbers at both sizes; only digits may differ
+    number = rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
+    assert re.sub(number, b"#", small) == re.sub(number, b"#", large)
+    assert abs(len(large) - len(small)) < 0.1 * len(small)
+
+
+def hill_config(**updates) -> tuple[dict, np.ndarray]:
+    """``D1Q3_GAUSS`` updated, its initial field ``hills`` of the lattice given
+    cell by cell, and that field shaped as the lattice."""
+    cfg = {**D1Q3_GAUSS, **updates}
+    ndim = 2 if cfg["scheme"] == "D2Q5" else 1
+    phi = hills((cfg["M"],) * ndim)
+    cells = np.argwhere(np.ones(phi.shape, bool)).tolist()
+    cfg["initial"] = {"uniform": 0.0, "overrides": [
+        [cell if ndim == 2 else cell[0], float(phi[tuple(cell)])] for cell in cells]}
+    return cfg, phi
+
+
+@pytest.mark.parametrize("updates", [
+    {"loops": 2500, "difference_mode": True},
+    {"scheme": "D2Q5", "M": 16, "v": 0.15, "loops": 20},
+    {"scheme": "D1Q2", "M": 32, "u": 0.0, "w_hat": [0.7, 0.3], "loops": 300,
+     "difference_mode": True},
+    {"mode": "quantum-sampled", "shots": 640000, "loops": 30, "difference_mode": True},
+], ids=["D1Q3-2500", "D2Q5", "D1Q2", "D1Q3-sampled"])
+def test_report_log10_postselect_matches_spectral_oracle(tmp_path, updates):
+    raw, phi = hill_config(**updates)
+    report = run_report(tmp_path, "o", **raw)
+    spec = cli.RunConfig.from_dict(raw).model_spec()
+    w = effective_weights(spec)
+    phi0 = phi - phi.min() if raw.get("difference_mode") else phi
+    loops = raw["loops"]
+    log_p = spectral_log_postselect(phi0, spectral_run(phi0, w.w_hat, w.e, loops),
+                                    w.w_hat, spec.row.q_qubits, loops)
+    log10_p = report["log10_postselect_cum"]
+    assert abs(log10_p - log_p / math.log(10)) < 1e-9
+    assert log10_p == pytest.approx(sum(map(math.log10, report["postselect_probs"])),
+                                    rel=1e-12)
+    if loops == 2500:  # the product of the probabilities underflows; the log does not
+        assert math.prod(report["postselect_probs"]) < sys.float_info.min
+        assert math.isfinite(log10_p) and log10_p < math.log10(sys.float_info.min)
+    if raw["mode"] == "quantum-sampled":
+        assert report["expected_survivors"] == pytest.approx(
+            raw["shots"] * math.exp(log_p), rel=1e-9)
+    else:
+        assert report["expected_survivors"] is None
+
+
+@pytest.mark.parametrize("u, v", [(0.2, 0.15), (-0.1, 0.3), (0.0, 0.0)])
+def test_report_drift_of_d2q5_defaults_is_the_velocity(tmp_path, u, v):
+    # sum_a w_a e_a e_a^T = c_s2 I, so drift u and covariance c_s2 I - u u^T
+    report = run_report(tmp_path, "d2", scheme="D2Q5", M=8, u=u, v=v, loops=1,
+                        mode="classical", initial={"uniform": 0.1})
+    assert report["drift"] == pytest.approx([u, v], abs=1e-15)
+    velocity = np.array([u, v])
+    expected = 0.5 * (np.eye(2) / 3 - np.outer(velocity, velocity))
+    assert np.max(np.abs(np.array(report["diffusion"]) - expected)) <= 1e-15
+
+
+def test_report_drift_of_d1q3_defaults_reads_two_thirds_of_u(tmp_path):
+    # the D1Q3 defaults (w = 1/3 each, c_s2 = 1) give sum_a w_a e_a^2 = 2/3,
+    # not c_s2, so the field advects at 2u/3; the report makes that visible
+    report = run_report(tmp_path, "d1", u=0.3)
+    assert report["drift"] == pytest.approx([0.2], abs=1e-15)
+    assert abs(report["diffusion"][0][0] - 0.5 * (2 / 3 - 0.2**2)) <= 1e-15
+
+
+def test_report_fields_by_mode(tmp_path):
+    classical = run_report(tmp_path, "c", mode="classical")
+    assert classical["postselect_probs"] is None
+    assert classical["log10_postselect_cum"] is classical["expected_survivors"] is None
+    exact = run_report(tmp_path, "e")
+    assert exact["expected_survivors"] is None
+    assert exact["drift"] == classical["drift"] and exact["diffusion"] == classical["diffusion"]
+    # the prior method's one step on D1Q2: drift w_hat1 - w_hat2
+    legacy = run_report(tmp_path, "l", scheme="D1Q2", M=4, mode="legacy", u=0.0, loops=1,
+                        w_hat=[0.75, 0.25], initial={"uniform": 0.0, "overrides": [[2, 1.0]]})
+    assert legacy["log10_postselect_cum"] == pytest.approx(
+        math.log10(legacy["postselect_probs"][0]), rel=1e-15)
+    assert legacy["drift"] == [0.5] and legacy["diffusion"] == [[0.5 * (1 - 0.5**2)]]
 
 
 def test_run_d2q5(tmp_path):
