@@ -9,7 +9,7 @@ from .analysis import (
     shift_unitary_check,
     toffoli_count,
 )
-from .ancilla_based import LegacySpec, build_lcu_collision, compare_overhead, run_legacy_step
+from .ancilla_based import build_lcu_collision, compare_overhead, run_legacy_step
 from .ancilla_free import (
     LoopState,
     build_collision,

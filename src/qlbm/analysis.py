@@ -133,7 +133,7 @@ def toffoli_count(scheme: str, M: int) -> int:
 
 def prior_method_toffoli_count(M: int) -> int:
     """Toffoli cost per loop of the earlier ancilla-based construction."""
-    n = int(np.log2(M))
+    n = lattice_qubits(M)
     return 4 * n * n + 16 * n
 
 

@@ -25,35 +25,8 @@ import numpy as np
 
 from .analysis import prior_method_toffoli_count, toffoli_count
 from .ancilla_free import layout_for
-from .lattice import D2Q5, MacroField, ModelSpec, lattice_qubits
-from .statevector import GateOp, QState, QubitLayout, apply
-
-
-@dataclass
-class LegacySpec:
-    """Two-direction model configuration for one reconstruction step."""
-
-    M: int
-    w_hat1: float
-    w_hat2: float
-    phi0: np.ndarray
-
-    def __post_init__(self):
-        lattice_qubits(self.M)
-        if abs(self.w_hat1 + self.w_hat2 - 1.0) > 1e-12:
-            raise ValueError("w_hat1 + w_hat2 must equal 1")
-        if not (0.0 <= self.w_hat1 <= 1.0 and 0.0 <= self.w_hat2 <= 1.0):
-            raise ValueError("weights must lie in [0, 1] for sqrt(I - A^2) to be real")
-        self.phi0 = np.asarray(self.phi0, dtype=float).ravel()
-        if self.phi0.size != self.M:
-            raise ValueError("initial field must have M entries")
-        if np.any(self.phi0 < 0) or not np.any(self.phi0 > 0):
-            raise ValueError("initial field must be nonnegative and not all zero")
-
-    @property
-    def layout(self) -> QubitLayout:
-        # ancilla as the 1-qubit "q" register; direction + position below
-        return QubitLayout(q_qubits=1, axis_qubits=(1, lattice_qubits(self.M)))
+from .lattice import D1Q2, D2Q5, MacroField, ModelSpec, lattice_qubits
+from .statevector import GateOp, QState, QubitLayout, apply, l2_norm
 
 
 @dataclass
@@ -81,18 +54,27 @@ class LegacyStepResult:
     residual: np.ndarray  # the direction-1 part of post_state
 
 
-def build_lcu_collision(spec: LegacySpec) -> LcuCollision:
-    a = np.where(np.arange(2 * spec.M) < spec.M, spec.w_hat1, spec.w_hat2)
+def build_lcu_collision(spec: ModelSpec) -> LcuCollision:
+    """A = diag(w_hat_1, w_hat_2), one entry per position of each direction copy."""
+    a = np.repeat(spec.w_hat, spec.M)
     off = np.sqrt(1.0 - a**2)
     return LcuCollision(c1=a + 1j * off, c2=a - 1j * off)
 
 
-def run_legacy_step(spec: LegacySpec) -> LegacyStepResult:
-    """One full ancilla-based cycle, reproducing the worked two-direction
-    example bit for bit."""
-    layout = spec.layout
-    stacked = np.concatenate([spec.phi0, spec.phi0])  # one copy per direction
-    norm = float(np.linalg.norm(stacked))
+def run_legacy_step(spec: ModelSpec, phi0: np.ndarray) -> LegacyStepResult:
+    """One full ancilla-based cycle of the D1Q2 ``spec`` on the field
+    ``phi0``, reproducing the worked two-direction example bit for bit."""
+    if spec.scheme != D1Q2:
+        raise ValueError("the ancilla-based step runs the two-direction model D1Q2")
+    phi0 = np.asarray(phi0, dtype=float).ravel()
+    if phi0.size != spec.M:
+        raise ValueError("initial field must have M entries")
+    if np.any(phi0 < 0) or not np.any(phi0 > 0):
+        raise ValueError("initial field must be nonnegative and not all zero")
+    # ancilla as the 1-qubit "q" register; direction + position below
+    layout = QubitLayout(q_qubits=1, axis_qubits=(1, lattice_qubits(spec.M)))
+    stacked = np.concatenate([phi0, phi0])  # one copy per direction
+    norm = l2_norm(stacked)
     amps = np.zeros(layout.dim, dtype=complex)
     amps[: stacked.size] = stacked / norm
     state = QState(amps, layout)

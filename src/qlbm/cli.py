@@ -1,17 +1,17 @@
 """Command-line front end: configure, run, compare, and export results.
 
 Experiments are described by a JSON config (they carry too many knobs for
-flags, and the config is archived next to the outputs).  Every output
-embeds the resolved config; identical config + seed gives byte-identical
-CSV/JSON files, so timings go to stderr instead of the report.
+flags).  Each command that reads a config archives it once, resolved and on
+one line, as ``config.json`` (``config_a.json`` and ``config_b.json`` for
+``compare``): ``qlbm run --config <out>/config.json`` re-runs the command as
+it was.  No other output repeats the config.  Identical config + seed gives
+byte-identical CSV/JSON files, so timings go to stderr instead of the report.
 
-Each output is formatted once: a CSV fills one row template with every
-value as ``%.17g``, and a JSON file has the layout of the stdlib's
-``json.dumps(obj, indent=2, sort_keys=True)``, with number lists and config
-override rows joined in one pass each.  A snapshot of the final state
-reuses the final field's text.  A run's field is written once, to
-``field.csv``: ``report.json`` holds no copy of it, only what decides
-whether it can be trusted.
+A CSV fills one row template with every value as ``%.17g``, and every other
+JSON file is ``json.dumps(obj, indent=2, sort_keys=True)``.  A snapshot of
+the final state reuses the final field's text.  A run's field is written
+once, to ``field.csv``: ``report.json`` holds no copy of it, only what
+decides whether it can be trusted.
 
 Exit codes: 0 success, 2 config error, 3 post-selection failure,
 4 internal assertion (regression tripwire).
@@ -36,7 +36,7 @@ from .analysis import (
     probability_bounds,
     toffoli_count,
 )
-from .ancilla_based import LegacySpec, run_legacy_step
+from .ancilla_based import run_legacy_step
 from .ancilla_free import (
     LoopState,
     build_streaming,
@@ -124,26 +124,6 @@ def _initial(value) -> dict:
     if uniform < 0:
         raise ConfigError("field values must be nonnegative")
     return {"uniform": uniform, "overrides": value.get("overrides", [])}
-
-
-def _override_leaves(rows) -> list[tuple] | None:
-    """The columns of a list of ``[cell, value]`` rows, the cell an int or
-    ``[x, y]`` of ints and the value an int or float: ``[cells, values]`` or
-    ``[xs, ys, values]``, or None if ``rows`` is not such a list.  Each test
-    is one C-level pass; a JSON boolean fails them, as its type is bool."""
-    if set(map(type, rows)) != {list} or set(map(len, rows)) != {2}:
-        return None
-    cells, values = zip(*rows)
-    if not set(map(type, values)) <= {int, float}:
-        return None
-    cell_types = set(map(type, cells))
-    if cell_types == {int}:
-        return [cells, values]
-    if cell_types == {list} and set(map(len, cells)) == {2}:
-        xs, ys = zip(*cells)
-        if set(map(type, xs + ys)) == {int}:
-            return [xs, ys, values]
-    return None
 
 
 def _key(parse, modes=None, **default):
@@ -237,14 +217,21 @@ class RunConfig:
         pass over the rows: a row must be ``[cell, value]``, the cell an int
         in 1-D and ``[x, y]`` in 2-D on the lattice, the value a finite
         nonnegative number.  A cell given twice keeps its last value."""
-        rows = self.initial["overrides"]
+        rows, ndim = self.initial["overrides"], len(self.geometry)
         if rows == []:
             return np.empty(0, np.intp), np.empty(0)
-        leaves = _override_leaves(rows)
-        if leaves is None or len(leaves) != len(self.geometry) + 1:
+        # each test is one C-level pass; a JSON boolean fails them, as its type is bool
+        index = None
+        if set(map(type, rows)) == {list} and set(map(len, rows)) == {2}:
+            cells, values = zip(*rows)
+            if ndim == 1:
+                index = [cells]
+            elif set(map(type, cells)) == {list} and set(map(len, cells)) == {ndim}:
+                index = list(zip(*cells))  # one tuple of coordinates per axis
+        if (index is None or not set(map(type, values)) <= {int, float}
+                or set(map(type, itertools.chain(*index))) != {int}):
             raise ConfigError("override rows must be [cell, value], the cell an int "
                               "in 1-D and [x, y] in 2-D, the value a number")
-        *index, values = leaves
         if min(map(min, index)) < 0 or max(map(max, index)) >= self.M:
             raise ConfigError(f"an override cell lies outside the {self.geometry} lattice")
         values = np.array(values, dtype=float)
@@ -314,8 +301,7 @@ def execute(cfg: RunConfig) -> Evolved:
     field0 = cfg.initial_field()
     spec = cfg.model_spec()
     if cfg.mode == "legacy":
-        result = run_legacy_step(LegacySpec(M=cfg.M, w_hat1=cfg.w_hat[0],
-                                            w_hat2=cfg.w_hat[1], phi0=field0.phi))
+        result = run_legacy_step(spec, field0.phi)
         return Evolved(cfg, ReadoutReport(
             field=result.field, method="legacy", spec=spec,
             postselect_probs=[result.probability],
@@ -372,60 +358,21 @@ def _write(path: Path, text: str):
     path.write_text(text)
 
 
-def _json_numbers(items: list, nl: str) -> str | None:
-    """The items of a list of finite ints and floats, or None if it is not one."""
-    if not set(map(type, items)) <= {int, float}:
-        return None
-    text = ("," + nl).join(map(repr, items))
-    return None if "n" in text else text  # repr's nan/inf are not JSON's
-
-
-def _json_overrides(rows: list, nl: str) -> str | None:
-    """The items of a list of ``[cell, value]`` rows, the cell an int or
-    ``[x, y]`` and the value a finite number, or None if it is not one."""
-    leaves = _override_leaves(rows)
-    if leaves is None:
-        return None
-    nl2, nl3 = nl + "  ", nl + "    "
-    row = (f"[{nl2}%r,{nl2}%r{nl}]" if len(leaves) == 2
-           else f"[{nl2}[{nl3}%r,{nl3}%r{nl2}],{nl2}%r{nl}]")
-    flat = [None] * (len(rows) * len(leaves))
-    for i, leaf in enumerate(leaves):
-        flat[i::len(leaves)] = leaf
-    text = ("," + nl).join([row] * len(rows)) % tuple(flat)
-    return None if "n" in text else text
-
-
-def _json(obj, nl: str) -> str:
-    """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` lays it out at
-    the depth whose line break and indent are ``nl``."""
-    inner = nl + "  "
-    if isinstance(obj, dict) and obj and set(map(type, obj)) == {str}:
-        return "{" + inner + ("," + inner).join(
-            json.dumps(k) + ": " + _json(obj[k], inner) for k in sorted(obj)) + nl + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        items = _json_numbers(obj, inner) or _json_overrides(obj, inner)
-        if items is None:
-            items = ("," + inner).join(_json(v, inner) for v in obj)
-        return "[" + inner + items + nl + "]"
-    if isinstance(obj, (dict, list, tuple)):
-        # JSON strings hold no raw newline, so re-indenting the lines is exact
-        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
-    return json.dumps(obj)
-
-
 def _dump_json(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, with number lists
-    and config override rows joined in one pass each."""
-    return _json(obj, "\n") + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _archive(path: Path, cfg: RunConfig):
+    """The resolved config on one line, a config ``qlbm run`` reads as it is."""
+    _write(path, json.dumps(cfg.resolved(), sort_keys=True) + "\n")
 
 
 def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     t0 = time.perf_counter()
     run = execute(cfg)
     field = run.report.field
-    _write(out_dir / "report.json",
-           _dump_json({"config": cfg.resolved(), "report": run.report.to_dict()}))
+    _archive(out_dir / "config.json", cfg)
+    _write(out_dir / "report.json", _dump_json(run.report.to_dict()))
     text = field_csv(field.geometry, phi=field.phi)
     _write(out_dir / "field.csv", text)
     for t, snap in run.snapshots:
@@ -453,12 +400,7 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: Path,
     _write(out_dir / "compare.csv",
            field_csv(cfg_a.geometry, phi_a=field_a.phi, phi_b=field_b.phi))
 
-    summary = {
-        "config_a": cfg_a.resolved(),
-        "config_b": cfg_b.resolved(),
-        "l2_error": l2,
-        "linf_error": linf,
-    }
+    summary = {"l2_error": l2, "linf_error": linf}
     if sweep:
         seeds = _sweep_seeds(cfg_a.seed, sweep)
         metrics = [error_metrics(run_a.field(s), run_b.field(s)) for s in seeds]
@@ -469,6 +411,8 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: Path,
             "median_l2": float(np.median([m[0] for m in metrics])),
             "median_linf": float(np.median([m[1] for m in metrics])),
         }
+    _archive(out_dir / "config_a.json", cfg_a)
+    _archive(out_dir / "config_b.json", cfg_b)
     _write(out_dir / "summary.json", _dump_json(summary))
     print(f"[qlbm] compare finished in {time.perf_counter() - t0:.3f}s",
           file=sys.stderr)
@@ -508,12 +452,12 @@ def cmd_probe(cfg: RunConfig, out_dir: Path) -> int:
            _csv(["loop", "probability"], [loops], np.array(ls.loop_probs)))
     eps = 1e-12
     verdict = {
-        "config": cfg.resolved(),
         "bounds": [low, high],
         "min_probability": min(ls.loop_probs) if ls.loop_probs else None,
         "max_probability": max(ls.loop_probs) if ls.loop_probs else None,
         "within_bounds": all(low - eps <= p <= high + eps for p in ls.loop_probs),
     }
+    _archive(out_dir / "config.json", cfg)
     _write(out_dir / "verdict.json", _dump_json(verdict))
     return 0
 

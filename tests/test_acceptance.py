@@ -15,7 +15,7 @@ from qlbm.analysis import (
     shift_unitary_check,
     toffoli_count,
 )
-from qlbm.ancilla_based import LegacySpec, run_legacy_step
+from qlbm.ancilla_based import run_legacy_step
 from qlbm.ancilla_free import (
     build_streaming,
     encode_initial,
@@ -25,6 +25,7 @@ from qlbm.ancilla_free import (
     run_sampled,
 )
 from qlbm.lattice import (
+    D1Q2,
     MacroField,
     ModelSpec,
     classical_run,
@@ -65,9 +66,8 @@ def d1q3_benchmark():
 
 def test_criterion_1_two_direction_golden_example():
     with criterion(1, "two-direction worked example", budget_s=1.0):
-        spec = LegacySpec(M=4, w_hat1=0.75, w_hat2=0.25,
-                          phi0=np.array([0.0, 0.0, 1.0, 0.0]))
-        result = run_legacy_step(spec)
+        spec = ModelSpec(scheme=D1Q2, M=4, w_hat=(0.75, 0.25))
+        result = run_legacy_step(spec, np.array([0.0, 0.0, 1.0, 0.0]))
         assert np.max(np.abs(result.field.phi - [0.0, 0.25, 0.0, 0.75])) <= 1e-12
         expected = np.zeros(8, dtype=complex)
         expected[3] = 0.75

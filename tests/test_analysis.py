@@ -83,6 +83,15 @@ def test_toffoli_count_closed_forms(m):
     assert prior_method_toffoli_count(m) - toffoli_count("D2Q5", m) == 8 * n
 
 
+def test_prior_method_count_takes_a_power_of_two():
+    # 4n^2 + 16n for n = log2(M), as the count was before M was validated
+    assert [prior_method_toffoli_count(2**n) for n in range(1, 13)] == [
+        20, 48, 84, 128, 180, 240, 308, 384, 468, 560, 660, 768]
+    for bad in (0, 1, 3, 12, 4095, -4, 0.5):
+        with pytest.raises(ValueError, match="power of two"):
+            prior_method_toffoli_count(bad)
+
+
 @pytest.mark.parametrize("scheme", ["D1Q3", "D2Q5", "D1Q2"])
 @pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
 def test_formula_matches_emitted_circuit(scheme, m):

@@ -76,7 +76,7 @@ def test_sampled_report_contents(tmp_path):
     cfg = write_config(tmp_path, "s.json", mode="quantum-sampled",
                        difference_mode=True, shots=50000, loops=5)
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    report = json.loads((tmp_path / "o" / "report.json").read_text())["report"]
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["method"] == "sampled"
     assert report["shots"] == 50000
     assert report["seed"] == 7
@@ -87,24 +87,49 @@ def test_sampled_report_contents(tmp_path):
 
 
 def run_report(tmp_path, name, **updates):
-    """The report section of the report.json a run of the updated config writes."""
+    """The report.json a run of the updated config writes."""
     cfg = write_config(tmp_path, f"{name}.json", **updates)
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
-    return json.loads((tmp_path / name / "report.json").read_text())["report"]
+    return json.loads((tmp_path / name / "report.json").read_text())
 
 
 def test_report_holds_no_field_and_does_not_grow_with_m(tmp_path):
+    number = rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
+
+    def same_shape(small: bytes, large: bytes) -> bool:
+        # the same keys and as many numbers; only digits may differ
+        return (re.sub(number, b"#", small) == re.sub(number, b"#", large)
+                and abs(len(large) - len(small)) < 0.1 * len(small))
+
     sections = []
     for m in (16, 64):
         report = run_report(tmp_path, f"m{m}", scheme="D2Q5", M=m, v=0.15, loops=3,
                             initial={"uniform": 0.1, "overrides": [[[4, 4], 0.3]]})
         assert "phi" not in report  # the field is field.csv's alone
         sections.append(json.dumps(report, indent=2, sort_keys=True).encode())
-    small, large = sections
-    # the same keys and as many numbers at both sizes; only digits may differ
-    number = rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
-    assert re.sub(number, b"#", small) == re.sub(number, b"#", large)
-    assert abs(len(large) - len(small)) < 0.1 * len(small)
+    assert same_shape(*sections)
+
+    # nor with the config's override rows: config.json alone holds them
+    reports = []
+    for rows in (10, 5000):
+        overrides = [[[i % 128, i // 128], 0.1 + i / 1e4] for i in range(rows)]
+        run_report(tmp_path, f"r{rows}", scheme="D2Q5", M=128, loops=1,
+                   initial={"uniform": 0.1, "overrides": overrides})
+        archived = json.loads((tmp_path / f"r{rows}" / "config.json").read_text())
+        assert archived["initial"]["overrides"] == overrides
+        reports.append((tmp_path / f"r{rows}" / "report.json").read_bytes())
+    assert same_shape(*reports)
+
+    cfg_s = write_config(tmp_path, "s.json", mode="quantum-sampled", shots=100, loops=2)
+    cfg_c = write_config(tmp_path, "c.json", mode="classical", loops=2)
+    assert cli.main(["probe", "--config", str(write_config(tmp_path, "e.json", loops=2)),
+                     "--out", str(tmp_path / "p")]) == 0
+    assert cli.main(["compare", "--config", str(cfg_s), str(cfg_c), "--seeds", "2",
+                     "--out", str(tmp_path / "cmp")]) == 0
+    for out in (tmp_path / "r10" / "report.json", tmp_path / "p" / "verdict.json",
+                tmp_path / "cmp" / "summary.json"):
+        keys = json.loads(out.read_text()).keys()
+        assert not [k for k in keys if "config" in k], (out.name, sorted(keys))
 
 
 def hill_config(**updates) -> tuple[dict, np.ndarray]:
@@ -230,7 +255,7 @@ def test_run_legacy_mode(tmp_path):
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     field = read_field_csv(tmp_path / "o" / "field.csv")
     assert np.allclose(field, [0.0, 0.25, 0.0, 0.75], atol=1e-12)
-    report = json.loads((tmp_path / "o" / "report.json").read_text())["report"]
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["method"] == "legacy"
     assert len(report["postselect_probs"]) == 1
 
@@ -407,7 +432,8 @@ def test_stencil_and_gate_path_write_the_same_bytes(tmp_path, monkeypatch):
 
     gates = outputs("gates", counted(ancilla_free.run_loop_gates))
     assert sum(advanced) == 20 + 20 + 30
-    assert len(gates) == 6 + 2 + 2  # run with 4 snapshots, probe, sampled run
+    # run with 4 snapshots, probe, sampled run, each with its config.json
+    assert len(gates) == 7 + 3 + 3
 
     # the stencil rounds differently from the gate path: each file has the
     # gate path's text between its numbers, and each number is within the
@@ -421,20 +447,26 @@ def test_stencil_and_gate_path_write_the_same_bytes(tmp_path, monkeypatch):
         assert np.max(np.abs(ours - theirs)) <= 1e-10, name
 
 
-@pytest.mark.parametrize("config", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
-def test_archived_config_reruns_to_the_same_bytes(tmp_path, config):
-    # the config a report archives is a valid config that reproduces it
+def tree(root: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+
+
+@pytest.mark.parametrize("command, config", [
+    *(pytest.param("run", c, id=c.stem) for c in sorted(CONFIGS.glob("*.json"))),
+    pytest.param("probe", CONFIGS / "d2q5_gaussian_hill_exact.json", id="probe"),
+])
+def test_archived_config_reruns_to_the_same_bytes(tmp_path, command, config):
+    # the config.json a command archives is a valid config, on one line of the
+    # stdlib's layout, that reproduces every file the command wrote
     first, second = tmp_path / "first", tmp_path / "second"
-    assert cli.main(["run", "--config", str(config), "--out", str(first)]) == 0
-    archived = json.loads((first / "report.json").read_text())["config"]
-    (tmp_path / "archived.json").write_text(json.dumps(archived))
-    assert cli.main(["run", "--config", str(tmp_path / "archived.json"),
+    assert cli.main([command, "--config", str(config), "--out", str(first)]) == 0
+    written = {"run": {"field.csv", "report.json"}, "probe": {"probe.csv", "verdict.json"}}
+    assert written[command] | {"config.json"} <= tree(first).keys()
+    text = (first / "config.json").read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    assert cli.main([command, "--config", str(first / "config.json"),
                      "--out", str(second)]) == 0
-    names = sorted(p.name for p in first.iterdir())
-    assert {"field.csv", "report.json"} <= set(names)
-    assert names == sorted(p.name for p in second.iterdir())
-    for name in names:
-        assert (first / name).read_bytes() == (second / name).read_bytes()
+    assert tree(first) == tree(second)
 
 
 @pytest.mark.parametrize("updates", [
@@ -660,14 +692,19 @@ def test_configs_archived_by_a_seeded_compare_rerun(tmp_path):
     # classical config archived with seed 5 must be valid
     cfg_s = write_config(tmp_path, "s.json", mode="quantum-sampled", shots=1000, loops=3)
     cfg_c = write_config(tmp_path, "c.json", mode="classical", loops=3)
+    cmp = tmp_path / "cmp"
     assert cli.main(["compare", "--config", str(cfg_s), str(cfg_c), "--seed", "5",
-                     "--out", str(tmp_path / "cmp")]) == 0
-    summary = json.loads((tmp_path / "cmp" / "summary.json").read_text())
+                     "--out", str(cmp)]) == 0
+    assert tree(cmp).keys() == {"compare.csv", "config_a.json", "config_b.json",
+                                "summary.json"}
     for key in ("config_a", "config_b"):
-        assert summary[key]["seed"] == 5
-        (tmp_path / f"{key}.json").write_text(json.dumps(summary[key]))
-        assert cli.main(["run", "--config", str(tmp_path / f"{key}.json"),
+        assert json.loads((cmp / f"{key}.json").read_text())["seed"] == 5
+        assert cli.main(["run", "--config", str(cmp / f"{key}.json"),
                          "--out", str(tmp_path / key)]) == 0
+    # the archived pair re-runs the comparison itself, byte for byte
+    assert cli.main(["compare", "--config", str(cmp / "config_a.json"),
+                     str(cmp / "config_b.json"), "--out", str(tmp_path / "again")]) == 0
+    assert tree(cmp) == tree(tmp_path / "again")
 
 
 def test_config_that_is_not_an_object_exit_code(tmp_path):
@@ -679,8 +716,9 @@ def test_config_that_is_not_an_object_exit_code(tmp_path):
 def test_integral_float_fields_are_accepted(tmp_path):
     cfg = write_config(tmp_path, "f.json", mode="classical", M=64.0, loops=3.0)
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
-    report = json.loads((tmp_path / "o" / "report.json").read_text())
-    assert (report["config"]["M"], report["config"]["loops"]) == (64, 3)
+    archived = json.loads((tmp_path / "o" / "config.json").read_text())
+    assert (archived["M"], archived["loops"]) == (64, 3)
+    assert [type(archived[k]) for k in ("M", "loops")] == [int, int]
 
 
 def test_unknown_key_exit_code(tmp_path):
