@@ -3,10 +3,8 @@
 from .analysis import (
     GateInventory,
     circuit_inventory,
-    postselect_probability,
     prior_method_toffoli_count,
     probability_bounds,
-    shift_unitary_check,
     toffoli_count,
 )
 from .ancilla_based import build_lcu_collision, compare_overhead, run_legacy_step
@@ -19,14 +17,12 @@ from .ancilla_free import (
     layout_for,
     run_exact,
     run_loop_exact,
-    run_sampled,
     sample_readout,
 )
 from .lattice import (
     D1Q2,
     D1Q3,
     D2Q5,
-    DirectionWeights,
     MacroField,
     ModelSpec,
     classical_run,

@@ -1,4 +1,4 @@
-"""Gate-resource accounting and post-selection probability analysis.
+"""Gate-resource accounting and post-selection probability bounds.
 
 Cyclic shifts are executed as permutations in the simulator, but counted
 here as the gates ``shift_gate_ops`` lowers them to: a ripple-carry
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import lattice_qubits, scheme_row
-from .statevector import Circuit, GateOp, QState, QubitLayout, apply
+from .statevector import Circuit, GateOp
 
 
 def toffolis_per_mcx(n_controls: int) -> int:
@@ -71,27 +71,6 @@ def shift_gate_ops(n_qubits: int, direction: int, block_offset: int,
     return pre + cascade + list(reversed(pre))
 
 
-def shift_unitary_check(n_qubits: int, direction: int) -> bool:
-    """True iff the multi-controlled-NOT cascade for a cyclic shift acts as
-    |k> -> |(k + direction) mod 2^n> on every basis state."""
-    if not 1 <= n_qubits <= 8:
-        raise ValueError("n_qubits must be in [1, 8]")
-    layout = QubitLayout(q_qubits=0, axis_qubits=(n_qubits,))
-    ops = shift_gate_ops(n_qubits, direction, block_offset=0, controls=())
-    dim = 1 << n_qubits
-    for k in range(dim):
-        amps = np.zeros(dim)
-        amps[k] = 1.0
-        st = QState(amps, layout)
-        for op in ops:
-            st = apply(st, op)
-        expected = (k + direction) % dim
-        hit = np.flatnonzero(np.abs(st.amplitudes) > 0.5)
-        if hit.size != 1 or hit[0] != expected:
-            return False
-    return True
-
-
 def circuit_inventory(circuit: Circuit) -> GateInventory:
     """Canonicalized gate census of an emitted circuit.
 
@@ -135,21 +114,6 @@ def prior_method_toffoli_count(M: int) -> int:
     """Toffoli cost per loop of the earlier ancilla-based construction."""
     n = lattice_qubits(M)
     return 4 * n * n + 16 * n
-
-
-def postselect_probability(state_before_summation: QState) -> float:
-    """Probability that the q register reads all zeros after the Hadamard
-    summation stage, computed from the pre-Hadamard amplitudes.
-
-    Writing the state as sum_j |j>_q (x) g_j, the q = 0 block afterwards is
-    2^(-q/2) sum_j g_j, so the probability is |sum_j g_j|^2 / 2^q.
-    """
-    layout = state_before_summation.layout
-    q_dim = 1 << layout.q_qubits
-    d_dim = 1 << layout.d_qubits
-    blocks = state_before_summation.amplitudes.reshape(q_dim, d_dim)
-    merged = blocks.sum(axis=0)
-    return float(np.sum(np.abs(merged) ** 2) / q_dim)
 
 
 def probability_bounds(scheme: str) -> tuple[float, float]:

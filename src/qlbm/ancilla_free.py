@@ -21,7 +21,10 @@ on two paths with one signature:
   the stencil is held to within a few ulp.
 
 Every circuit is built from the scheme's row in ``lattice._SCHEMES``: its
-velocities and the q-register code of each.
+velocities and the q-register code of each, with the weights that
+``effective_weights`` gives.  Only the final state is measured:
+``sample_readout(run_exact(...))`` draws shots from the post-selected
+branch, so no trajectory is lost to post-selection in the simulator.
 """
 from __future__ import annotations
 
@@ -30,14 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import (
-    DirectionWeights,
-    MacroField,
-    ModelSpec,
-    effective_weights,
-    lattice_qubits,
-    scheme_row,
-)
+from .lattice import MacroField, ModelSpec, effective_weights, lattice_qubits, scheme_row
 from .statevector import (
     Circuit,
     GateOp,
@@ -58,21 +54,20 @@ class LoopState:
     ``state`` is the post-selected position register, ``QubitLayout(0,
     axis_qubits)``, and ``loop_probs`` the post-selection probability of
     each loop so far, oldest first.  The cumulative probability is carried
-    as its natural log: after thousands of loops it is far below the
+    only as its natural log: after thousands of loops it is far below the
     smallest float.
     """
 
     state: QState
-    loop_index: int
     initial_l1: float
     baseline: float | None = None
     loop_probs: tuple[float, ...] = ()
-    log_cumulative_postselect_prob: float = 0.0
+    log_postselect_cum: float = 0.0
 
     @property
-    def cumulative_postselect_prob(self) -> float:
-        """Product of the loop probabilities; 0.0 once it underflows."""
-        return math.exp(self.log_cumulative_postselect_prob)
+    def loop_index(self) -> int:
+        """Loops run so far."""
+        return len(self.loop_probs)
 
 
 def layout_for(spec: ModelSpec) -> QubitLayout:
@@ -87,8 +82,9 @@ def _code_controls(code: int, width: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, code >> (width - 1 - i) & 1) for i in range(width))
 
 
-def build_collision(weights: DirectionWeights, layout: QubitLayout) -> Circuit:
-    """Rotation tree taking q = |0..0> to sum_a w_hat_a |code_a>, normalized.
+def build_collision(scheme: str, w_hat, layout: QubitLayout) -> Circuit:
+    """Rotation tree taking q = |0..0> to sum_a w_hat_a |code_a>, normalized,
+    with code_a the scheme row's code of direction a.
 
     The tree is binary over the q-bit codes, qubit 0 at the root (Grover &
     Rudolph, arXiv quant-ph/0208112).  A node whose two subtrees both hold a
@@ -102,13 +98,13 @@ def build_collision(weights: DirectionWeights, layout: QubitLayout) -> Circuit:
     the order of evaluation that the tests' frozen D1Q3/D2Q5 circuits fix
     bit for bit.
     """
-    w = np.asarray(weights.w_hat, dtype=float)
+    w = np.asarray(w_hat, dtype=float)
     if np.any(w < 0):
         raise ValueError("effective weights must be nonnegative")
     if not np.any(w > 0):
         raise ValueError("all-zero weight set")
     q = layout.q_qubits
-    leaf = dict(zip(weights.codes, w))
+    leaf = dict(zip(scheme_row(scheme).codes, w))
 
     def subtree(prefix: int, depth: int):
         """Norm of the weights under ``prefix`` and the gates below it, in
@@ -146,24 +142,22 @@ def build_summation(layout: QubitLayout) -> Circuit:
     return Circuit(layout, ops)
 
 
-def _loop_circuits(scheme: str, weights: DirectionWeights,
-                   layout: QubitLayout) -> tuple[Circuit, Circuit, Circuit]:
+def _loop_circuits(spec: ModelSpec, layout: QubitLayout) -> tuple[Circuit, Circuit, Circuit]:
     """One loop's collision, streaming and summation circuits."""
-    return (build_collision(weights, layout), build_streaming(scheme, layout),
-            build_summation(layout))
+    return (build_collision(spec.scheme, effective_weights(spec), layout),
+            build_streaming(spec.scheme, layout), build_summation(layout))
 
 
 def _stencil_for(spec: ModelSpec) -> Stencil:
     # folded on every call, a few ``apply`` calls on 2**(q + 2d) amplitudes:
     # with no cache, every run of a model does the same gate work, so the
     # gate counts of one run are those of the next
-    weights = effective_weights(spec)
+    kernel = _fold(spec)
+    _check_fold(kernel, spec)
     q = spec.row.q_qubits
-    kernel = _fold(spec, weights)
-    _check_fold(kernel, weights, q)
     # in the order the summation Hadamards add the direction blocks,
     # qubit 0 innermost: ascending code read from its last bit
-    order = sorted(zip(weights.codes, weights.e),
+    order = sorted(zip(spec.row.codes, spec.e),
                    key=lambda code_e: format(code_e[0], f"0{q}b")[::-1])
     terms = {e: float(kernel[_cell(e)]) for _, e in order}
     return Stencil(terms, QubitLayout(0, layout_for(spec).axis_qubits))
@@ -174,7 +168,7 @@ def _cell(e: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(k % 4 for k in e)
 
 
-def _fold(spec: ModelSpec, weights: DirectionWeights) -> np.ndarray:
+def _fold(spec: ModelSpec) -> np.ndarray:
     """The loop's kernel: its three circuits run through ``apply`` on
     |q = 0, x = 0> of a lattice of 4 cells per axis, and the post-selected
     block before renormalization, one array axis per lattice axis.
@@ -187,20 +181,21 @@ def _fold(spec: ModelSpec, weights: DirectionWeights) -> np.ndarray:
     amps = np.zeros(layout.dim)
     amps[0] = 1.0
     state = QState(amps, layout)
-    for circuit in _loop_circuits(spec.scheme, weights, layout):
+    for circuit in _loop_circuits(spec, layout):
         state = apply_circuit(state, circuit)
     return state.d_block().reshape((4,) * spec.ndim)
 
 
-def _check_fold(kernel: np.ndarray, weights: DirectionWeights, q_qubits: int):
+def _check_fold(kernel: np.ndarray, spec: ModelSpec):
     """The fold of the gates must be the weighted stream-sum the paper
     derives: c_a = w_hat_a / (||w_hat|| 2**(q/2)) at each velocity's cell
     and 0 at every other.  This sets the gate algebra (Ry angles, controls,
     Hadamards) against ``effective_weights``; the stencil itself runs on the
     kernel."""
-    scale = 1.0 / (math.hypot(*weights.w_hat) * 2.0 ** (q_qubits / 2))
+    w_hat = effective_weights(spec)
+    scale = 1.0 / (math.hypot(*w_hat) * 2.0 ** (spec.row.q_qubits / 2))
     expected = np.zeros_like(kernel)
-    for e, w in zip(weights.e, weights.w_hat):
+    for e, w in zip(spec.e, w_hat):
         expected[_cell(e)] = w * scale
     if not np.all(np.abs(kernel - expected) <= 1e-12):
         raise AssertionError(f"the loop's gates fold to {kernel.tolist()}, "
@@ -223,12 +218,7 @@ def encode_initial(field: MacroField, difference_mode: bool = False) -> LoopStat
             raise ValueError("difference mode needs nonuniform field")
     axis_qubits = tuple(map(lattice_qubits, field.geometry))
     encoded = encode_amplitudes(values, QubitLayout(0, axis_qubits))
-    return LoopState(
-        state=encoded.state,
-        loop_index=0,
-        initial_l1=encoded.l1_norm,
-        baseline=baseline,
-    )
+    return LoopState(state=encoded.state, initial_l1=encoded.l1_norm, baseline=baseline)
 
 
 def run_loop_exact(loop_state: LoopState, spec: ModelSpec, loops: int = 1) -> LoopState:
@@ -248,7 +238,7 @@ def run_loop_gates(loop_state: LoopState, spec: ModelSpec, loops: int = 1) -> Lo
     and projects the direction register.  2**q times the state; the
     reference the stencil is tested against."""
     layout = layout_for(spec)
-    circuits = _loop_circuits(spec.scheme, effective_weights(spec), layout)
+    circuits = _loop_circuits(spec, layout)
     block = loop_state.state
     if block.layout != QubitLayout(0, layout.axis_qubits):
         raise ValueError(f"loop state layout {block.layout} does not match {layout}")
@@ -266,61 +256,29 @@ def run_loop_gates(loop_state: LoopState, spec: ModelSpec, loops: int = 1) -> Lo
 
 
 def _advanced(loop_state: LoopState, state: QState, probs: list[float]) -> LoopState:
-    log_p = loop_state.log_cumulative_postselect_prob
+    log_p = loop_state.log_postselect_cum
     for prob in probs:
         log_p += math.log(prob)
     return LoopState(
         state=state,
-        loop_index=loop_state.loop_index + len(probs),
         initial_l1=loop_state.initial_l1,
         baseline=loop_state.baseline,
         loop_probs=loop_state.loop_probs + tuple(probs),
-        log_cumulative_postselect_prob=log_p,
+        log_postselect_cum=log_p,
     )
 
 
-def sample_readout(loop_state: LoopState, shots: int, seed: int,
-                   postselect: str = "exact") -> ShotHistogram:
+def sample_readout(loop_state: LoopState, shots: int, seed: int) -> ShotHistogram:
     """Measure the position register of a post-selected loop state: the
-    multinomial counts per cell, in row-major cell order.  With
-    ``postselect="rejection"`` the shot count is treated as a budget of
-    whole-trajectory attempts instead: the number of surviving shots is
-    binomial in the cumulative post-selection probability, mirroring a
-    hardware run that discards trajectories whose mid-circuit direction
-    measurement is not all zeros.
-    """
+    multinomial counts per cell, in row-major cell order.  The shots are
+    drawn from the post-selected branch, tracked exactly; a hardware run
+    keeps about shots * exp(log_postselect_cum) of them."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if postselect not in ("exact", "rejection"):
-        raise ValueError("postselect must be 'exact' or 'rejection'")
     probs = np.abs(loop_state.state.amplitudes) ** 2
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
-    n_meas = shots
-    if postselect == "rejection":
-        p_cum = loop_state.cumulative_postselect_prob
-        n_meas = int(rng.binomial(shots, p_cum))
-        if n_meas == 0:
-            log10_p = loop_state.log_cumulative_postselect_prob / math.log(10.0)
-            raise ValueError(
-                f"rejection sampling kept zero of {shots} trajectories: "
-                f"log10 P = {log10_p:.3f}, expected survivors {shots * p_cum:.3g}"
-            )
-    return ShotHistogram(rng.multinomial(n_meas, probs), n_meas)
-
-
-def run_sampled(initial: MacroField, spec: ModelSpec, loops: int, shots: int,
-                seed: int, difference_mode: bool = False,
-                postselect: str = "exact") -> ShotHistogram:
-    """Run ``loops`` post-selected loops, then measure the position register.
-
-    The post-selected branch is tracked exactly and only the final readout
-    is sampled (see sample_readout for the rejection variant).
-    """
-    if loops < 1:
-        raise ValueError("loops must be >= 1")
-    return sample_readout(run_exact(initial, spec, loops, difference_mode),
-                          shots, seed, postselect)
+    return ShotHistogram(rng.multinomial(shots, probs), shots)
 
 
 def run_exact(initial: MacroField, spec: ModelSpec, loops: int,

@@ -291,7 +291,7 @@ def _quantum_report(cfg: RunConfig, ls: LoopState, seed: int) -> ReadoutReport:
            if cfg.difference_mode else delta)
     return ReadoutReport(field=out, method=cfg.mode.removeprefix("quantum-"),
                          spec=cfg.model_spec(), postselect_probs=list(ls.loop_probs),
-                         log_postselect_cum=ls.log_cumulative_postselect_prob,
+                         log_postselect_cum=ls.log_postselect_cum,
                          baseline=ls.baseline, initial_l1=ls.initial_l1, **sampled)
 
 
@@ -393,6 +393,10 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: Path,
                 sweep: int | None) -> int:
     if cfg_a.geometry != cfg_b.geometry:
         raise ConfigError("compared configs must share the lattice geometry")
+    if sweep is not None and sweep < 1:
+        raise ConfigError(f"--seeds must be >= 1 (got {sweep})")
+    # before anything is written: a negative seed raises here
+    seeds = _sweep_seeds(cfg_a.seed, sweep) if sweep else []
     t0 = time.perf_counter()
     run_a, run_b = execute(cfg_a), execute(cfg_b)
     field_a, field_b = run_a.report.field, run_b.report.field
@@ -401,8 +405,7 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: Path,
            field_csv(cfg_a.geometry, phi_a=field_a.phi, phi_b=field_b.phi))
 
     summary = {"l2_error": l2, "linf_error": linf}
-    if sweep:
-        seeds = _sweep_seeds(cfg_a.seed, sweep)
+    if seeds:
         metrics = [error_metrics(run_a.field(s), run_b.field(s)) for s in seeds]
         summary["sweep"] = {
             "seeds": seeds,
@@ -420,6 +423,8 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: Path,
 
 
 def cmd_gatecount(scheme: str, m_list: list[int], out_dir: Path) -> int:
+    if not m_list or len(set(m_list)) != len(m_list):
+        raise ConfigError(f"--m-list needs one or more distinct sizes (got {m_list})")
     lines = ["M,afqlbm_toffoli,prior_toffoli,saving"]
     inventories = {}
     for m in m_list:

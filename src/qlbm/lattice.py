@@ -139,16 +139,6 @@ class ModelSpec:
         return (self.M,) * self.ndim
 
 
-@dataclass(frozen=True)
-class DirectionWeights:
-    """Effective weights w_hat_a = w_a (1 + e_a.u / c_s^2) and their
-    velocity vectors and q-register codes, ordered by direction index."""
-
-    w_hat: tuple[float, ...]
-    e: tuple[tuple[int, ...], ...]
-    codes: tuple[int, ...]
-
-
 @dataclass
 class MacroField:
     """Macroscopic variable phi per cell, flat row-major storage."""
@@ -179,12 +169,11 @@ def uniform_field(geometry: tuple[int, ...], value: float) -> MacroField:
     return MacroField(np.full(int(np.prod(geometry)), value), geometry)
 
 
-def effective_weights(spec: ModelSpec) -> DirectionWeights:
-    """Fold the advection velocity into the weight set, or take a row's
-    explicit w_hat as given."""
-    codes = spec.row.codes
+def effective_weights(spec: ModelSpec) -> tuple[float, ...]:
+    """w_hat_a = w_a (1 + e_a.u / c_s^2) in the row's direction order, or
+    the row's explicit w_hat as given."""
     if spec.w_hat is not None:
-        return DirectionWeights(w_hat=spec.w_hat, e=spec.e, codes=codes)
+        return spec.w_hat
     u = np.asarray(spec.velocity, dtype=float)
     w_hat = []
     for wa, ea in zip(spec.weights, spec.e):
@@ -196,13 +185,13 @@ def effective_weights(spec: ModelSpec) -> DirectionWeights:
             )
         w_hat.append(val)
     assert abs(sum(w_hat) - 1.0) < 1e-12
-    return DirectionWeights(w_hat=tuple(w_hat), e=spec.e, codes=codes)
+    return tuple(w_hat)
 
 
 def drift(spec: ModelSpec) -> np.ndarray:
     """Mean displacement of one step, m = sum_a w_hat_a e_a, in lattice units."""
-    w = effective_weights(spec)
-    return (np.asarray(w.w_hat)[:, None] * np.asarray(w.e, dtype=float)).sum(axis=0)
+    w_hat = np.asarray(effective_weights(spec))
+    return (w_hat[:, None] * np.asarray(spec.e, dtype=float)).sum(axis=0)
 
 
 def diffusion_coefficient(spec: ModelSpec) -> np.ndarray:
@@ -213,9 +202,9 @@ def diffusion_coefficient(spec: ModelSpec) -> np.ndarray:
     m is the drift; chi is half that growth.  Both moments are ufunc sums,
     not BLAS products, so their bits do not depend on the BLAS threads.
     """
-    w = effective_weights(spec)
-    e = np.asarray(w.e, dtype=float)
-    second = (np.asarray(w.w_hat)[:, None, None] * e[:, :, None] * e[:, None, :]).sum(axis=0)
+    w_hat = np.asarray(effective_weights(spec))
+    e = np.asarray(spec.e, dtype=float)
+    second = (w_hat[:, None, None] * e[:, :, None] * e[:, None, :]).sum(axis=0)
     m = drift(spec)
     return 0.5 * (second - np.outer(m, m))
 
@@ -242,8 +231,7 @@ def classical_step(field: MacroField, spec: ModelSpec) -> MacroField:
     """
     if field.geometry != spec.geometry:
         raise ValueError("field geometry does not match spec")
-    w = effective_weights(spec)
-    return weighted_stream_sum(field, w.w_hat, w.e)
+    return weighted_stream_sum(field, effective_weights(spec), spec.e)
 
 
 def classical_run(field: MacroField, spec: ModelSpec, steps: int) -> MacroField:

@@ -12,9 +12,10 @@ cyclic shifts are real orthogonal, so a real state stays real, and only the
 ancilla-based LCU collision turns its input complex.  Each gate reads a
 reshaped view of the amplitudes, one axis per qubit (a shift block is one
 axis of 2**size positions), with its controls pinned to their polarity.
-Everything that depends only on the gate and the register size -- the view
-shape, the pinned slices and the 2x2 coefficients -- is a plan built once
-per (gate, register size) and cached; a shift is two slice moves.
+``apply`` derives that view shape, the pinned slices and the 2x2
+coefficients from the gate on each call; a shift is two slice moves.  The
+loops do not run gates (a ``Stencil`` does), so only the fold of each run,
+the ancilla-based step and the tests reach ``apply``.
 
 A loop's circuits followed by post-selection of q = |0..0> are one linear
 map of the position block that commutes with translation, so it is
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -166,7 +167,7 @@ def _pin_controls(n: int, controls, free: range) -> list:
 
 
 class _Plan(NamedTuple):
-    """What applying one gate to an n-qubit register needs, derived once."""
+    """What applying one gate to an n-qubit register needs."""
 
     shape: tuple[int, ...]  # view of the amplitudes the slices index
     # one-qubit gate: the target's 0 and 1 slices, and u00, u01, u10, u11
@@ -175,13 +176,8 @@ class _Plan(NamedTuple):
     coeffs: tuple[float, ...] = ()
 
 
-# sized for every distinct gate of a few dozen lattice models at once
-@lru_cache(maxsize=1024)
 def _plan(op: GateOp, n: int) -> _Plan:
-    """Build the plan of ``op`` on n qubits, checking the qubits it names.
-
-    A failed check raises on every call, as lru_cache keeps no exceptions.
-    """
+    """Build the plan of ``op`` on n qubits, checking the qubits it names."""
     if op.kind == "shift":
         offset, size = op.block
         if offset < 0 or offset + size > n:

@@ -7,12 +7,12 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from test_statevector import cascade_shifts_basis_states
 
 import qlbm
 from qlbm.analysis import (
     circuit_inventory,
     prior_method_toffoli_count,
-    shift_unitary_check,
     toffoli_count,
 )
 from qlbm.ancilla_based import run_legacy_step
@@ -22,7 +22,7 @@ from qlbm.ancilla_free import (
     layout_for,
     run_exact,
     run_loop_exact,
-    run_sampled,
+    sample_readout,
 )
 from qlbm.lattice import (
     D1Q2,
@@ -102,7 +102,7 @@ def test_criterion_3_d2q5_exactness():
 
 
 def _sampled_l2(field, spec, ref, seed, difference_mode, shots=64 * 10**4):
-    hist = run_sampled(field, spec, 30, shots, seed, difference_mode)
+    hist = sample_readout(run_exact(field, spec, 30, difference_mode), shots, seed)
     ls = encode_initial(field, difference_mode)
     out = macroscopic_from_counts(hist, ls.initial_l1, field.geometry)
     if difference_mode:
@@ -216,8 +216,8 @@ def test_criterion_8_property_suite():
 
         # gate-level cascade equals the permutation for every block size
         for n in range(1, 9):
-            assert shift_unitary_check(n, +1)
-            assert shift_unitary_check(n, -1)
+            assert cascade_shifts_basis_states(n, +1)
+            assert cascade_shifts_basis_states(n, -1)
 
         # oracle invariants: mass conservation, uniform fixed point, linearity
         spec = ModelSpec(scheme="D1Q3", M=16, u=0.3)

@@ -3,7 +3,6 @@ import pytest
 
 from qlbm.analysis import (
     circuit_inventory,
-    postselect_probability,
     prior_method_toffoli_count,
     probability_bounds,
     shift_gate_ops,
@@ -150,10 +149,26 @@ def pre_summation_state(spec, phi):
     from qlbm.ancilla_free import build_collision
 
     layout = layout_for(spec)
-    weights = effective_weights(spec)
     state = encode_amplitudes(phi.phi, layout).state
-    state = apply_circuit(state, build_collision(weights, layout))
+    state = apply_circuit(state, build_collision(spec.scheme, effective_weights(spec), layout))
     return apply_circuit(state, build_streaming(spec.scheme, layout))
+
+
+def postselect_probability(state_before_summation):
+    """Probability that the q register reads all zeros after the Hadamard
+    summation, in closed form from the pre-Hadamard amplitudes: writing the
+    state as sum_j |j>_q (x) g_j, the q = 0 block afterwards is
+    2^(-q/2) sum_j g_j, so the probability is |sum_j g_j|^2 / 2^q."""
+    layout = state_before_summation.layout
+    q_dim = 1 << layout.q_qubits
+    blocks = state_before_summation.amplitudes.reshape(q_dim, -1)
+    return float(np.sum(np.abs(blocks.sum(axis=0)) ** 2) / q_dim)
+
+
+def projected_probability(state_before_summation):
+    """The same probability through the simulator: Hadamards, then ``project``."""
+    layout = state_before_summation.layout
+    return project(apply_circuit(state_before_summation, build_summation(layout)))[0]
 
 
 def test_postselect_probability_uniform_field():
@@ -161,9 +176,10 @@ def test_postselect_probability_uniform_field():
 
     spec = ModelSpec(scheme="D1Q3", M=64, u=0.2)
     state = pre_summation_state(spec, uniform_field((64,), 0.1))
-    w = np.asarray(effective_weights(spec).w_hat)
+    w = np.asarray(effective_weights(spec))
     expected = 1.0 / (4.0 * np.sum(w**2))
     assert np.isclose(postselect_probability(state), expected, atol=1e-12)
+    assert np.isclose(projected_probability(state), expected, atol=1e-12)
     assert 0.70 <= expected <= 0.75
 
 
@@ -175,6 +191,7 @@ def test_postselect_probability_spike_is_quarter():
     phi[5] = 1.0
     state = pre_summation_state(spec, MacroField(phi, (16,)))
     assert np.isclose(postselect_probability(state), 0.25, atol=1e-12)
+    assert np.isclose(projected_probability(state), 0.25, atol=1e-12)
 
 
 def test_postselect_probability_equal_weights_uniform():
@@ -183,6 +200,7 @@ def test_postselect_probability_equal_weights_uniform():
     spec = ModelSpec(scheme="D1Q3", M=8, u=0.0)
     state = pre_summation_state(spec, uniform_field((8,), 1.0))
     assert np.isclose(postselect_probability(state), 0.75, atol=1e-12)
+    assert np.isclose(projected_probability(state), 0.75, atol=1e-12)
 
 
 def test_postselect_probability_matches_projector():
@@ -191,10 +209,7 @@ def test_postselect_probability_matches_projector():
     for _ in range(20):
         amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
         state = QState(amps / np.linalg.norm(amps), layout)
-        predicted = postselect_probability(state)
-        after_h = apply_circuit(state, build_summation(layout))
-        prob, _ = project(after_h)
-        assert abs(predicted - prob) < 1e-12
+        assert abs(postselect_probability(state) - projected_probability(state)) < 1e-12
 
 
 def test_probability_bounds():

@@ -18,11 +18,9 @@ from qlbm.ancilla_free import (
     run_exact,
     run_loop_exact,
     run_loop_gates,
-    run_sampled,
     sample_readout,
 )
 from qlbm.lattice import (
-    DirectionWeights,
     MacroField,
     ModelSpec,
     classical_run,
@@ -39,27 +37,15 @@ from qlbm.statevector import (
 )
 
 
-def d1_weights(w_hat):
-    return DirectionWeights(w_hat=tuple(w_hat), e=((0,), (1,), (-1,)), codes=(0, 2, 3))
+def random_w_hat(rng, n):
+    w = rng.random(n)
+    return tuple(w / w.sum())
 
 
-def random_d1_weights(rng):
-    w = rng.random(3)
-    return d1_weights(w / w.sum())
-
-
-def random_d2_weights(rng):
-    w = rng.random(5)
-    w = w / w.sum()
-    return DirectionWeights(w_hat=tuple(w),
-                            e=((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)),
-                            codes=(0, 4, 5, 6, 7))
-
-
-def collision_angles(weights):
-    """The Ry angles of the collision circuit the scheme table builds."""
-    layout = QubitLayout(max(weights.codes).bit_length(), (1,))
-    return tuple(op.angle for op in build_collision(weights, layout).ops)
+def collision_angles(w_hat):
+    """The Ry angles of the D1Q3 collision circuit the scheme table builds."""
+    layout = QubitLayout(2, (1,))
+    return tuple(op.angle for op in build_collision("D1Q3", w_hat, layout).ops)
 
 
 # -------------------------------------------------- frozen reference circuits
@@ -115,20 +101,20 @@ def frozen_streaming(scheme, layout):
 # ------------------------------------------------------------------ angles
 
 def test_angles_equal_weights():
-    a = collision_angles(d1_weights((1 / 3, 1 / 3, 1 / 3)))
+    a = collision_angles((1 / 3, 1 / 3, 1 / 3))
     assert np.isclose(a[0], 2 * np.arccos(1 / np.sqrt(3)))
     assert np.isclose(a[1], np.pi / 2)
 
 
 def test_angles_rest_only():
-    a = collision_angles(d1_weights((1.0, 0.0, 0.0)))
+    a = collision_angles((1.0, 0.0, 0.0))
     assert a == (0.0, 0.0)
 
 
 def test_angles_default_benchmark_weights():
     # w_hat = (1/3, 0.4, 4/15), ||w_hat|| = sqrt(77)/15; frozen from a direct
     # evaluation of 2*acos(w0/||w||) and 2*acos(w1/hypot(w1, w2))
-    a1, a2 = collision_angles(d1_weights((1 / 3, 0.4, 4 / 15)))
+    a1, a2 = collision_angles((1 / 3, 0.4, 4 / 15))
     assert np.isclose(a1, 1.9290607157591335, atol=1e-12)
     assert np.isclose(a2, 1.1760052070951350, atol=1e-12)
 
@@ -153,8 +139,8 @@ def test_a_weight_far_below_the_others_is_kept(spec):
 @pytest.mark.parametrize("seed", range(6))
 def test_angles_reproduce_defining_ratios(seed):
     rng = np.random.default_rng(seed)
-    w = np.asarray(random_d1_weights(rng).w_hat)
-    a1, a2 = collision_angles(d1_weights(w))
+    w = np.asarray(random_w_hat(rng, 3))
+    a1, a2 = collision_angles(w)
     assert 0.0 <= a1 <= 2 * np.pi and 0.0 <= a2 <= 2 * np.pi
     assert np.isclose(np.cos(a1 / 2), w[0] / np.linalg.norm(w), atol=1e-12)
     assert np.isclose(np.cos(a2 / 2), w[1] / np.hypot(w[1], w[2]), atol=1e-12)
@@ -162,33 +148,32 @@ def test_angles_reproduce_defining_ratios(seed):
 
 # --------------------------------------------------------------- collision
 
-def collision_output(weights, layout):
+def collision_output(scheme, w_hat, layout):
     amps = np.zeros(layout.dim, dtype=complex)
     amps[0] = 1.0
-    out = apply_circuit(QState(amps, layout), build_collision(weights, layout))
+    out = apply_circuit(QState(amps, layout), build_collision(scheme, w_hat, layout))
     q_dim = 1 << layout.q_qubits
     return out.amplitudes.reshape(q_dim, -1)[:, 0]
 
 
 def test_collision_equal_weights():
     layout = layout_for(ModelSpec(scheme="D1Q3", M=4))
-    q = collision_output(d1_weights((1 / 3, 1 / 3, 1 / 3)), layout)
+    q = collision_output("D1Q3", (1 / 3, 1 / 3, 1 / 3), layout)
     assert np.allclose(q, np.array([1, 0, 1, 1]) / np.sqrt(3), atol=1e-12)
 
 
 def test_collision_rest_only():
     layout = layout_for(ModelSpec(scheme="D1Q3", M=4))
-    q = collision_output(d1_weights((1.0, 0.0, 0.0)), layout)
+    q = collision_output("D1Q3", (1.0, 0.0, 0.0), layout)
     assert np.allclose(q, [1, 0, 0, 0], atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_collision_d1q3_matches_weight_vector(seed):
     rng = np.random.default_rng(seed)
-    weights = random_d1_weights(rng)
-    w = np.asarray(weights.w_hat)
+    w = np.asarray(random_w_hat(rng, 3))
     layout = layout_for(ModelSpec(scheme="D1Q3", M=4))
-    q = collision_output(weights, layout)
+    q = collision_output("D1Q3", w, layout)
     expected = np.array([w[0], 0.0, w[1], w[2]]) / np.linalg.norm(w)
     assert np.allclose(q, expected, atol=1e-12)
 
@@ -196,10 +181,9 @@ def test_collision_d1q3_matches_weight_vector(seed):
 @pytest.mark.parametrize("seed", range(8))
 def test_collision_d2q5_matches_weight_vector(seed):
     rng = np.random.default_rng(100 + seed)
-    weights = random_d2_weights(rng)
-    w = np.asarray(weights.w_hat)
+    w = np.asarray(random_w_hat(rng, 5))
     layout = layout_for(ModelSpec(scheme="D2Q5", M=4))
-    q = collision_output(weights, layout)
+    q = collision_output("D2Q5", w, layout)
     expected = np.zeros(8)
     expected[0] = w[0]
     expected[4:8] = w[1:5]
@@ -266,11 +250,10 @@ def test_summation_zero_block_sums_directions():
     # q = |00> amplitude block after the Hadamards is sum_a f_a / (2 ||w||)
     spec = ModelSpec(scheme="D1Q3", M=8, u=0.2)
     layout = layout_for(spec)
-    weights = effective_weights(spec)
     rng = np.random.default_rng(1)
     phi = rng.random(8)
     state = encode_amplitudes(phi, layout).state
-    state = apply_circuit(state, build_collision(weights, layout))
+    state = apply_circuit(state, build_collision("D1Q3", effective_weights(spec), layout))
     state = apply_circuit(state, build_streaming("D1Q3", layout))
     before = state.amplitudes.reshape(4, 8)
     out = apply_circuit(state, build_summation(layout))
@@ -283,7 +266,7 @@ def test_summation_d2q5_normalization_factor():
     rng = np.random.default_rng(2)
     phi = rng.random(16)
     state = encode_amplitudes(phi, layout).state
-    state = apply_circuit(state, build_collision(effective_weights(spec), layout))
+    state = apply_circuit(state, build_collision("D2Q5", effective_weights(spec), layout))
     state = apply_circuit(state, build_streaming("D2Q5", layout))
     before = state.amplitudes.reshape(8, 16)
     out = apply_circuit(state, build_summation(layout))
@@ -347,8 +330,9 @@ def test_cumulative_probability_is_product():
     spec = ModelSpec(scheme="D1Q3", M=16, u=0.2)
     rng = np.random.default_rng(3)
     ls = run_exact(MacroField(rng.random(16), (16,)), spec, 5)
-    assert np.isclose(ls.cumulative_postselect_prob, np.prod(ls.loop_probs))
-    assert 0.0 < ls.cumulative_postselect_prob <= 1.0
+    cumulative = math.exp(ls.log_postselect_cum)
+    assert np.isclose(cumulative, np.prod(ls.loop_probs))
+    assert 0.0 < cumulative <= 1.0
 
 
 def test_cumulative_probability_survives_long_runs():
@@ -361,10 +345,8 @@ def test_cumulative_probability_survives_long_runs():
                    2500, difference_mode=True)
     log10_sum = sum(math.log10(p) for p in ls.loop_probs)
     assert log10_sum < -330
-    assert abs(ls.log_cumulative_postselect_prob / math.log(10) - log10_sum) < 1e-9
-    assert ls.cumulative_postselect_prob == 0.0
-    with pytest.raises(ValueError, match=r"log10 P = -3\d\d\.\d+, expected survivors 0"):
-        sample_readout(ls, 10**6, seed=1, postselect="rejection")
+    assert abs(ls.log_postselect_cum / math.log(10) - log10_sum) < 1e-9
+    assert math.exp(ls.log_postselect_cum) == 0.0
 
 
 def test_continuing_a_state_twice_keeps_both_histories():
@@ -381,8 +363,8 @@ def test_continuing_a_state_twice_keeps_both_histories():
     assert list(second.loop_probs) == history + [second.loop_probs[-1]]
     assert len(second.loop_probs) == 4
     for ls in (start, first, second):
-        assert math.isclose(ls.cumulative_postselect_prob, math.prod(ls.loop_probs),
-                            rel_tol=1e-12)
+        assert math.isclose(math.exp(ls.log_postselect_cum),
+                            math.prod(ls.loop_probs), rel_tol=1e-12)
     # a history continued again after the branch still sees only its own loops
     assert list(run_loop_exact(first, spec).loop_probs)[:4] == first_history
 
@@ -417,14 +399,13 @@ def loop_models(draw, schemes=("D1Q3", "D2Q5", "D1Q2")):
 @given(spec=loop_models(("D1Q3", "D2Q5")), data=st.data())
 def test_table_built_circuits_equal_the_frozen_ones(spec, data):
     layout = layout_for(spec)
-    weights = effective_weights(spec)
-    assert build_collision(weights, layout).ops == frozen_collision(weights.w_hat)
+    w_hat = effective_weights(spec)
+    assert build_collision(spec.scheme, w_hat, layout).ops == frozen_collision(w_hat)
     # any nonnegative weights, zeros included, not only a model's
-    n = len(weights.codes)
+    n = len(spec.e)
     raw = data.draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
                              min_size=n, max_size=n).filter(any))
-    arbitrary = DirectionWeights(tuple(raw), weights.e, weights.codes)
-    assert build_collision(arbitrary, layout).ops == frozen_collision(raw)
+    assert build_collision(spec.scheme, raw, layout).ops == frozen_collision(raw)
     assert build_streaming(spec.scheme, layout).ops == frozen_streaming(spec.scheme, layout)
 
 
@@ -455,8 +436,8 @@ def test_stencil_matches_gate_path(spec, difference_mode, loops, seed):
     probs = np.array(gates.loop_probs)
     assert np.all(np.abs(np.array(stencil.loop_probs) - probs)
                   <= PROBABILITY_ULP * np.spacing(probs))
-    assert abs(stencil.log_cumulative_postselect_prob
-               - gates.log_cumulative_postselect_prob) <= LOG_P_ABS
+    assert abs(stencil.log_postselect_cum
+               - gates.log_postselect_cum) <= LOG_P_ABS
 
 
 @settings(max_examples=50, deadline=None)
@@ -483,13 +464,13 @@ def test_stencil_calls_chain(spec, splits, seed):
                                   ModelSpec(scheme="D2Q5", M=2, u=0.1, v=0.2),
                                   ModelSpec(scheme="D1Q3", M=256, u=-0.3)])
 def test_fold_is_the_weighted_stream_sum(spec):
-    weights = effective_weights(spec)
-    kernel = _fold(spec, weights)
+    w_hat = effective_weights(spec)
+    kernel = _fold(spec)
     assert kernel.shape == (4,) * spec.ndim  # 4 cells per axis, whatever M
-    norm = math.sqrt(sum(w * w for w in weights.w_hat))
+    norm = math.sqrt(sum(w * w for w in w_hat))
     q = layout_for(spec).q_qubits
     expected = np.zeros_like(kernel)
-    for e, w in zip(weights.e, weights.w_hat):
+    for e, w in zip(spec.e, w_hat):
         cell = tuple(k % 4 for k in e)
         assert abs(kernel[cell] - w / (norm * 2 ** (q / 2))) <= 1e-15
         expected[cell] = kernel[cell]
@@ -503,15 +484,15 @@ def test_fold_is_the_weighted_stream_sum(spec):
         tuple(k % spec.M for k in e) for e in order]
     assert [c for _, c in stencil.terms] == [kernel[tuple(k % 4 for k in e)] for e in order]
     # a kernel that is not the weighted stream-sum fails the check
-    _check_fold(kernel, weights, q)
-    last = tuple(k % 4 for k in weights.e[-1])
-    for cell, by in ((tuple(k % 4 for k in weights.e[0]), 1e-9),  # a coefficient off
+    _check_fold(kernel, spec)
+    last = tuple(k % 4 for k in spec.e[-1])
+    for cell, by in ((tuple(k % 4 for k in spec.e[0]), 1e-9),  # a coefficient off
                      (last, -kernel[last]),  # a velocity missing
                      ((2,) * spec.ndim, 1e-9)):  # a term at no velocity
         wrong = kernel.copy()
         wrong[cell] += by
         with pytest.raises(AssertionError, match="fold to"):
-            _check_fold(wrong, weights, q)
+            _check_fold(wrong, spec)
 
 
 def test_two_direction_specs_differing_in_w_hat_evolve_differently():
@@ -531,7 +512,7 @@ def test_zero_postselection_probability_raises():
     # alternating field cancel, so the |00> branch is empty
     spec = ModelSpec(scheme="D1Q3", M=4, weights=(0.0, 0.5, 0.5))
     amps = np.array([1.0, 0.0, -1.0, 0.0]) / np.sqrt(2.0)
-    ls = LoopState(state=QState(amps, QubitLayout(0, (2,))), loop_index=0, initial_l1=1.0)
+    ls = LoopState(state=QState(amps, QubitLayout(0, (2,))), initial_l1=1.0)
     for run in (run_loop_exact, run_loop_gates):
         with pytest.raises(PostSelectionError,
                            match=r"post-selection impossible: q = \|0\.\.0>"):
@@ -585,21 +566,19 @@ def test_encode_initial_constant_field():
 def position_state(amps) -> LoopState:
     amps = np.asarray(amps, dtype=float)
     layout = QubitLayout(0, (amps.size.bit_length() - 1,))
-    return LoopState(state=QState(amps, layout), loop_index=0, initial_l1=1.0)
+    return LoopState(state=QState(amps, layout), initial_l1=1.0)
 
 
-@pytest.mark.parametrize("postselect", ["exact", "rejection"])
-def test_sample_readout_counts_are_an_int_array_per_cell(postselect):
+def test_sample_readout_counts_are_an_int_array_per_cell():
     spec = ModelSpec(scheme="D1Q3", M=16, u=0.2)
     phi = np.full(16, 0.1)
     phi[3] = 0.4
     ls = run_exact(MacroField(phi, (16,)), spec, 3)
-    hist = sample_readout(ls, 5000, seed=4, postselect=postselect)
+    hist = sample_readout(ls, 5000, seed=4)
     assert type(hist.counts) is np.ndarray
     assert np.issubdtype(hist.counts.dtype, np.integer)
     assert hist.counts.shape == (16,)
-    assert hist.counts.sum() == hist.shots
-    assert (hist.shots == 5000) == (postselect == "exact")
+    assert hist.counts.sum() == hist.shots == 5000
 
 
 def test_sample_readout_basis_state():
@@ -638,8 +617,8 @@ def test_run_sampled_deterministic():
     phi = np.full(16, 0.1)
     phi[3] = 0.4
     field = MacroField(phi, (16,))
-    h1 = run_sampled(field, spec, 5, 20000, seed=13)
-    h2 = run_sampled(field, spec, 5, 20000, seed=13)
+    h1 = sample_readout(run_exact(field, spec, 5), 20000, seed=13)
+    h2 = sample_readout(run_exact(field, spec, 5), 20000, seed=13)
     assert np.array_equal(h1.counts, h2.counts)
     assert h1.shots == h2.shots
 
@@ -650,25 +629,12 @@ def test_run_sampled_frequencies_converge():
     phi[2] = 1.0
     field = MacroField(phi, (8,))
     shots = 10**6
-    hist = run_sampled(field, spec, 1, shots, seed=5)
+    hist = sample_readout(run_exact(field, spec, 1), shots, seed=5)
     ref = classical_run(field, spec, 1).phi
     expected = ref**2 / np.sum(ref**2)
     for i, p in enumerate(expected):
         freq = hist.counts[i] / shots
         assert abs(freq - p) < 4 * np.sqrt(max(p, 1e-9) * (1 - p) / shots) + 1e-6
-
-
-def test_run_sampled_rejection_mode_thins_shots():
-    spec = ModelSpec(scheme="D1Q3", M=16, u=0.2)
-    phi = np.zeros(16)
-    phi[5] = 1.0
-    field = MacroField(phi, (16,))
-    shots = 10**5
-    hist = run_sampled(field, spec, 2, shots, seed=2, postselect="rejection")
-    cum = run_exact(field, spec, 2).cumulative_postselect_prob
-    assert hist.shots < shots
-    assert abs(hist.shots - shots * cum) < 5 * np.sqrt(shots * cum * (1 - cum))
-    assert hist.counts.sum() == hist.shots
 
 
 def test_d2q5_probabilities_within_bounds():

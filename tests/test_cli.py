@@ -155,11 +155,11 @@ def test_report_log10_postselect_matches_spectral_oracle(tmp_path, updates):
     raw, phi = hill_config(**updates)
     report = run_report(tmp_path, "o", **raw)
     spec = cli.RunConfig.from_dict(raw).model_spec()
-    w = effective_weights(spec)
+    w_hat = effective_weights(spec)
     phi0 = phi - phi.min() if raw.get("difference_mode") else phi
     loops = raw["loops"]
-    log_p = spectral_log_postselect(phi0, spectral_run(phi0, w.w_hat, w.e, loops),
-                                    w.w_hat, spec.row.q_qubits, loops)
+    log_p = spectral_log_postselect(phi0, spectral_run(phi0, w_hat, spec.e, loops),
+                                    w_hat, spec.row.q_qubits, loops)
     log10_p = report["log10_postselect_cum"]
     assert abs(log10_p - log_p / math.log(10)) < 1e-9
     assert log10_p == pytest.approx(sum(map(math.log10, report["postselect_probs"])),
@@ -549,6 +549,25 @@ def test_gatecount_assertion_exit_code(tmp_path, monkeypatch):
 
 def test_gatecount_bad_lattice_size_exit_code(tmp_path):
     assert cli.main(["gatecount", "--m-list", "3", "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("m_list", ["", "4,4", "2,16,2"], ids=["empty", "repeat", "repeat-apart"])
+def test_gatecount_empty_or_repeated_sizes_exit_code(tmp_path, m_list):
+    # one CSV row per size and one JSON entry per size: a repeat would split them
+    assert cli.main(["gatecount", "--m-list", m_list, "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("sweep", [["--seeds", "0"], ["--seeds", "-2"],
+                                   ["--seeds", "2", "--seed", "-1"]],
+                         ids=["no-seeds", "negative-seeds", "negative-seed"])
+def test_compare_sweep_refused_before_output(tmp_path, sweep):
+    # two classical runs draw nothing, so only the sweep can refuse them
+    cfg_a = write_config(tmp_path, "a.json", mode="classical", loops=2)
+    cfg_b = write_config(tmp_path, "b.json", mode="classical", loops=3)
+    assert cli.main(["compare", "--config", str(cfg_a), str(cfg_b), *sweep,
+                     "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qlbm.ancilla_free import encode_initial, run_exact, run_sampled
+from qlbm.ancilla_free import encode_initial, run_exact, sample_readout
 from qlbm.lattice import MacroField, ModelSpec, classical_run, uniform_field
 from qlbm.readout import (
     difference_reconstruct,
@@ -87,7 +87,7 @@ def test_counts_converge_to_exact():
     field = MacroField(phi, (16,))
     ls = run_exact(field, spec, 3)
     exact = macroscopic_exact(ls.state, ls.initial_l1)
-    h = run_sampled(field, spec, 3, shots=10**7, seed=17)
+    h = sample_readout(ls, shots=10**7, seed=17)
     sampled = macroscopic_from_counts(h, ls.initial_l1)
     assert np.max(np.abs(exact.phi - sampled.phi)) < 5e-3
 
@@ -169,11 +169,12 @@ def test_more_shots_do_not_hurt():
     field = MacroField(phi, (16,))
     ref = classical_run(field, spec, 5)
     ls = encode_initial(field)
+    final = run_exact(field, spec, 5)
 
     def median_l2(shots):
         errs = []
         for seed in range(9):
-            h = run_sampled(field, spec, 5, shots, seed=seed)
+            h = sample_readout(final, shots, seed=seed)
             out = macroscopic_from_counts(h, ls.initial_l1)
             errs.append(error_metrics(out, ref)[0])
         return np.median(errs)

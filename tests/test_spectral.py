@@ -66,16 +66,16 @@ def check_against_oracle(spec, loops, difference_mode):
     phi = hills(spec.geometry)
     ls = run_exact(MacroField(phi.ravel(), spec.geometry), spec, loops, difference_mode)
     phi0 = phi - phi.min() if difference_mode else phi
-    w = effective_weights(spec)
-    expected = spectral_run(phi0, w.w_hat, w.e, loops)
+    w_hat = effective_weights(spec)
+    expected = spectral_run(phi0, w_hat, spec.e, loops)
 
     got = macroscopic_exact(ls.state, ls.initial_l1, spec.geometry).grid()
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(expected)
     amps = ls.state.amplitudes.reshape(spec.geometry)
     assert np.max(np.abs(amps - expected / np.linalg.norm(expected))) < 1e-13
 
-    log_p = spectral_log_postselect(phi0, expected, w.w_hat,
+    log_p = spectral_log_postselect(phi0, expected, w_hat,
                                     layout_for(spec).q_qubits, loops)
-    assert abs(ls.log_cumulative_postselect_prob - log_p) < 1e-9
+    assert abs(ls.log_postselect_cum - log_p) < 1e-9
     assert math.isclose(sum(map(math.log, ls.loop_probs)),
-                        ls.log_cumulative_postselect_prob, rel_tol=1e-12)
+                        ls.log_postselect_cum, rel_tol=1e-12)

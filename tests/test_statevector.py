@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlbm
-from qlbm.analysis import shift_unitary_check
+from qlbm.analysis import shift_gate_ops
 from qlbm.ancilla_free import encode_initial, run_loop_exact
 from qlbm.lattice import MacroField, ModelSpec
 from qlbm.statevector import (
@@ -445,12 +445,23 @@ def test_project_impossible():
 
 # ------------------------------------------- gate-level shift equivalence
 
+def cascade_shifts_basis_states(n_qubits, direction):
+    """Whether the MCX cascade ``shift_gate_ops`` lowers a shift to takes
+    every basis state |k> of an n-qubit block to |(k + direction) mod 2^n>,
+    by index arithmetic rather than the simulator's own shift."""
+    layout = QubitLayout(0, (n_qubits,))
+    ops = shift_gate_ops(n_qubits, direction, block_offset=0, controls=())
+    for k in range(layout.dim):
+        state = basis(layout, k)
+        for op in ops:
+            state = apply(state, op)
+        if not np.array_equal(state.amplitudes,
+                              basis(layout, (k + direction) % layout.dim).amplitudes):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("direction", [+1, -1])
 @pytest.mark.parametrize("n_qubits", range(1, 9))
 def test_shift_unitary_check(n_qubits, direction):
-    assert shift_unitary_check(n_qubits, direction)
-
-
-def test_shift_unitary_check_range():
-    with pytest.raises(ValueError):
-        shift_unitary_check(9, +1)
+    assert cascade_shifts_basis_states(n_qubits, direction)
