@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import qlbm
 from qlbm.analysis import shift_gate_ops
-from qlbm.ancilla_free import encode_initial, run_loop_exact
+from qlbm.ancilla_free import _stencil_for, encode_initial, run_loop_exact
 from qlbm.lattice import MacroField, ModelSpec
 from qlbm.statevector import (
     Circuit,
@@ -19,6 +19,7 @@ from qlbm.statevector import (
     QState,
     QubitLayout,
     Stencil,
+    _rescale,
     apply,
     apply_circuit,
     encode_amplitudes,
@@ -369,6 +370,129 @@ def test_stencil_checks_its_input():
     # the alternating block: the two rolls cancel
     with pytest.raises(PostSelectionError, match="probability 0"):
         stencil.run(QState(np.array([1.0, 0.0, -1.0, 0.0]) / 2**0.5, QubitLayout(0, (2,))), 1)
+
+
+def frozen_stencil_run(stencil, block, loops):
+    """``Stencil.run``'s loop as it stood before its operands became 0-d
+    arrays and its outputs positional, kept verbatim as the bits the loop
+    must reproduce: Python-float coefficients, keyword outputs, halos by
+    ``np.copyto``, absolute then square, and ``1 / np.sqrt(prob)``."""
+    shape, halo = stencil.shape, stencil.halo
+    amps = block.amplitudes.reshape(shape)
+    pad = np.empty(tuple(m + 2 * h for m, h in zip(shape, halo)), amps.dtype)
+    inner = pad[tuple(slice(h, h + m) for m, h in zip(shape, halo))]
+    views = [(pad[tuple(slice(h - sk, h - sk + m) for sk, m, h in zip(s, shape, halo))], c)
+             for s, c in stencil.terms]
+    (first, c_first), rest = views[0], views[1:]
+    halos = []
+    for k, (m, h) in enumerate(zip(shape, halo)):
+        if h:
+            lead = (slice(None),) * k
+            halos += [(pad[lead + (slice(0, h),)], pad[lead + (slice(m, m + h),)]),
+                      (pad[lead + (slice(m + h, m + 2 * h),)], pad[lead + (slice(h, 2 * h),)])]
+    work, term = np.empty(shape, amps.dtype), np.empty(shape, amps.dtype)
+    square = term if amps.dtype == np.float64 else np.empty(shape)
+    probs = np.empty(loops)
+    np.copyto(inner, amps)
+    for t in range(loops):
+        for dst, src in halos:
+            np.copyto(dst, src)
+        np.multiply(first, c_first, out=work)
+        for view, c in rest:
+            np.add(work, np.multiply(view, c, out=term), out=work)
+        np.absolute(work, out=square)
+        np.multiply(square, square, out=square)
+        prob = float(np.add.reduce(square, axis=None))
+        if prob < 1e-14:
+            raise PostSelectionError(
+                f"post-selection impossible: q = |0..0> has probability {prob:.3e}")
+        np.multiply(work, 1.0 / np.sqrt(prob), out=inner)
+        probs[t] = prob
+    return inner.reshape(-1), probs
+
+
+def assert_runs_as_frozen(stencil, block, loops):
+    """``stencil.run`` gives the frozen loop's amplitudes and probabilities
+    bit for bit, or raises where it raises, with the same message."""
+    try:
+        amps, probs = frozen_stencil_run(stencil, block, loops)
+    except PostSelectionError as frozen:
+        with pytest.raises(PostSelectionError) as got:
+            stencil.run(block, loops)
+        assert str(got.value) == str(frozen)
+        return
+    got, got_probs = stencil.run(block, loops)
+    assert got.amplitudes.dtype == amps.dtype
+    assert got.amplitudes.tobytes() == amps.tobytes()
+    assert got_probs.tobytes() == probs.tobytes()
+
+
+def folded_spec(scheme, M):
+    if scheme == "D1Q2":
+        return ModelSpec(scheme="D1Q2", M=M, w_hat=(0.7, 0.3))
+    return ModelSpec(scheme=scheme, M=M, u=0.2, v=-0.1 if scheme == "D2Q5" else 0.0)
+
+
+@pytest.mark.parametrize("scheme, M", [(s, M) for s in ("D1Q2", "D1Q3", "D2Q5")
+                                       for M in (4, 16, 64)] + [("D2Q5", 256)])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_folded_stencil_runs_as_frozen_loop(scheme, M, is_complex):
+    stencil = _stencil_for(folded_spec(scheme, M))
+    block = random_block(stencil.block_layout, is_complex, M)
+    for loops in (0, 1, 7, 300):
+        assert_runs_as_frozen(stencil, block, loops)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=direction_circuits(), is_complex=st.booleans(), seed=st.integers(0, 2**31))
+def test_direction_program_stencil_runs_as_frozen_loop(case, is_complex, seed):
+    # halo corners, shifts past the axis length, and blocks the program
+    # cannot post-select
+    stencil, block, _ = fold_and_gate(case, is_complex, seed)
+    assert_runs_as_frozen(stencil, block, 7)
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+@pytest.mark.parametrize("loops", [1, 7, 300])
+def test_stencil_under_the_floor_raises_as_frozen_loop(is_complex, loops):
+    # a loop's probability never falls from one loop to the next (normalized
+    # powers of one stencil weight its larger eigenvalues ever more), so a
+    # block under the floor fails at its first loop: the alternating block,
+    # which the two rolls cancel, plus a uniform part of probability 1e-16
+    stencil = Stencil({(1,): 0.5, (-1,): 0.5}, QubitLayout(0, (4,)))
+    amps = np.array([1.0, 0.0, -1.0, 0.0] * 4) + 1e-8
+    if is_complex:
+        amps = amps * (0.6 + 0.8j)
+    block = QState(amps / np.linalg.norm(amps), stencil.block_layout)
+    with pytest.raises(PostSelectionError):
+        frozen_stencil_run(stencil, block, loops)
+    assert_runs_as_frozen(stencil, block, loops)
+
+
+def test_rescale_is_reciprocal_sqrt_bit_for_bit():
+    probs = 10.0 ** np.random.default_rng(17).uniform(-14, 0, 10**4)
+    probs = np.clip(probs, 1e-14, 1.0)
+    got = np.array([_rescale(float(p)) for p in probs])
+    assert got.tobytes() == (1.0 / np.sqrt(probs)).tobytes()
+    assert _rescale(1e-14) == 1.0 / np.sqrt(1e-14)
+    with pytest.raises(PostSelectionError, match="probability"):
+        _rescale(np.nextafter(1e-14, 0.0))
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_project_renormalizes_as_before(is_complex):
+    layout = QubitLayout(2, (3,))
+    state = random_state(layout, 23)
+    if not is_complex:
+        state = QState(state.amplitudes.real / np.linalg.norm(state.amplitudes.real), layout)
+    sub = state.amplitudes[: 1 << layout.d_qubits]
+    expected_prob = float(np.sum(np.abs(sub) ** 2))
+    prob, post = project(state)
+    assert prob == expected_prob
+    assert post.amplitudes.dtype == sub.dtype
+    expected = np.zeros(layout.dim, dtype=sub.dtype)
+    expected[: sub.size] = sub * (1.0 / np.sqrt(expected_prob))
+    assert post.amplitudes.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("scheme, M", [("D1Q3", 16), ("D2Q5", 8)])
