@@ -7,7 +7,7 @@ from .analysis import (
     probability_bounds,
     toffoli_count,
 )
-from .ancilla_based import build_lcu_collision, compare_overhead, run_legacy_step
+from .ancilla_based import legacy_circuit, run_legacy_step
 from .ancilla_free import (
     LoopState,
     build_collision,

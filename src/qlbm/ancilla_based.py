@@ -1,49 +1,33 @@
 """Reconstruction of the earlier ancilla-based method (two-direction model).
 
 Register layout, most significant first: ancilla, direction qubit, position
-block.  The collision is a linear combination of the two diagonal unitaries
-C1 = A + i sqrt(I - A^2) and C2 = A - i sqrt(I - A^2), selected by the
-ancilla between Hadamards; both copies of the field are carried explicitly,
-so A holds w_hat_1 on the direction-0 block and w_hat_2 on the direction-1
-block.  Streaming shifts the direction-0 block forward and the direction-1
-block backward on the ancilla-0 branch.  A swap of the ancilla with the
-direction qubit plus a Hadamard on the ancilla then folds the two direction
-copies into the macroscopic sum, read off the post-selected ancilla-0,
-direction-0 subspace after rescaling by 2 * ||Phi|| / sqrt(2).
+block.  Both copies of the field are carried explicitly, one per direction.
+The collision is the linear combination of the diagonal unitaries
+C1,2 = A +- i sqrt(I - A^2), with A = w_hat_d on direction d, selected by
+the ancilla between Hadamards.  Written as gates, the pair is one Rz on the
+ancilla per direction, controlled by the direction qubit: Rz(-2 theta_d)
+puts e^{i theta_d} = w_hat_d + i sqrt(1 - w_hat_d^2) on ancilla 0 and its
+conjugate on ancilla 1.  Streaming shifts the direction-0 block forward
+and the direction-1 block backward on the ancilla-0 branch.  A swap of the
+ancilla with the direction qubit plus a Hadamard on the ancilla then folds
+the two direction copies into the macroscopic sum, read off the
+post-selected ancilla-0, direction-0 subspace after rescaling by
+2 * ||Phi|| / sqrt(2).
 
 One step is enough for the comparison: the post-selected state keeps a
 residual amplitude outside the macroscopic subspace, so it cannot be fed
 back as the next loop's input the way the ancilla-free pipeline's output
-can.  This module is kept at the matrix level for the diagonal unitaries;
-gate-level resource numbers come from the closed-form counts below.
+can.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import prior_method_toffoli_count, toffoli_count
-from .ancilla_free import layout_for
-from .lattice import D1Q2, D2Q5, MacroField, ModelSpec, lattice_qubits
-from .statevector import GateOp, QState, QubitLayout, apply, l2_norm
-
-
-@dataclass
-class LcuCollision:
-    """Diagonal-unitary pair applied between ancilla Hadamards."""
-
-    c1: np.ndarray
-    c2: np.ndarray
-
-    def apply(self, state: QState) -> QState:
-        state = apply(state, GateOp(kind="h", target=0))
-        amps = state.amplitudes.astype(complex)
-        half = amps.size // 2
-        amps[:half] *= self.c1
-        amps[half:] *= self.c2
-        state = QState(amps, state.layout)
-        return apply(state, GateOp(kind="h", target=0))
+from .lattice import D1Q2, MacroField, ModelSpec, lattice_qubits
+from .statevector import Circuit, GateOp, QState, QubitLayout, apply, l2_norm
 
 
 @dataclass
@@ -54,11 +38,26 @@ class LegacyStepResult:
     residual: np.ndarray  # the direction-1 part of post_state
 
 
-def build_lcu_collision(spec: ModelSpec) -> LcuCollision:
-    """A = diag(w_hat_1, w_hat_2), one entry per position of each direction copy."""
-    a = np.repeat(spec.w_hat, spec.M)
-    off = np.sqrt(1.0 - a**2)
-    return LcuCollision(c1=a + 1j * off, c2=a - 1j * off)
+def legacy_circuit(spec: ModelSpec) -> Circuit:
+    """One ancilla-based step of the D1Q2 ``spec`` as gates: collision,
+    streaming, and the swap and Hadamard that fold the directions."""
+    # ancilla as the 1-qubit "q" register; direction + position below
+    layout = QubitLayout(q_qubits=1, axis_qubits=(1, lattice_qubits(spec.M)))
+    h = GateOp(kind="h", target=0)
+    # theta_d by the atan2 convention of build_collision's angles
+    collision = [GateOp(kind="rz", target=0, controls=((1, d),),
+                        angle=-2.0 * math.atan2(math.sqrt(1.0 - w * w), w))
+                 for d, w in enumerate(spec.w_hat)]
+    # streaming on the ancilla-0 branch: forward for direction 0, backward
+    # for direction 1
+    pos_block = layout.axis_block(1)
+    streaming = [GateOp(kind="shift", block=pos_block, direction=direction,
+                        controls=((0, 0), (1, d)))
+                 for d, direction in enumerate((+1, -1))]
+    # swap ancilla and direction qubit (three CNOTs), then fold with H
+    swap = [GateOp(kind="x", target=target, controls=((control, 1),))
+            for control, target in ((0, 1), (1, 0), (0, 1))]
+    return Circuit(layout, [h, *collision, h, *streaming, *swap, h])
 
 
 def run_legacy_step(spec: ModelSpec, phi0: np.ndarray) -> LegacyStepResult:
@@ -71,28 +70,14 @@ def run_legacy_step(spec: ModelSpec, phi0: np.ndarray) -> LegacyStepResult:
         raise ValueError("initial field must have M entries")
     if np.any(phi0 < 0) or not np.any(phi0 > 0):
         raise ValueError("initial field must be nonnegative and not all zero")
-    # ancilla as the 1-qubit "q" register; direction + position below
-    layout = QubitLayout(q_qubits=1, axis_qubits=(1, lattice_qubits(spec.M)))
+    circuit = legacy_circuit(spec)
     stacked = np.concatenate([phi0, phi0])  # one copy per direction
     norm = l2_norm(stacked)
-    amps = np.zeros(layout.dim, dtype=complex)
+    amps = np.zeros(circuit.layout.dim, dtype=complex)
     amps[: stacked.size] = stacked / norm
-    state = QState(amps, layout)
-
-    state = build_lcu_collision(spec).apply(state)
-
-    # streaming on the ancilla-0 branch: forward for direction 0, backward
-    # for direction 1
-    pos_block = layout.axis_block(1)
-    state = apply(state, GateOp(kind="shift", block=pos_block, direction=+1,
-                                controls=((0, 0), (1, 0))))
-    state = apply(state, GateOp(kind="shift", block=pos_block, direction=-1,
-                                controls=((0, 0), (1, 1))))
-
-    # swap ancilla and direction qubit (three CNOTs), then fold with H
-    for control, target in ((0, 1), (1, 0), (0, 1)):
-        state = apply(state, GateOp(kind="x", target=target, controls=((control, 1),)))
-    state = apply(state, GateOp(kind="h", target=0))
+    state = QState(amps, circuit.layout)
+    for op in circuit.ops:
+        state = apply(state, op)
 
     work = state.amplitudes[: 2 * spec.M]
     probability = float(np.sum(np.abs(work) ** 2))
@@ -103,28 +88,3 @@ def run_legacy_step(spec: ModelSpec, phi0: np.ndarray) -> LegacyStepResult:
     field = MacroField(macro.real, (spec.M,))
     return LegacyStepResult(field=field, probability=probability,
                             post_state=post, residual=post[spec.M:])
-
-
-@dataclass
-class OverheadReport:
-    M: int
-    legacy_qubits: int
-    afqlbm_qubits: int
-    legacy_toffoli: int
-    afqlbm_toffoli: int
-    toffoli_saving: int
-
-
-def compare_overhead(M: int) -> OverheadReport:
-    """Per-loop resource comparison on an M x M five-direction lattice."""
-    qubits = layout_for(ModelSpec(D2Q5, M)).n_qubits  # raises for a bad M
-    new = toffoli_count(D2Q5, M)
-    old = prior_method_toffoli_count(M)
-    return OverheadReport(
-        M=M,
-        legacy_qubits=qubits + 1,  # the same registers plus the collision ancilla
-        afqlbm_qubits=qubits,
-        legacy_toffoli=old,
-        afqlbm_toffoli=new,
-        toffoli_saving=old - new,
-    )

@@ -101,7 +101,10 @@ def error_metrics(field: MacroField, reference: MacroField) -> tuple[float, floa
     """(relative L2 error, absolute Linf error) against a reference."""
     if field.geometry != reference.geometry:
         raise ValueError("geometry mismatch")
+    ref_l2 = l2_norm(reference.phi)
+    if ref_l2 == 0.0:
+        raise ValueError("relative error against an all-zero reference field")
     diff = field.phi - reference.phi
-    l2 = l2_norm(diff) / l2_norm(reference.phi)
+    l2 = l2_norm(diff) / ref_l2
     linf = float(np.max(np.abs(diff)))
     return l2, linf

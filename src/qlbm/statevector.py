@@ -7,11 +7,12 @@ sits below it.  For two-dimensional lattices the d register splits into an
 x-axis block (more significant) followed by a y-axis block, so the flat
 d index of cell (x, y) is ``x * My + y`` -- identical to row-major order.
 
-Amplitudes are real unless a complex diagonal is applied: Ry, H, X and the
-cyclic shifts are real orthogonal, so a real state stays real, and only the
-ancilla-based LCU collision turns its input complex.  Each gate reads a
-reshaped view of the amplitudes, one axis per qubit (a shift block is one
-axis of 2**size positions), with its controls pinned to their polarity.
+Amplitudes are real unless a complex gate is applied: Ry, H, X and the
+cyclic shifts are real orthogonal, so a real state stays real, and ``apply``
+returns a complex state for an Rz, which only the ancilla-based step's
+collision uses.  Each gate reads a reshaped view of the amplitudes, one
+axis per qubit (a shift block is one axis of 2**size positions), with its
+controls pinned to their polarity.
 ``apply`` derives that view shape, the pinned slices and the 2x2
 coefficients from the gate on each call; a shift is two slice moves.  The
 loops do not run gates (a ``Stencil`` does), so only the fold of each run,
@@ -102,11 +103,11 @@ class QState:
 
 @dataclass(frozen=True)
 class GateOp:
-    """One abstract gate: Ry/H/X on a single qubit, or a cyclic shift on an
-    axis block.  ``controls`` is a tuple of (qubit, polarity) pairs; polarity
+    """One abstract gate: Ry/Rz/H/X on a single qubit, or a cyclic shift on
+    an axis block.  ``controls`` is a tuple of (qubit, polarity) pairs; polarity
     0 means the gate fires when that qubit is |0>."""
 
-    kind: str  # "ry" | "h" | "x" | "shift"
+    kind: str  # "ry" | "rz" | "h" | "x" | "shift"
     target: int | None = None
     angle: float | None = None
     block: tuple[int, int] | None = None  # (first qubit, size) for shifts
@@ -114,15 +115,15 @@ class GateOp:
     controls: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("ry", "h", "x", "shift"):
+        if self.kind not in ("ry", "rz", "h", "x", "shift"):
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if self.kind == "shift":
             if self.block is None or self.direction not in (+1, -1):
                 raise ValueError("shift needs a block and direction +1/-1")
         elif self.target is None:
             raise ValueError(f"{self.kind} gate needs a target qubit")
-        if self.kind == "ry" and self.angle is None:
-            raise ValueError("ry gate needs an angle")
+        if self.kind in ("ry", "rz") and self.angle is None:
+            raise ValueError(f"{self.kind} gate needs an angle")
 
 
 @dataclass
@@ -176,7 +177,7 @@ class _Plan(NamedTuple):
     # one-qubit gate: the target's 0 and 1 slices, and u00, u01, u10, u11
     # of the 2x2 matrix; shift: pairs (dst, src) of slice moves, no coeffs
     slices: tuple
-    coeffs: tuple[float, ...] = ()
+    coeffs: tuple[float | complex, ...] = ()
 
 
 def _plan(op: GateOp, n: int) -> _Plan:
@@ -209,23 +210,28 @@ def _plan(op: GateOp, n: int) -> _Plan:
     return _Plan((2,) * n, (i0, i1), _coefficients(op))
 
 
-def _coefficients(op: GateOp) -> tuple[float, float, float, float]:
-    """u00, u01, u10, u11 of a one-qubit gate's 2x2 matrix."""
+def _coefficients(op: GateOp) -> tuple[float | complex, ...]:
+    """u00, u01, u10, u11 of a one-qubit gate's 2x2 matrix; complex for Rz."""
     if op.kind == "h":
         u = _H
     elif op.kind == "x":
         u = _X
-    else:  # ry
+    else:
         c, s = np.cos(op.angle / 2), np.sin(op.angle / 2)
-        u = np.array([[c, -s], [s, c]])
+        if op.kind == "ry":
+            u = np.array([[c, -s], [s, c]])
+        else:  # rz: diag(e^{-i angle/2}, e^{i angle/2})
+            u = np.array([[complex(c, -s), 0], [0, complex(c, s)]])
     return tuple(u.ravel().tolist())
 
 
 def apply(state: QState, op: GateOp) -> QState:
-    """Apply one GateOp; returns a new state (norm preserved)."""
+    """Apply one GateOp; returns a new state (norm preserved), complex if
+    the gate's matrix is."""
     plan = _plan(op, state.layout.n_qubits)
     amps = state.amplitudes
-    out = amps.copy()
+    # a complex matrix makes a real state complex, so no imaginary part is dropped
+    out = amps.astype(np.result_type(amps, *plan.coeffs))
     src, dst = amps.reshape(plan.shape), out.reshape(plan.shape)
     if plan.coeffs:
         i0, i1 = plan.slices

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
 
-from qlbm.ancilla_based import (
-    LcuCollision,
-    build_lcu_collision,
-    compare_overhead,
-    run_legacy_step,
-)
+from qlbm.analysis import circuit_inventory
+from qlbm.ancilla_based import legacy_circuit, run_legacy_step
+from qlbm.ancilla_free import layout_for
 from qlbm.lattice import D1Q2, MacroField, ModelSpec, weighted_stream_sum
-from qlbm.statevector import QState, QubitLayout
+from qlbm.statevector import QState, QubitLayout, apply
 
 GOLDEN = ModelSpec(D1Q2, M=4, w_hat=(0.75, 0.25))
 GOLDEN_PHI = np.array([0.0, 0.0, 1.0, 0.0])
@@ -23,10 +20,45 @@ def encoded(phi):
     return QState(amps, layout)
 
 
+def gate_collision(spec, state):
+    """The collision gates of ``legacy_circuit``, run through ``apply``."""
+    ops = legacy_circuit(spec).ops[:4]
+    assert [op.kind for op in ops] == ["h", "rz", "rz", "h"]
+    for op in ops:
+        state = apply(state, op)
+    return state
+
+
+def lcu_collision(spec, amps):
+    """The matrix-level LCU: the diagonal unitaries C1,2 = A +- i sqrt(I - A^2),
+    A = w_hat_d on direction d's copy, applied to the ancilla-0 and ancilla-1
+    halves of the amplitudes between ancilla Hadamards written out by hand."""
+    a = np.repeat(spec.w_hat, spec.M)
+    off = np.sqrt(1.0 - a**2)
+    c1, c2 = a + 1j * off, a - 1j * off
+    top, bottom = np.split(np.asarray(amps, dtype=complex), 2)
+    s2 = np.sqrt(2.0)
+    top, bottom = c1 * (top + bottom) / s2, c2 * (top - bottom) / s2
+    return np.concatenate([(top + bottom) / s2, (top - bottom) / s2])
+
+
 # --------------------------------------------------------------- collision
 
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("m", [2, 4, 16])
+def test_gate_collision_matches_matrix_lcu(seed, m):
+    rng = np.random.default_rng(seed)
+    w1 = rng.uniform(0.0, 1.0)
+    spec = ModelSpec(D1Q2, M=m, w_hat=(w1, 1 - w1))
+    layout = legacy_circuit(spec).layout
+    amps = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
+    state = QState(amps / np.linalg.norm(amps), layout)
+    got = gate_collision(spec, state).amplitudes
+    assert np.max(np.abs(got - lcu_collision(spec, state.amplitudes))) < 1e-15
+
+
 def test_lcu_collision_on_golden_input():
-    state = build_lcu_collision(GOLDEN).apply(encoded(GOLDEN_PHI))
+    state = gate_collision(GOLDEN, encoded(GOLDEN_PHI))
     a = state.amplitudes
     s2 = np.sqrt(2)
     # ancilla-0 branch: A applied; ancilla-1 branch: i sqrt(I - A^2)
@@ -36,21 +68,44 @@ def test_lcu_collision_on_golden_input():
     assert np.isclose(a[8 + 6], 1j * np.sqrt(15) / (4 * s2))
 
 
-def test_lcu_collision_identity_when_a_is_one():
-    # diagonal A = I leaves only the ancilla-0 branch
-    coll = LcuCollision(c1=np.ones(8, dtype=complex), c2=np.ones(8, dtype=complex))
-    state = coll.apply(encoded(GOLDEN_PHI))
-    assert np.allclose(state.amplitudes[8:], 0.0, atol=1e-15)
-    assert np.allclose(state.amplitudes[:8], encoded(GOLDEN_PHI).amplitudes[:8])
+def test_gate_collision_unit_weight():
+    # w_hat = (1, 0): A = 1 keeps direction 0 on the ancilla-0 branch, and
+    # A = 0 moves direction 1 wholly to the ancilla-1 branch as i * phi
+    spec = ModelSpec(D1Q2, M=4, w_hat=(1.0, 0.0))
+    before = encoded(GOLDEN_PHI).amplitudes
+    a = gate_collision(spec, encoded(GOLDEN_PHI)).amplitudes
+    assert np.allclose(a[:4], before[:4], rtol=0, atol=1e-15)
+    assert np.allclose(a[4:8], 0.0, rtol=0, atol=1e-15)
+    assert np.allclose(a[8:12], 0.0, rtol=0, atol=1e-15)
+    assert np.allclose(a[12:], 1j * before[4:8], rtol=0, atol=1e-15)
 
 
 def test_lcu_collision_half_weights():
     spec = ModelSpec(D1Q2, M=4, w_hat=(0.5, 0.5))
-    state = build_lcu_collision(spec).apply(encoded(np.array([0.0, 1.0, 0.0, 0.0])))
+    state = gate_collision(spec, encoded(np.array([0.0, 1.0, 0.0, 0.0])))
     a = state.amplitudes
     s2 = np.sqrt(2)
     assert np.isclose(a[1], 0.5 / s2)
     assert np.isclose(a[8 + 1], 1j * np.sqrt(3) / 2 / s2)
+
+
+# ------------------------------------------------------------------ census
+
+@pytest.mark.parametrize("m, toffolis", [(4, 8), (16, 32), (64, 72)])
+def test_legacy_circuit_census(m, toffolis):
+    # the two shifts, each controlled on ancilla and direction, lower to
+    # 2 n^2 Toffolis for n = log2(M); the CNOTs and the collision add none
+    inv = circuit_inventory(legacy_circuit(ModelSpec(D1Q2, M=m, w_hat=(0.75, 0.25))))
+    assert inv.toffoli_total() == toffolis == 2 * int(np.log2(m)) ** 2
+    assert inv.other["rz[1c]"] == 2
+    assert inv.other["h"] == 3
+
+
+def test_legacy_circuit_has_one_more_qubit():
+    # the same direction and position registers plus the collision ancilla
+    for m in (2, 8, 64):
+        spec = ModelSpec(D1Q2, M=m, w_hat=(0.5, 0.5))
+        assert legacy_circuit(spec).layout.n_qubits == layout_for(spec).n_qubits + 1
 
 
 # -------------------------------------------------------------------- step
@@ -107,24 +162,6 @@ def test_post_state_cannot_seed_next_loop():
     got = result.post_state / np.linalg.norm(result.post_state)
     overlap = abs(np.vdot(next_input, got))
     assert overlap < 0.99
-
-
-# ---------------------------------------------------------------- overhead
-
-def test_compare_overhead_m16():
-    rep = compare_overhead(16)
-    assert (rep.legacy_toffoli, rep.afqlbm_toffoli, rep.toffoli_saving) == (128, 96, 32)
-
-
-def test_compare_overhead_m2():
-    rep = compare_overhead(2)
-    assert (rep.legacy_toffoli, rep.afqlbm_toffoli) == (20, 12)
-
-
-def test_compare_overhead_qubit_delta():
-    for m in (2, 8, 64):
-        rep = compare_overhead(m)
-        assert rep.legacy_qubits - rep.afqlbm_qubits == 1
 
 
 # -------------------------------------------------------------- validation

@@ -571,6 +571,17 @@ def test_compare_sweep_refused_before_output(tmp_path, sweep):
     assert not (tmp_path / "o").exists()
 
 
+def test_compare_against_an_all_zero_field_refused_before_output(tmp_path):
+    # the relative L2 error has no scale against a zero reference
+    cfg_a = write_config(tmp_path, "half.json", mode="classical",
+                         initial={"uniform": 0.5, "overrides": []})
+    cfg_b = write_config(tmp_path, "zero.json", mode="classical",
+                         initial={"uniform": 0.0, "overrides": []})
+    assert cli.main(["compare", "--config", str(cfg_a), str(cfg_b),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_probe_trace_and_verdict(tmp_path):
     cfg = write_config(tmp_path, "p.json")
     assert cli.main(["probe", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0

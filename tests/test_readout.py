@@ -147,6 +147,13 @@ def test_error_metrics_identical():
     assert error_metrics(f, f) == (0.0, 0.0)
 
 
+def test_error_metrics_refuse_an_all_zero_reference():
+    # a relative error against a reference of 2-norm 0 is undefined
+    with pytest.raises(ValueError, match="all-zero reference"):
+        error_metrics(uniform_field((8,), 0.3), uniform_field((8,), 0.0))
+    assert error_metrics(uniform_field((8,), 0.0), uniform_field((8,), 0.3)) == (1.0, 0.3)
+
+
 def test_error_metrics_single_bump():
     ref = uniform_field((64,), 1.0)
     bumped = ref.copy()

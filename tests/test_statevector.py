@@ -160,7 +160,7 @@ def reference_matrix(n, op):
     def bit(qubit):
         return 1 << (n - 1 - qubit)
 
-    mat = np.zeros((dim, dim))
+    mat = np.zeros((dim, dim), dtype=complex if op.kind == "rz" else float)
     for j in range(dim):
         if any(bool(j & bit(q)) != bool(p) for q, p in op.controls):
             mat[j, j] = 1.0
@@ -175,6 +175,8 @@ def reference_matrix(n, op):
                 u = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
             elif op.kind == "x":
                 u = np.array([[0.0, 1.0], [1.0, 0.0]])
+            elif op.kind == "rz":
+                u = np.diag(np.exp([-0.5j * op.angle, 0.5j * op.angle]))
             else:
                 c, s = np.cos(op.angle / 2), np.sin(op.angle / 2)
                 u = np.array([[c, -s], [s, c]])
@@ -187,7 +189,7 @@ def reference_matrix(n, op):
 
 @st.composite
 def gate_ops(draw, n):
-    kind = draw(st.sampled_from(["ry", "h", "x", "shift"]))
+    kind = draw(st.sampled_from(["ry", "rz", "h", "x", "shift"]))
     if kind == "shift":
         size = draw(st.integers(1, n))
         offset = draw(st.integers(0, n - size))
@@ -217,11 +219,26 @@ def test_apply_matches_reference_matrix(data, n, is_complex, seed):
     state = QState(amps / np.linalg.norm(amps), QubitLayout(0, (n,)))
     before = state.amplitudes.copy()
     expected = reference_matrix(n, op) @ before
-    for _ in range(2):  # the second call reuses the plan the first one built
+    # a complex gate makes a real state complex; every other gate keeps its dtype
+    dtype = np.complex128 if is_complex or op.kind == "rz" else np.float64
+    for _ in range(2):  # a second call gives the same result
         out = apply(state, op)
-        assert out.amplitudes.dtype == state.amplitudes.dtype
+        assert out.amplitudes.dtype == dtype
         assert np.allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
         assert np.array_equal(state.amplitudes, before)  # apply leaves its input alone
+
+
+@pytest.mark.parametrize("controls", [(), ((0, 0),), ((0, 1), (2, 0))])
+def test_rz_turns_a_real_state_complex(controls):
+    op = GateOp(kind="rz", target=1, angle=0.9, controls=controls)
+    amps = np.random.default_rng(5).normal(size=8)
+    state = QState(amps / np.linalg.norm(amps), QubitLayout(0, (3,)))
+    out = apply(state, op)
+    assert out.amplitudes.dtype == np.complex128
+    assert np.allclose(out.amplitudes, reference_matrix(3, op) @ state.amplitudes,
+                       rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="rz gate needs an angle"):
+        GateOp(kind="rz", target=0)
 
 
 @pytest.mark.parametrize("op", [
