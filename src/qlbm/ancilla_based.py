@@ -41,6 +41,8 @@ class LegacyStepResult:
 def legacy_circuit(spec: ModelSpec) -> Circuit:
     """One ancilla-based step of the D1Q2 ``spec`` as gates: collision,
     streaming, and the swap and Hadamard that fold the directions."""
+    if spec.scheme != D1Q2:
+        raise ValueError("the ancilla-based step runs the two-direction model D1Q2")
     # ancilla as the 1-qubit "q" register; direction + position below
     layout = QubitLayout(q_qubits=1, axis_qubits=(1, lattice_qubits(spec.M)))
     h = GateOp(kind="h", target=0)
@@ -63,14 +65,12 @@ def legacy_circuit(spec: ModelSpec) -> Circuit:
 def run_legacy_step(spec: ModelSpec, phi0: np.ndarray) -> LegacyStepResult:
     """One full ancilla-based cycle of the D1Q2 ``spec`` on the field
     ``phi0``, reproducing the worked two-direction example bit for bit."""
-    if spec.scheme != D1Q2:
-        raise ValueError("the ancilla-based step runs the two-direction model D1Q2")
+    circuit = legacy_circuit(spec)
     phi0 = np.asarray(phi0, dtype=float).ravel()
     if phi0.size != spec.M:
         raise ValueError("initial field must have M entries")
     if np.any(phi0 < 0) or not np.any(phi0 > 0):
         raise ValueError("initial field must be nonnegative and not all zero")
-    circuit = legacy_circuit(spec)
     stacked = np.concatenate([phi0, phi0])  # one copy per direction
     norm = l2_norm(stacked)
     amps = np.zeros(circuit.layout.dim, dtype=complex)

@@ -184,3 +184,5 @@ def test_spec_validation():
         run_legacy_step(half, np.ones(3))
     with pytest.raises(ValueError, match="D1Q2"):
         run_legacy_step(ModelSpec("D1Q3", M=4), np.ones(4))
+    with pytest.raises(ValueError, match="D1Q2"):
+        legacy_circuit(ModelSpec("D1Q3", M=4))
