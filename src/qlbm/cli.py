@@ -7,11 +7,12 @@ one line, as ``config.json`` (``config_a.json`` and ``config_b.json`` for
 it was.  No other output repeats the config.  Identical config + seed gives
 byte-identical CSV/JSON files, so timings go to stderr instead of the report.
 
-A CSV fills one row template with every value as ``%.17g``, and every other
-JSON file is ``json.dumps(obj, indent=2, sort_keys=True)``.  A snapshot of
-the final state reuses the final field's text.  A run's field is written
-once, to ``field.csv``: ``report.json`` holds no copy of it, only what
-decides whether it can be trusted.
+A CSV fills one row template with every value as ``%.17g``, each distinct
+value formatted once (a difference-mode field is mostly its baseline), and
+every other JSON file is ``json.dumps(obj, indent=2, sort_keys=True)``.  A
+snapshot of the final state reuses the final field's text.  A run's field is
+written once, to ``field.csv``: ``report.json`` holds no copy of it, only
+what decides whether it can be trusted.
 
 Exit codes: 0 success, 2 config error, 3 post-selection failure,
 4 internal assertion (regression tripwire).
@@ -331,20 +332,34 @@ def execute(cfg: RunConfig) -> Evolved:
 
 def _csv(header: list[str], axes: list[list[str]], *columns) -> str:
     """One row per index of ``axes`` in row-major order: the index, then each
-    column's value as ``%.17g``.
+    float64 column's value as ``%.17g``.
 
     The rows are one template filled by a single ``%``; ``"%.17g" % x``
     gives the bytes of ``f"{x:.17g}"`` for every float, nan and -0.0 too.
-    The template is joined a last-axis block at a time, with no string per
-    row: 65536 row labels made and dropped fragmented the heap, and peak RSS
-    grew by 3 MB over repeated D2Q5 M=256 runs.
+    When at most half the values have distinct bits, each is formatted once
+    and its text filled by ``%s``.  The template is joined a last-axis block
+    at a time, with no string per row: 65536 row labels made and dropped
+    fragmented the heap, and peak RSS grew 3 MB over repeated D2Q5 M=256 runs.
     """
-    row = ",%.17g" * len(columns) + "\n"
+    bits = np.concatenate(columns).view(np.int64)
+    bits.sort()
+    new = bits[1:] != bits[:-1]
+    keys = (np.append(bits[:1], bits[1:][new])
+            if 2 * (1 + np.count_nonzero(new)) <= bits.size else None)
+    del bits, new  # not held through the fill, where peak RSS is reached
+    row = (",%.17g" if keys is None else ",%s") * len(columns) + "\n"
     last = axes[-1]
     prefixes = map("".join, itertools.product(*([i + "," for i in a] for a in axes[:-1])))
     template = "".join(p + (row + p).join(last) + row for p in prefixes) if last else ""
-    values = np.column_stack(columns).ravel().tolist()
+    values = np.column_stack(columns).ravel()
+    values = values.tolist() if keys is None else _formatted(values, keys)
     return ",".join(header) + "\n" + template % tuple(values)
+
+
+def _formatted(values: np.ndarray, keys: np.ndarray) -> list[str]:
+    """``"%.17g" % x`` of each value, run once per bit pattern of sorted ``keys``."""
+    text = np.array(["%.17g" % x for x in keys.view(np.float64).tolist()], dtype=object)
+    return text[np.searchsorted(keys, values.view(np.int64))].tolist()
 
 
 def field_csv(geometry: tuple[int, ...], **columns: np.ndarray) -> str:
