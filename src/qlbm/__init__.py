@@ -46,7 +46,6 @@ from .statevector import (
     PostSelectionError,
     QState,
     QubitLayout,
-    ShotHistogram,
     apply,
     apply_circuit,
     encode_amplitudes,

@@ -1,18 +1,18 @@
 """Reconstruction of the earlier ancilla-based method (two-direction model).
 
 Register layout, most significant first: ancilla, direction qubit, position
-block.  Both copies of the field are carried explicitly, one per direction.
-The collision is the linear combination of the diagonal unitaries
-C1,2 = A +- i sqrt(I - A^2), with A = w_hat_d on direction d, selected by
-the ancilla between Hadamards.  Written as gates, the pair is one Rz on the
-ancilla per direction, controlled by the direction qubit: Rz(-2 theta_d)
-puts e^{i theta_d} = w_hat_d + i sqrt(1 - w_hat_d^2) on ancilla 0 and its
-conjugate on ancilla 1.  Streaming shifts the direction-0 block forward
-and the direction-1 block backward on the ancilla-0 branch.  A swap of the
-ancilla with the direction qubit plus a Hadamard on the ancilla then folds
-the two direction copies into the macroscopic sum, read off the
-post-selected ancilla-0, direction-0 subspace after rescaling by
-2 * ||Phi|| / sqrt(2).
+block.  ``encode_amplitudes`` encodes one real copy of the field per
+direction.  The collision is the linear combination of the diagonal
+unitaries C1,2 = A +- i sqrt(I - A^2), with A = w_hat_d on direction d,
+selected by the ancilla between Hadamards.  Written as gates, the pair is
+one Rz on the ancilla per direction, controlled by the direction qubit:
+Rz(-2 theta_d) puts e^{i theta_d} = w_hat_d + i sqrt(1 - w_hat_d^2) on
+ancilla 0 and its conjugate on ancilla 1, and the first Rz makes the state
+complex.  Streaming shifts the direction-0 block forward and the
+direction-1 block backward on the ancilla-0 branch.  A swap of the ancilla
+with the direction qubit plus a Hadamard on the ancilla then folds the two
+direction copies into the macroscopic sum, read off the post-selected
+ancilla-0, direction-0 subspace after rescaling by 2 * ||Phi|| / sqrt(2).
 
 One step is enough for the comparison: the post-selected state keeps a
 residual amplitude outside the macroscopic subspace, so it cannot be fed
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import D1Q2, MacroField, ModelSpec, lattice_qubits
-from .statevector import Circuit, GateOp, QState, QubitLayout, apply, l2_norm
+from .statevector import Circuit, GateOp, QubitLayout, apply, encode_amplitudes
 
 
 @dataclass
@@ -69,19 +69,14 @@ def run_legacy_step(spec: ModelSpec, phi0: np.ndarray) -> LegacyStepResult:
     phi0 = np.asarray(phi0, dtype=float).ravel()
     if phi0.size != spec.M:
         raise ValueError("initial field must have M entries")
-    if np.any(phi0 < 0) or not np.any(phi0 > 0):
-        raise ValueError("initial field must be nonnegative and not all zero")
-    stacked = np.concatenate([phi0, phi0])  # one copy per direction
-    norm = l2_norm(stacked)
-    amps = np.zeros(circuit.layout.dim, dtype=complex)
-    amps[: stacked.size] = stacked / norm
-    state = QState(amps, circuit.layout)
+    encoded = encode_amplitudes(np.concatenate([phi0, phi0]), circuit.layout)
+    state = encoded.state
     for op in circuit.ops:
         state = apply(state, op)
 
     work = state.amplitudes[: 2 * spec.M]
     probability = float(np.sum(np.abs(work) ** 2))
-    post = work * (2.0 * norm / np.sqrt(2.0))
+    post = work * (2.0 * encoded.l2_norm / np.sqrt(2.0))
     macro = post[: spec.M]
     if np.max(np.abs(macro.imag)) > 1e-12:
         raise AssertionError("macroscopic block acquired a phase")

@@ -39,7 +39,6 @@ from .statevector import (
     GateOp,
     QState,
     QubitLayout,
-    ShotHistogram,
     Stencil,
     apply_circuit,
     encode_amplitudes,
@@ -249,8 +248,7 @@ def run_loop_gates(loop_state: LoopState, spec: ModelSpec, loops: int = 1) -> Lo
         state = QState(amps, layout)
         for circuit in circuits:
             state = apply_circuit(state, circuit)
-        prob, state = project(state)
-        block = QState(state.d_block(), block.layout)
+        prob, block = project(state)
         probs.append(prob)
     return _advanced(loop_state, block, probs)
 
@@ -268,17 +266,17 @@ def _advanced(loop_state: LoopState, state: QState, probs: list[float]) -> LoopS
     )
 
 
-def sample_readout(loop_state: LoopState, shots: int, seed: int) -> ShotHistogram:
+def sample_readout(loop_state: LoopState, shots: int, seed: int) -> np.ndarray:
     """Measure the position register of a post-selected loop state: the
-    multinomial counts per cell, in row-major cell order.  The shots are
-    drawn from the post-selected branch, tracked exactly; a hardware run
-    keeps about shots * exp(log_postselect_cum) of them."""
+    multinomial counts per cell, an int array in row-major cell order.  The
+    shots are drawn from the post-selected branch, tracked exactly; a
+    hardware run keeps about shots * exp(log_postselect_cum) of them."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     probs = np.abs(loop_state.state.amplitudes) ** 2
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
-    return ShotHistogram(rng.multinomial(shots, probs), shots)
+    return rng.multinomial(shots, probs)
 
 
 def run_exact(initial: MacroField, spec: ModelSpec, loops: int,

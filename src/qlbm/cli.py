@@ -285,9 +285,9 @@ def _quantum_report(cfg: RunConfig, ls: LoopState, seed: int) -> ReadoutReport:
     if cfg.mode == "quantum-exact":
         delta = macroscopic_exact(ls.state, ls.initial_l1, cfg.geometry)
     else:
-        hist = sample_readout(ls, cfg.shots, seed)
-        delta = macroscopic_from_counts(hist, ls.initial_l1, cfg.geometry)
-        sampled = {"shots": hist.shots, "seed": seed}
+        counts = sample_readout(ls, cfg.shots, seed)
+        delta = macroscopic_from_counts(counts, ls.initial_l1, cfg.geometry)
+        sampled = {"shots": cfg.shots, "seed": seed}
     out = (difference_reconstruct(delta, ls.baseline)
            if cfg.difference_mode else delta)
     return ReadoutReport(field=out, method=cfg.mode.removeprefix("quantum-"),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import MacroField, ModelSpec, diffusion_coefficient, drift
-from .statevector import QState, ShotHistogram, l2_norm
+from .statevector import QState, l2_norm
 
 
 @dataclass
@@ -57,11 +57,11 @@ class ReadoutReport:
         }
 
 
-def macroscopic_from_counts(hist: ShotHistogram, l1: float,
+def macroscopic_from_counts(counts: np.ndarray, l1: float,
                             geometry: tuple[int, ...] | None = None) -> MacroField:
-    """Finite-shot field reconstruction from position-register counts."""
-    counts = hist.counts
-    if hist.shots <= 0 or not counts.any():
+    """Finite-shot field from int counts per cell, S being their sum."""
+    shots = int(counts.sum())
+    if shots <= 0:
         raise ValueError("zero total shots")
     if l1 <= 0:
         raise ValueError("recorded 1-norm must be positive")
@@ -69,7 +69,7 @@ def macroscopic_from_counts(hist: ShotHistogram, l1: float,
         geometry = (counts.size,)
     if int(np.prod(geometry)) != counts.size:
         raise ValueError("geometry does not match the number of cells counted")
-    amp = np.sqrt(counts / hist.shots)
+    amp = np.sqrt(counts / shots)
     return MacroField(amp / amp.sum() * l1, geometry)
 
 

@@ -12,21 +12,22 @@ cyclic shifts are real orthogonal, so a real state stays real, and ``apply``
 returns a complex state for an Rz, which only the ancilla-based step's
 collision uses.  Each gate reads a reshaped view of the amplitudes, one
 axis per qubit (a shift block is one axis of 2**size positions), with its
-controls pinned to their polarity.
-``apply`` derives that view shape, the pinned slices and the 2x2
-coefficients from the gate on each call; a shift is two slice moves.  The
-loops do not run gates (a ``Stencil`` does), so only the fold of each run,
-the ancilla-based step and the tests reach ``apply``.
+controls pinned to their polarity.  ``apply`` derives that view shape, the
+pinned slices and the 2x2 coefficients from the gate on each call; a shift
+is two slice moves.  The loops do not run gates (a ``Stencil`` does), so
+only the fold of each run, the ancilla-based step and the tests reach
+``apply``.
 
 A loop's circuits followed by post-selection of q = |0..0> are one linear
 map of the position block that commutes with translation, so it is
 sum_a c_a roll(block, s_a).  A ``Stencil`` runs that sum for many loops in
-one call, on buffers allocated once.  It sums the terms where ``apply`` runs
-the gates one by one, so the two round differently, by a few ulp; ``apply``
-gate by gate on the full register, then ``project``, is the reference.  On
-small blocks a loop's ufunc calls cost more to dispatch than to compute, so
-the loop hands them 0-d array operands and positional outputs and fills its
-halos by slice assignment, which give the same bits with less per call.
+one call, on a real block and buffers allocated once.  It sums the terms
+where ``apply`` runs the gates one by one, so the two round differently, by
+a few ulp; ``apply`` gate by gate on the full register, then ``project`` to
+the position register, is the reference.  On small blocks a loop's ufunc
+calls cost more to dispatch than to compute, so the loop hands them 0-d
+array operands and positional outputs and fills its halos by slice
+assignment, which give the same bits with less per call.
 """
 from __future__ import annotations
 
@@ -130,14 +131,6 @@ class GateOp:
 class Circuit:
     layout: QubitLayout
     ops: list[GateOp] = field(default_factory=list)
-
-
-class ShotHistogram(NamedTuple):
-    """Counts per cell from a finite-shot readout of the position register,
-    an int array in row-major cell order, and the shots they sum to."""
-
-    counts: np.ndarray
-    shots: int
 
 
 class EncodedState(NamedTuple):
@@ -284,15 +277,13 @@ def l2_norm(values: np.ndarray) -> float:
 def project(state: QState) -> tuple[float, QState]:
     """Post-select the q register on |0..0>.
 
-    Returns the success probability and the renormalized collapsed state.
+    Returns the success probability and the renormalized position register
+    alone, on ``QubitLayout(0, axis_qubits)``.
     """
     layout = state.layout
-    d_dim = 1 << layout.d_qubits
-    sub = state.amplitudes[:d_dim]
+    sub = state.amplitudes[: 1 << layout.d_qubits]
     prob = float(np.sum(np.abs(sub) ** 2))
-    amps = np.zeros(layout.dim, dtype=sub.dtype)
-    amps[:d_dim] = sub * _rescale(prob)
-    return prob, QState(amps, layout)
+    return prob, QState(sub * _rescale(prob), QubitLayout(0, layout.axis_qubits))
 
 
 def _rescale(prob: float) -> float:
@@ -311,7 +302,7 @@ def _rescale(prob: float) -> float:
 
 class Stencil:
     """One loop as sum_a c_a roll(block, s_a) followed by ``project``'s
-    post-selection, run ``loops`` times per call.
+    post-selection, run ``loops`` times per call on a float64 block.
 
     The block sits inside a buffer padded by a periodic halo as wide as the
     largest shift on each axis, so each roll is a fixed view of the buffer.
@@ -328,8 +319,8 @@ class Stencil:
     renormalizing scale are 0-d float64 arrays, outputs are positional and
     halos are assigned by slice.  A D1Q3 loop on 64 cells, long1d's size,
     went from about 12 to 8 µs on a 2-vCPU Xeon.  The calls are the same
-    arithmetic in the same order, and a real block squares as ``x * x``,
-    which has the bits of ``|x| * |x|``, so no output bit moves.
+    arithmetic in the same order, and the block squares as ``x * x``, which
+    has the bits of ``|x| * |x|``, so no output bit moves.
     """
 
     def __init__(self, terms: dict[tuple[int, ...], float], block_layout: QubitLayout):
@@ -348,10 +339,12 @@ class Stencil:
         post-selection probability of each loop."""
         if block.layout != self.block_layout:
             raise ValueError(f"stencil runs on {self.block_layout}, got {block.layout}")
+        if block.amplitudes.dtype != np.float64:
+            raise ValueError(f"stencil runs on float64 blocks, got {block.amplitudes.dtype}")
         if loops < 0:
             raise ValueError("loops must be >= 0")
         amps = block.amplitudes.reshape(self.shape)
-        pad = np.empty(tuple(m + 2 * h for m, h in zip(self.shape, self.halo)), amps.dtype)
+        pad = np.empty(tuple(m + 2 * h for m, h in zip(self.shape, self.halo)))
         inner = pad[tuple(slice(h, h + m) for m, h in zip(self.shape, self.halo))]
         views = [(pad[tuple(slice(h - sk, h - sk + m)
                             for sk, m, h in zip(s, self.shape, self.halo))], np.array(c))
@@ -365,13 +358,11 @@ class Stencil:
                 lead = (slice(None),) * k
                 halos += [(pad[lead + (slice(0, h),)], pad[lead + (slice(m, m + h),)]),
                           (pad[lead + (slice(m + h, m + 2 * h),)], pad[lead + (slice(h, 2 * h),)])]
-        work, term = np.empty(self.shape, amps.dtype), np.empty(self.shape, amps.dtype)
-        real = amps.dtype == np.float64
-        square = term if real else np.empty(self.shape)
-        flat = square.reshape(-1)
+        work, term = np.empty(self.shape), np.empty(self.shape)
+        flat = term.reshape(-1)
         total, scale = np.empty(()), np.empty(())
         probs = np.empty(loops)
-        multiply, add, absolute, reduce = np.multiply, np.add, np.absolute, np.add.reduce
+        multiply, add, reduce = np.multiply, np.add, np.add.reduce
         inner[...] = amps
         for t in range(loops):
             for dst, src in halos:
@@ -379,11 +370,7 @@ class Stencil:
             multiply(first, c_first, work)
             for view, c in rest:
                 add(work, multiply(view, c, term), work)
-            if real:
-                multiply(work, work, square)
-            else:
-                absolute(work, square)
-                multiply(square, square, square)
+            multiply(work, work, term)
             # one pairwise sum over the whole block, as axis=None gives
             reduce(flat, 0, None, total)
             prob = float(total)

@@ -1,11 +1,13 @@
+import random
+
 import numpy as np
 import pytest
 
 from qlbm.analysis import circuit_inventory
-from qlbm.ancilla_based import legacy_circuit, run_legacy_step
+from qlbm.ancilla_based import LegacyStepResult, legacy_circuit, run_legacy_step
 from qlbm.ancilla_free import layout_for
 from qlbm.lattice import D1Q2, MacroField, ModelSpec, weighted_stream_sum
-from qlbm.statevector import QState, QubitLayout, apply
+from qlbm.statevector import QState, QubitLayout, apply, l2_norm
 
 GOLDEN = ModelSpec(D1Q2, M=4, w_hat=(0.75, 0.25))
 GOLDEN_PHI = np.array([0.0, 0.0, 1.0, 0.0])
@@ -164,6 +166,79 @@ def test_post_state_cannot_seed_next_loop():
     assert overlap < 0.99
 
 
+def frozen_legacy_step(spec, phi0):
+    """``run_legacy_step`` as it stood before it encoded through
+    ``encode_amplitudes``, kept verbatim as the bits the step must
+    reproduce: its own field check, ``stacked / norm`` written into a
+    complex zero buffer, so every gate ran on a complex state."""
+    circuit = legacy_circuit(spec)
+    phi0 = np.asarray(phi0, dtype=float).ravel()
+    if phi0.size != spec.M:
+        raise ValueError("initial field must have M entries")
+    if np.any(phi0 < 0) or not np.any(phi0 > 0):
+        raise ValueError("initial field must be nonnegative and not all zero")
+    stacked = np.concatenate([phi0, phi0])  # one copy per direction
+    norm = l2_norm(stacked)
+    amps = np.zeros(circuit.layout.dim, dtype=complex)
+    amps[: stacked.size] = stacked / norm
+    state = QState(amps, circuit.layout)
+    for op in circuit.ops:
+        state = apply(state, op)
+
+    work = state.amplitudes[: 2 * spec.M]
+    probability = float(np.sum(np.abs(work) ** 2))
+    post = work * (2.0 * norm / np.sqrt(2.0))
+    macro = post[: spec.M]
+    if np.max(np.abs(macro.imag)) > 1e-12:
+        raise AssertionError("macroscopic block acquired a phase")
+    field = MacroField(macro.real, (spec.M,))
+    return LegacyStepResult(field=field, probability=probability,
+                            post_state=post, residual=post[spec.M:])
+
+
+def legacy_blas_field():
+    """The initial field of the CI's 65536-cell legacy config: 0.1 with
+    3000 cells overridden from ``random.Random(7)``, later ones winning."""
+    r = random.Random(7)
+    phi = np.full(65536, 0.1)
+    for cell, value in [[r.randrange(65536), r.random()] for _ in range(3000)]:
+        phi[cell] = value
+    return phi
+
+
+def frozen_cases():
+    """37 (spec, field) cases: the shipped config, the CI's 65536-cell config,
+    and at five weights, the edges 0 and 1 among them, random fields from
+    M = 2 to 1024 and one zero on half its cells."""
+    cases = [pytest.param(GOLDEN, GOLDEN_PHI, id="shipped"),
+             pytest.param(ModelSpec(D1Q2, M=65536, w_hat=(0.7, 0.3)), legacy_blas_field(),
+                          id="legacy_blas")]
+    rng = np.random.default_rng(37)
+    for w0 in (0.0, 0.123, 0.5, 0.9, 1.0):
+        w_hat = (w0, 1.0 - w0)
+        for m in (2, 4, 16, 64, 256, 1024):
+            cases.append(pytest.param(ModelSpec(D1Q2, M=m, w_hat=w_hat), rng.random(m),
+                                      id=f"M{m}-w{w0}"))
+        half = rng.random(8)
+        half[rng.permutation(8)[:4]] = 0.0
+        cases.append(pytest.param(ModelSpec(D1Q2, M=8, w_hat=w_hat), half,
+                                  id=f"half-zero-w{w0}"))
+    return cases
+
+
+@pytest.mark.parametrize("spec, phi", frozen_cases())
+def test_step_runs_as_frozen_step(spec, phi):
+    # the state is real until the collision's first Rz, where it was complex
+    # from the start: field, post-selected state and probability keep their bits
+    got, frozen = run_legacy_step(spec, phi), frozen_legacy_step(spec, phi)
+    assert got.field.phi.dtype == frozen.field.phi.dtype
+    assert got.field.phi.tobytes() == frozen.field.phi.tobytes()
+    assert got.post_state.dtype == frozen.post_state.dtype == np.complex128
+    assert got.post_state.tobytes() == frozen.post_state.tobytes()
+    assert got.residual.tobytes() == frozen.residual.tobytes()
+    assert np.float64(got.probability).tobytes() == np.float64(frozen.probability).tobytes()
+
+
 # -------------------------------------------------------------- validation
 
 def test_spec_validation():
@@ -174,11 +249,12 @@ def test_spec_validation():
         ModelSpec(D1Q2, M=4, w_hat=(1.5, -0.5))
     with pytest.raises(ValueError, match="power of two"):
         ModelSpec(D1Q2, M=3, w_hat=(0.5, 0.5))
-    # the field where it enters the step
+    # the field where it enters the step: its size there, its values where
+    # encode_amplitudes encodes it
     half = ModelSpec(D1Q2, M=4, w_hat=(0.5, 0.5))
-    with pytest.raises(ValueError, match="not all zero"):
+    with pytest.raises(ValueError, match="empty field"):
         run_legacy_step(half, np.zeros(4))
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="non-encodable"):
         run_legacy_step(half, np.array([1.0, -0.5, 0.0, 0.0]))
     with pytest.raises(ValueError, match="M entries"):
         run_legacy_step(half, np.ones(3))

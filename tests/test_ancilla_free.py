@@ -574,29 +574,28 @@ def test_sample_readout_counts_are_an_int_array_per_cell():
     phi = np.full(16, 0.1)
     phi[3] = 0.4
     ls = run_exact(MacroField(phi, (16,)), spec, 3)
-    hist = sample_readout(ls, 5000, seed=4)
-    assert type(hist.counts) is np.ndarray
-    assert np.issubdtype(hist.counts.dtype, np.integer)
-    assert hist.counts.shape == (16,)
-    assert hist.counts.sum() == hist.shots == 5000
+    counts = sample_readout(ls, 5000, seed=4)
+    assert type(counts) is np.ndarray
+    assert np.issubdtype(counts.dtype, np.integer)
+    assert counts.shape == (16,)
+    assert counts.sum() == 5000
 
 
 def test_sample_readout_basis_state():
     amps = np.zeros(8)
     amps[5] = 1.0
-    hist = sample_readout(position_state(amps), shots=100, seed=1)
+    counts = sample_readout(position_state(amps), shots=100, seed=1)
     expected = np.zeros(8, dtype=int)
     expected[5] = 100
-    assert np.array_equal(hist.counts, expected)
-    assert hist.shots == 100
+    assert np.array_equal(counts, expected)
 
 
 def test_sample_readout_uniform_within_3_sigma():
     shots = 4 * 10**6
-    hist = sample_readout(position_state(np.full(4, 0.5)), shots=shots, seed=42)
-    assert hist.counts.sum() == shots
+    counts = sample_readout(position_state(np.full(4, 0.5)), shots=shots, seed=42)
+    assert counts.sum() == shots
     sigma = np.sqrt(shots * 0.25 * 0.75)
-    assert np.all(np.abs(hist.counts - shots / 4) < 3 * sigma)
+    assert np.all(np.abs(counts - shots / 4) < 3 * sigma)
 
 
 def test_sample_readout_chi_square_goodness_of_fit():
@@ -605,10 +604,10 @@ def test_sample_readout_chi_square_goodness_of_fit():
     amps = np.random.default_rng(21).normal(size=16)
     amps /= np.linalg.norm(amps)
     shots = 10**6
-    hist = sample_readout(position_state(amps), shots, seed=3)
+    counts = sample_readout(position_state(amps), shots, seed=3)
     expected = amps**2 * shots
     assert np.all(expected > 0)
-    chi2 = np.sum((hist.counts - expected) ** 2 / expected)
+    chi2 = np.sum((counts - expected) ** 2 / expected)
     assert chi2 < 37.70
 
 
@@ -617,10 +616,10 @@ def test_run_sampled_deterministic():
     phi = np.full(16, 0.1)
     phi[3] = 0.4
     field = MacroField(phi, (16,))
-    h1 = sample_readout(run_exact(field, spec, 5), 20000, seed=13)
-    h2 = sample_readout(run_exact(field, spec, 5), 20000, seed=13)
-    assert np.array_equal(h1.counts, h2.counts)
-    assert h1.shots == h2.shots
+    c1 = sample_readout(run_exact(field, spec, 5), 20000, seed=13)
+    c2 = sample_readout(run_exact(field, spec, 5), 20000, seed=13)
+    assert np.array_equal(c1, c2)
+    assert c1.sum() == c2.sum() == 20000
 
 
 def test_run_sampled_frequencies_converge():
@@ -629,11 +628,11 @@ def test_run_sampled_frequencies_converge():
     phi[2] = 1.0
     field = MacroField(phi, (8,))
     shots = 10**6
-    hist = sample_readout(run_exact(field, spec, 1), shots, seed=5)
+    counts = sample_readout(run_exact(field, spec, 1), shots, seed=5)
     ref = classical_run(field, spec, 1).phi
     expected = ref**2 / np.sum(ref**2)
     for i, p in enumerate(expected):
-        freq = hist.counts[i] / shots
+        freq = counts[i] / shots
         assert abs(freq - p) < 4 * np.sqrt(max(p, 1e-9) * (1 - p) / shots) + 1e-6
 
 

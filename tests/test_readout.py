@@ -9,28 +9,29 @@ from qlbm.readout import (
     macroscopic_exact,
     macroscopic_from_counts,
 )
-from qlbm.statevector import QState, QubitLayout, ShotHistogram
+from qlbm.statevector import QState, QubitLayout
 
 
-def hist(counts, shots):
-    return ShotHistogram(counts=np.array(counts), shots=shots)
+def hist(counts):
+    """Counts per cell as ``sample_readout`` returns them: a plain int array."""
+    return np.array(counts, dtype=np.int64)
 
 
 # ------------------------------------------------------------- from counts
 
 def test_counts_single_phase():
-    out = macroscopic_from_counts(hist([500, 0, 0, 0], 500), l1=3.0)
+    out = macroscopic_from_counts(hist([500, 0, 0, 0]), l1=3.0)
     assert np.allclose(out.phi, [3.0, 0.0, 0.0, 0.0])
 
 
 def test_counts_two_phase_example():
     # sqrt(9/25) = 0.6 and sqrt(16/25) = 0.8 -> weights 3/7 and 4/7
-    out = macroscopic_from_counts(hist([9, 16], 25), l1=7.0)
+    out = macroscopic_from_counts(hist([9, 16]), l1=7.0)
     assert np.allclose(out.phi, [3.0, 4.0])
 
 
 def test_counts_equal_split():
-    out = macroscopic_from_counts(hist([10, 10, 10, 10], 40),
+    out = macroscopic_from_counts(hist([10, 10, 10, 10]),
                                   l1=1.0)
     assert np.allclose(out.phi, 0.25)
 
@@ -41,17 +42,30 @@ def test_counts_sum_is_exactly_l1():
         draws = rng.integers(0, 50, size=8)
         draws[rng.integers(0, 8)] += 1  # never all zero
         l1 = float(rng.uniform(0.1, 9.0))
-        out = macroscopic_from_counts(hist(draws, int(draws.sum())), l1=l1)
+        out = macroscopic_from_counts(hist(draws), l1=l1)
         assert out.phi.sum() == pytest.approx(l1, abs=1e-12)
+
+
+def test_counts_field_has_the_bits_of_the_drawn_shots():
+    # the shots are read as the counts' sum, the very integer the readout
+    # drew, so the field keeps the bits of sqrt(S_i / S) with S passed in
+    rng = np.random.default_rng(11)
+    for shots in (1, 7, 10_000, 640_000):
+        probs = rng.random(64)
+        counts = rng.multinomial(shots, probs / probs.sum())
+        l1 = float(rng.uniform(0.1, 9.0))
+        amp = np.sqrt(counts / shots)
+        expected = amp / amp.sum() * l1
+        assert macroscopic_from_counts(counts, l1).phi.tobytes() == expected.tobytes()
 
 
 def test_counts_errors():
     with pytest.raises(ValueError, match="zero total shots"):
-        macroscopic_from_counts(hist([0, 0, 0, 0], 0), l1=1.0)
+        macroscopic_from_counts(hist([0, 0, 0, 0]), l1=1.0)
     with pytest.raises(ValueError):
-        macroscopic_from_counts(hist([5, 0, 0, 0], 5), l1=-1.0)
+        macroscopic_from_counts(hist([5, 0, 0, 0]), l1=-1.0)
     with pytest.raises(ValueError, match="geometry"):
-        macroscopic_from_counts(hist([5, 0, 0, 0], 5), l1=1.0, geometry=(8,))
+        macroscopic_from_counts(hist([5, 0, 0, 0]), l1=1.0, geometry=(8,))
 
 
 # ------------------------------------------------------------------ exact

@@ -301,25 +301,30 @@ def random_block(block_layout, is_complex, seed):
     return QState(amps / np.linalg.norm(amps), block_layout)
 
 
-def fold_and_gate(case, is_complex, seed):
-    """A direction program's stencil, a random block, and the block after
-    the program's gates on the full register, before projection.
+def program_stencil(case):
+    """A direction program's stencil.
 
     Gates on the direction register and post-selection commute with
     translation, so the image of a delta at cell 0, every cell a term, is
     the program's stencil; rolls add up past the axis length and mix axes,
     so the shifts wrap and the halo corners are read."""
     layout, ops = case
-    circuit = Circuit(layout, ops)
-    block_layout = QubitLayout(0, layout.axis_qubits)
     delta = np.zeros(layout.dim)
     delta[0] = 1.0
-    kernel = apply_circuit(QState(delta, layout), circuit).d_block().reshape(
+    kernel = apply_circuit(QState(delta, layout), Circuit(layout, ops)).d_block().reshape(
         tuple(1 << a for a in layout.axis_qubits))
-    stencil = Stencil({s: float(kernel[s]) for s in np.ndindex(kernel.shape)}, block_layout)
-    block = random_block(block_layout, is_complex, seed)
-    full = np.zeros(layout.dim, dtype=block.amplitudes.dtype)
-    full[: block_layout.dim] = block.amplitudes
+    return Stencil({s: float(kernel[s]) for s in np.ndindex(kernel.shape)},
+                   QubitLayout(0, layout.axis_qubits))
+
+
+def fold_and_gate(case, seed):
+    """A direction program's stencil, a random real block, and the block
+    after the program's gates on the full register, before projection."""
+    layout, ops = case
+    stencil = program_stencil(case)
+    block = random_block(stencil.block_layout, False, seed)
+    full = np.zeros(layout.dim)
+    full[: block.layout.dim] = block.amplitudes
     state = QState(full, layout)
     for op in ops:
         state = apply(state, op)
@@ -327,11 +332,11 @@ def fold_and_gate(case, is_complex, seed):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=direction_circuits(), is_complex=st.booleans(), seed=st.integers(0, 2**31))
-def test_block_program_matches_gates_and_projection(case, is_complex, seed):
+@given(case=direction_circuits(), seed=st.integers(0, 2**31))
+def test_block_program_matches_gates_and_projection(case, seed):
     # the block's stencil post-selects where the gates and projection do:
     # it raises where they cannot and otherwise reports their probability
-    stencil, block, state = fold_and_gate(case, is_complex, seed)
+    stencil, block, state = fold_and_gate(case, seed)
     prob = float(np.sum(np.abs(state.d_block()) ** 2))
     if prob < 1e-16:  # far enough below the floor that rounding stays under it
         with pytest.raises(PostSelectionError):
@@ -347,9 +352,9 @@ def test_block_program_matches_gates_and_projection(case, is_complex, seed):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=direction_circuits(), is_complex=st.booleans(), seed=st.integers(0, 2**31))
-def test_stencil_folded_from_a_program_runs_it(case, is_complex, seed):
-    stencil, block, state = fold_and_gate(case, is_complex, seed)
+@given(case=direction_circuits(), seed=st.integers(0, 2**31))
+def test_stencil_folded_from_a_program_runs_it(case, seed):
+    stencil, block, state = fold_and_gate(case, seed)
     before = block.amplitudes.copy()
     try:
         prob, expected = project(state)
@@ -358,12 +363,12 @@ def test_stencil_folded_from_a_program_runs_it(case, is_complex, seed):
     if prob < 1e-12:  # the two sides round to either side of the floor
         return
     got, probs = stencil.run(block, 1)
-    assert got.layout == block.layout
+    assert got.layout == expected.layout == block.layout
     assert got.amplitudes.dtype == before.dtype
     assert abs(probs[0] - prob) <= 1e-13
     # compared before renormalization, which scales rounding by 1/sqrt(prob)
     assert np.max(np.abs(got.amplitudes * np.sqrt(probs[0])
-                         - expected.d_block() * np.sqrt(prob))) <= 1e-13
+                         - expected.amplitudes * np.sqrt(prob))) <= 1e-13
     assert np.array_equal(block.amplitudes, before)  # run leaves its input alone
 
 
@@ -429,9 +434,24 @@ def frozen_stencil_run(stencil, block, loops):
     return inner.reshape(-1), probs
 
 
+def assert_refuses_complex(stencil, block, loops):
+    """``stencil.run`` refuses a complex block before any work, zero loops
+    included, and leaves it untouched."""
+    assert block.amplitudes.dtype == np.complex128
+    before = block.amplitudes.copy()
+    with pytest.raises(ValueError, match="float64 blocks, got complex128"):
+        stencil.run(block, loops)
+    assert block.amplitudes.tobytes() == before.tobytes()
+
+
 def assert_runs_as_frozen(stencil, block, loops):
     """``stencil.run`` gives the frozen loop's amplitudes and probabilities
-    bit for bit, or raises where it raises, with the same message."""
+    bit for bit, or raises where it raises, with the same message.  The
+    frozen loop also ran complex blocks, which no command reaches: the
+    stencil refuses those."""
+    if block.amplitudes.dtype != np.float64:
+        assert_refuses_complex(stencil, block, loops)
+        return
     try:
         amps, probs = frozen_stencil_run(stencil, block, loops)
     except PostSelectionError as frozen:
@@ -462,12 +482,26 @@ def test_folded_stencil_runs_as_frozen_loop(scheme, M, is_complex):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=direction_circuits(), is_complex=st.booleans(), seed=st.integers(0, 2**31))
-def test_direction_program_stencil_runs_as_frozen_loop(case, is_complex, seed):
+@given(case=direction_circuits(), seed=st.integers(0, 2**31))
+def test_direction_program_stencil_runs_as_frozen_loop(case, seed):
     # halo corners, shifts past the axis length, and blocks the program
     # cannot post-select
-    stencil, block, _ = fold_and_gate(case, is_complex, seed)
+    stencil, block, _ = fold_and_gate(case, seed)
     assert_runs_as_frozen(stencil, block, 7)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=direction_circuits(), seed=st.integers(0, 2**31), loops=st.integers(0, 7))
+def test_stencil_refuses_a_complex_block(case, seed, loops):
+    # the loop's circuits keep a real state real, so the stencil runs float64
+    # blocks only: a folded model's and any direction program's refuse a
+    # complex block, even one whose imaginary parts are all zero
+    folded = _stencil_for(folded_spec("D1Q3", 16))
+    assert_refuses_complex(folded, random_block(folded.block_layout, True, seed), loops)
+    real = random_block(folded.block_layout, False, seed)
+    assert_refuses_complex(folded, QState(real.amplitudes.astype(complex), real.layout), loops)
+    stencil = program_stencil(case)
+    assert_refuses_complex(stencil, random_block(stencil.block_layout, True, seed), loops)
 
 
 @pytest.mark.parametrize("is_complex", [False, True])
@@ -507,10 +541,15 @@ def test_project_renormalizes_as_before(is_complex):
     expected_prob = float(np.sum(np.abs(sub) ** 2))
     prob, post = project(state)
     assert prob == expected_prob
+    # the position register alone: no q register, no blocks of zeros
+    assert post.layout == QubitLayout(0, (3,))
+    assert post.amplitudes.shape == (1 << layout.d_qubits,)
     assert post.amplitudes.dtype == sub.dtype
-    expected = np.zeros(layout.dim, dtype=sub.dtype)
-    expected[: sub.size] = sub * (1.0 / np.sqrt(expected_prob))
-    assert post.amplitudes.tobytes() == expected.tobytes()
+    # the bits of the q = |0..0> block of the zero-padded full register
+    # that project returned before
+    padded = np.zeros(layout.dim, dtype=sub.dtype)
+    padded[: sub.size] = sub * (1.0 / np.sqrt(expected_prob))
+    assert post.amplitudes.tobytes() == padded[: sub.size].tobytes()
 
 
 @pytest.mark.parametrize("scheme, M", [("D1Q3", 16), ("D2Q5", 8)])
@@ -562,7 +601,7 @@ def test_project_even_split():
     amps[4 + 1] = 1 / np.sqrt(2)  # q=|01>, d=1
     prob, post = project(QState(amps, layout))
     assert np.isclose(prob, 0.5)
-    expected = np.zeros(16, dtype=complex)
+    expected = np.zeros(4, dtype=complex)
     expected[0] = 1.0
     assert np.allclose(post.amplitudes, expected)
 
@@ -575,7 +614,8 @@ def test_project_product_state_is_identity():
     amps[:4] = d / np.linalg.norm(d)
     prob, post = project(QState(amps, layout))
     assert np.isclose(prob, 1.0)
-    assert np.allclose(post.amplitudes, amps)
+    assert post.layout == QubitLayout(0, (2,))
+    assert np.allclose(post.amplitudes, amps[:4])
 
 
 def test_project_impossible():
