@@ -4,12 +4,15 @@ Experiments are described by a JSON config (they carry too many knobs for
 flags).  Each command that reads a config archives it once, resolved and on
 one line, as ``config.json`` (``config_a.json`` and ``config_b.json`` for
 ``compare``): ``qlbm run --config <out>/config.json`` re-runs the command as
-it was.  No other output repeats the config.  Identical config + seed gives
+it was.  Both ``compare`` archives are full configs; when the two initial
+fields are the same by type and bits, their text is encoded once and written
+into both.  No other output repeats the config.  Identical config + seed gives
 byte-identical CSV/JSON files, so timings go to stderr instead of the report.
 
-A CSV fills one row template with every value as ``%.17g``, each distinct
-value formatted once (a difference-mode field is mostly its baseline), and
-every other JSON file is ``json.dumps(obj, indent=2, sort_keys=True)``.  A
+A CSV fills one row template with every value as ``%.17g``; a column whose
+values are at most half distinct has each distinct value formatted once (a
+difference-mode or sampled field is mostly a few values), and every other
+JSON file is ``json.dumps(obj, indent=2, sort_keys=True)``.  A
 snapshot of the final state reuses the final field's text.  A run's field is
 written once, to ``field.csv``: ``report.json`` holds no copy of it, only
 what decides whether it can be trusted.
@@ -22,11 +25,12 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import marshal
 import math
 import sys
 import time
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -336,24 +340,32 @@ def _csv(header: list[str], axes: list[list[str]], *columns) -> str:
 
     The rows are one template filled by a single ``%``; ``"%.17g" % x``
     gives the bytes of ``f"{x:.17g}"`` for every float, nan and -0.0 too.
-    When at most half the values have distinct bits, each is formatted once
-    and its text filled by ``%s``.  The template is joined a last-axis block
-    at a time, with no string per row: 65536 row labels made and dropped
-    fragmented the heap, and peak RSS grew 3 MB over repeated D2Q5 M=256 runs.
+    Each column is judged on its own: when at most half of its values have
+    distinct bits, each is formatted once and its text filled by ``%s``, so
+    a sampled field beside an all-distinct one is still deduplicated.  The
+    template is joined a last-axis block at a time, with no string per row:
+    65536 row labels made and dropped fragmented the heap, and peak RSS grew
+    3 MB over repeated D2Q5 M=256 runs.
     """
-    bits = np.concatenate(columns).view(np.int64)
-    bits.sort()
-    new = bits[1:] != bits[:-1]
-    keys = (np.append(bits[:1], bits[1:][new])
-            if 2 * (1 + np.count_nonzero(new)) <= bits.size else None)
-    del bits, new  # not held through the fill, where peak RSS is reached
-    row = (",%.17g" if keys is None else ",%s") * len(columns) + "\n"
+    keys = [_distinct(column) for column in columns]
+    row = "".join(",%.17g" if k is None else ",%s" for k in keys) + "\n"
     last = axes[-1]
     prefixes = map("".join, itertools.product(*([i + "," for i in a] for a in axes[:-1])))
     template = "".join(p + (row + p).join(last) + row for p in prefixes) if last else ""
-    values = np.column_stack(columns).ravel()
-    values = values.tolist() if keys is None else _formatted(values, keys)
+    values = [None] * sum(column.size for column in columns)
+    for i, (column, k) in enumerate(zip(columns, keys)):
+        values[i::len(columns)] = column.tolist() if k is None else _formatted(column, k)
     return ",".join(header) + "\n" + template % tuple(values)
+
+
+def _distinct(column: np.ndarray) -> np.ndarray | None:
+    """The sorted distinct bit patterns of ``column`` as int64, or None when
+    more than half of its values are distinct."""
+    bits = np.sort(column.view(np.int64))
+    new = bits[1:] != bits[:-1]
+    if 2 * (1 + np.count_nonzero(new)) > bits.size:
+        return None
+    return np.append(bits[:1], bits[1:][new])
 
 
 def _formatted(values: np.ndarray, keys: np.ndarray) -> list[str]:
@@ -377,9 +389,16 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _archive(path: Path, cfg: RunConfig):
-    """The resolved config on one line, a config ``qlbm run`` reads as it is."""
-    _write(path, json.dumps(cfg.resolved(), sort_keys=True) + "\n")
+def _archive(path: Path, cfg: RunConfig, initial: str | None = None) -> str:
+    """The resolved config on one line, a config ``qlbm run`` reads as it is:
+    the bytes of ``json.dumps(cfg.resolved(), sort_keys=True)``, joined here
+    so that ``initial``, the text of ``cfg.initial`` if already encoded, is
+    not encoded again.  Returns that text."""
+    text = {key: json.dumps(value, sort_keys=True)
+            for key, value in cfg.resolved().items() if key != "initial"}
+    text["initial"] = initial or json.dumps(cfg.initial, sort_keys=True)
+    _write(path, "{" + ", ".join(f"{json.dumps(k)}: {text[k]}" for k in sorted(text)) + "}\n")
+    return text["initial"]
 
 
 def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
@@ -429,8 +448,11 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: Path,
             "median_l2": float(np.median([m[0] for m in metrics])),
             "median_linf": float(np.median([m[1] for m in metrics])),
         }
-    _archive(out_dir / "config_a.json", cfg_a)
-    _archive(out_dir / "config_b.json", cfg_b)
+    initial = _archive(out_dir / "config_a.json", cfg_a)
+    # the same rows by type and bits: 1 and 1.0, or 0.0 and -0.0, are equal
+    # but archive as different text
+    same = marshal.dumps(cfg_a.initial, 2) == marshal.dumps(cfg_b.initial, 2)
+    _archive(out_dir / "config_b.json", cfg_b, initial if same else None)
     _write(out_dir / "summary.json", _dump_json(summary))
     print(f"[qlbm] compare finished in {time.perf_counter() - t0:.3f}s",
           file=sys.stderr)
@@ -482,6 +504,7 @@ def cmd_probe(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
+@cache  # built at the first main call, then reused: parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qlbm",
                                      description="quantum lattice Boltzmann toolkit")

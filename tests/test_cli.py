@@ -737,6 +737,62 @@ def test_configs_archived_by_a_seeded_compare_rerun(tmp_path):
     assert tree(cmp) == tree(tmp_path / "again")
 
 
+SHARED_ROWS = [[1, 1], [2, 0.0], [3, 0.25]]
+
+
+@pytest.mark.parametrize("rows_b, encodings", [
+    pytest.param(SHARED_ROWS, 1, id="identical"),
+    pytest.param([[1, 1.0], [2, 0.0], [3, 0.25]], 2, id="int-vs-float"),
+    pytest.param([[1, 1], [2, -0.0], [3, 0.25]], 2, id="signed-zero"),
+    pytest.param([[1, 1], [2, 0.0], [3, 0.5]], 2, id="different"),
+])
+def test_compare_archives_share_only_identical_rows(tmp_path, monkeypatch, rows_b,
+                                                     encodings):
+    # each archive is the stdlib's one-line layout of its own config; the
+    # initial field is encoded once only when both are the same by type and
+    # bits, as 1 == 1.0 and 0.0 == -0.0 yet each pair is different text
+    src_a = write_config(tmp_path, "a.json", mode="quantum-sampled", shots=1000, loops=3,
+                         initial={"uniform": 0.1, "overrides": SHARED_ROWS})
+    src_b = write_config(tmp_path, "b.json", mode="classical", loops=3,
+                         initial={"uniform": 0.1, "overrides": rows_b})
+    dumps, initials = json.dumps, []
+
+    def spy(obj, **kwargs):
+        if isinstance(obj, dict) and "overrides" in obj:
+            initials.append(obj)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", spy)
+    cmp = tmp_path / "cmp"
+    assert cli.main(["compare", "--config", str(src_a), str(src_b),
+                     "--out", str(cmp)]) == 0
+    monkeypatch.undo()
+    assert len(initials) == encodings
+    for src, archive in ((src_a, "config_a.json"), (src_b, "config_b.json")):
+        expected = json.dumps(cli.RunConfig.from_json(src).resolved(), sort_keys=True)
+        assert (cmp / archive).read_text() == expected + "\n"
+    rows_text = json.dumps(rows_b)
+    assert rows_text in (cmp / "config_b.json").read_text()
+    assert (rows_text in (cmp / "config_a.json").read_text()) == (encodings == 1)
+
+
+def test_parser_is_reused_across_calls(tmp_path):
+    # one process, many main calls: a --seed given once is not kept, and an
+    # argparse refusal leaves the parser as it was
+    cfg = write_config(tmp_path, "c.json", mode="classical", loops=3)
+    assert cli.main(["run", "--config", str(cfg), "--seed", "5",
+                     "--out", str(tmp_path / "seeded")]) == 0
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "own")]) == 0
+    for out, seed in (("seeded", 5), ("own", D1Q3_GAUSS["seed"])):
+        assert json.loads((tmp_path / out / "config.json").read_text())["seed"] == seed
+    with pytest.raises(SystemExit) as refused:
+        cli.main(["gatecount", "--scheme", "D9Q9", "--out", str(tmp_path / "g")])
+    assert refused.value.code == 2
+    assert cli.main(["gatecount", "--scheme", "D1Q3", "--m-list", "4,8",
+                     "--out", str(tmp_path / "g")]) == 0
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_config_that_is_not_an_object_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("[1, 2]")

@@ -1,8 +1,9 @@
 """The CLI's CSV and JSON writers against independent per-value references.
 
 `cli.field_csv` must give the bytes of formatting each value with
-``f"{x:.17g}"``, whether it formats every value or, when at most half of
-them are distinct, each distinct bit pattern once.  `cli._dump_json` is the
+``f"{x:.17g}"``, whether it formats every value of a column or, when at most
+half of that column's values are distinct, each distinct bit pattern once.
+`cli._dump_json` is the
 stdlib's ``json.dumps(obj, indent=2, sort_keys=True)`` itself, and no output
 it writes holds a config's override rows: ``config.json`` does, once.
 """
@@ -93,14 +94,14 @@ def formatted_calls():
        st.data())
 def test_field_csv_on_columns_of_few_values(geometry, pools, data):
     """Each column drawn from a pool of 1-3 floats over at least 6 rows, so
-    that at most half the values are distinct and each is formatted once."""
+    that at most half of its values are distinct and each is formatted once."""
     cells = int(np.prod(geometry))
     columns = {f"c{i}": np.array(data.draw(st.lists(st.sampled_from(pool),
                                                     min_size=cells, max_size=cells)))
                for i, pool in enumerate(pools)}
     with formatted_calls() as calls:
         text = cli.field_csv(geometry, **columns)
-    assert calls == [cells * len(pools)]
+    assert calls == [cells] * len(pools)
     assert text == reference_field_csv(geometry, **columns)
 
 
@@ -109,7 +110,7 @@ def test_field_csv_keeps_signed_zeros_and_nans_apart():
     for geometry in [(40,), (5, 8)]:
         with formatted_calls() as calls:
             text = cli.field_csv(geometry, phi=phi, twice=-phi)
-        assert calls == [80]
+        assert calls == [40, 40]
         assert text == reference_field_csv(geometry, phi=phi, twice=-phi)
 
 
@@ -128,14 +129,42 @@ def test_field_csv_at_half_distinct(distinct, deduplicated):
 
 @pytest.mark.parametrize("shared", [False, True])
 def test_field_csv_one_column_repeats_and_one_does_not(shared):
-    """All of phi_b is distinct and phi_a is one value, so the values are
-    half distinct only when phi_a's value is also one of phi_b's."""
+    """All of phi_b is distinct and phi_a is one value: each column is judged
+    on its own, so phi_a is formatted once whether or not its value is one
+    of phi_b's, and phi_b is formatted value by value."""
     phi_b = np.random.default_rng(5).random(300)
     phi_a = np.full(300, phi_b[3] if shared else 0.1)
     with formatted_calls() as calls:
         text = cli.field_csv((300,), phi_a=phi_a, phi_b=phi_b)
-    assert calls == ([600] if shared else [])
+    assert calls == [300]
     assert text == reference_field_csv((300,), phi_a=phi_a, phi_b=phi_b)
+
+
+def test_field_csv_of_a_sampled_field_beside_an_exact_one():
+    """A compare of a sampled difference-mode field, a few hundred values
+    over its cells, against an all-distinct classical one: over half of
+    the values are distinct in all, yet the sampled column is formatted
+    once per value."""
+    rng = np.random.default_rng(11)
+    phi_b = 0.1 + rng.random(4096) / 100
+    phi_a = rng.choice(np.append(phi_b[:200], [0.0, -0.0]), 4096)
+    assert np.unique(np.concatenate([phi_a, phi_b])).size > 4096
+    with formatted_calls() as calls:
+        text = cli.field_csv((64, 64), phi_a=phi_a, phi_b=phi_b)
+    assert calls == [4096]
+    assert text == reference_field_csv((64, 64), phi_a=phi_a, phi_b=phi_b)
+
+
+def test_field_csv_of_a_self_compare_formats_each_column_in_full():
+    """Two copies of one all-distinct column are exactly half distinct in
+    all, but each column alone is all distinct, so every value is formatted
+    as it comes: the one input where a judgement over the concatenation
+    would format fewer values."""
+    phi = np.random.default_rng(7).random(300)
+    with formatted_calls() as calls:
+        text = cli.field_csv((300,), phi_a=phi, phi_b=phi.copy())
+    assert calls == []
+    assert text == reference_field_csv((300,), phi_a=phi, phi_b=phi)
 
 
 def test_probe_csv_of_zero_loops_is_its_header(tmp_path):
