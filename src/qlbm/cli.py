@@ -9,13 +9,18 @@ fields are the same by type and bits, their text is encoded once and written
 into both.  No other output repeats the config.  Identical config + seed gives
 byte-identical CSV/JSON files, so timings go to stderr instead of the report.
 
+A config is read with the cyclic garbage collector paused: its override
+rows are one list each, thousands of them, which the collector would walk on
+every pass it makes while they are built, and a parsed config holds no cycles.
+
 A CSV fills one row template with every value as ``%.17g``; a column whose
 values are at most half distinct has each distinct value formatted once (a
 difference-mode or sampled field is mostly a few values), and every other
-JSON file is ``json.dumps(obj, indent=2, sort_keys=True)``.  A
-snapshot of the final state reuses the final field's text.  A run's field is
-written once, to ``field.csv``: ``report.json`` holds no copy of it, only
-what decides whether it can be trusted.
+column is filled by ``%.17g`` directly.  Every JSON file but an archive is
+``json.dumps(obj, indent=2, sort_keys=True)``.  A snapshot of the final
+state reuses the final field's text.  A run's field is written once, to
+``field.csv``: ``report.json`` holds no copy of it, only what decides
+whether it can be trusted.
 
 Exit codes: 0 success, 2 config error, 3 post-selection failure,
 4 internal assertion (regression tripwire).
@@ -23,6 +28,7 @@ Exit codes: 0 success, 2 config error, 3 post-selection failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import marshal
@@ -185,11 +191,19 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "RunConfig":
+        # a parsed config holds no cycles, so the collector's passes over its
+        # rows, a list each, would free nothing (see the module docstring)
+        enabled = gc.isenabled()
+        gc.disable()
         try:
             raw = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(raw)
+        else:
+            return cls.from_dict(raw)
+        finally:
+            if enabled:
+                gc.enable()
 
     def validate(self):
         for f in fields(self):
@@ -396,7 +410,8 @@ def _archive(path: Path, cfg: RunConfig, initial: str | None = None) -> str:
     not encoded again.  Returns that text."""
     text = {key: json.dumps(value, sort_keys=True)
             for key, value in cfg.resolved().items() if key != "initial"}
-    text["initial"] = initial or json.dumps(cfg.initial, sort_keys=True)
+    # the JSON parser's own output, which cannot hold a cycle
+    text["initial"] = initial or json.dumps(cfg.initial, sort_keys=True, check_circular=False)
     _write(path, "{" + ", ".join(f"{json.dumps(k)}: {text[k]}" for k in sorted(text)) + "}\n")
     return text["initial"]
 

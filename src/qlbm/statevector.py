@@ -244,12 +244,19 @@ def apply_circuit(state: QState, circuit: Circuit) -> QState:
     return state
 
 
+# the square root of the smallest normal float64: below it the sum of
+# squares is subnormal or zero, and the norm has lost bits
+_L2_FLOOR = 2.0 ** -511
+
+
 def encode_amplitudes(values: np.ndarray, layout: QubitLayout) -> EncodedState:
     """Amplitude-encode a nonnegative vector into the d register.
 
     The q register is left in |0..0>.  Both the 2-norm (used for the
     encoding itself) and the 1-norm (needed later to turn measurement
     statistics back into physical values) are returned alongside the state.
+    A field whose 2-norm overflows float64, or whose sum of squares is not a
+    normal float64, is refused with a ValueError naming which.
     """
     values = np.asarray(values, dtype=float)
     if values.shape != (1 << layout.d_qubits,):
@@ -259,9 +266,14 @@ def encode_amplitudes(values: np.ndarray, layout: QubitLayout) -> EncodedState:
         )
     if np.any(values < 0):
         raise ValueError("non-encodable field: negative entries")
-    l2 = l2_norm(values)
-    if l2 == 0.0:
-        raise ValueError("empty field: all entries are zero")
+    with np.errstate(over="ignore"):  # refused below, naming the overflow
+        l2 = l2_norm(values)
+    if l2 == math.inf:
+        raise ValueError("field too large to encode: its 2-norm overflows float64")
+    if l2 < _L2_FLOOR:
+        if not values.any():
+            raise ValueError("empty field: all entries are zero")
+        raise ValueError("field too small to encode: its 2-norm underflows float64")
     amps = np.zeros(layout.dim)
     amps[: values.size] = values / l2
     return EncodedState(QState(amps, layout), l2, float(values.sum()))

@@ -1,11 +1,14 @@
 import collections
+import gc
 import importlib
 import importlib.util
 import json
 import math
+import random
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -740,21 +743,36 @@ def test_configs_archived_by_a_seeded_compare_rerun(tmp_path):
 SHARED_ROWS = [[1, 1], [2, 0.0], [3, 0.25]]
 
 
+def rows_2d(n: int, m: int, seed: int) -> list:
+    """``n`` rows on an m x m lattice: int and float values and -0.0, with
+    the first cell given again as the last row."""
+    rng = random.Random(seed)
+    values = (lambda: rng.randrange(10), rng.random, lambda: -0.0, lambda: rng.random() * 1e-3)
+    rows = [[[rng.randrange(m), rng.randrange(m)], rng.choice(values)()] for _ in range(n)]
+    return rows + [[rows[0][0], 0.5]]
+
+
 @pytest.mark.parametrize("rows_b, encodings", [
     pytest.param(SHARED_ROWS, 1, id="identical"),
     pytest.param([[1, 1.0], [2, 0.0], [3, 0.25]], 2, id="int-vs-float"),
     pytest.param([[1, 1], [2, -0.0], [3, 0.25]], 2, id="signed-zero"),
     pytest.param([[1, 1], [2, 0.0], [3, 0.5]], 2, id="different"),
+    # thousands of rows on a 2-D lattice: the text of an encoding with no
+    # cycle check, shared by both archives
+    pytest.param(rows_2d(3000, 64, 22), 1, id="2d-thousands"),
 ])
 def test_compare_archives_share_only_identical_rows(tmp_path, monkeypatch, rows_b,
                                                      encodings):
     # each archive is the stdlib's one-line layout of its own config; the
     # initial field is encoded once only when both are the same by type and
     # bits, as 1 == 1.0 and 0.0 == -0.0 yet each pair is different text
+    rows_a, lattice = SHARED_ROWS, {}
+    if isinstance(rows_b[0][0], list):
+        rows_a, lattice = rows_b, {"scheme": "D2Q5", "M": 64}
     src_a = write_config(tmp_path, "a.json", mode="quantum-sampled", shots=1000, loops=3,
-                         initial={"uniform": 0.1, "overrides": SHARED_ROWS})
+                         initial={"uniform": 0.1, "overrides": rows_a}, **lattice)
     src_b = write_config(tmp_path, "b.json", mode="classical", loops=3,
-                         initial={"uniform": 0.1, "overrides": rows_b})
+                         initial={"uniform": 0.1, "overrides": rows_b}, **lattice)
     dumps, initials = json.dumps, []
 
     def spy(obj, **kwargs):
@@ -791,6 +809,67 @@ def test_parser_is_reused_across_calls(tmp_path):
     assert cli.main(["gatecount", "--scheme", "D1Q3", "--m-list", "4,8",
                      "--out", str(tmp_path / "g")]) == 0
     assert cli._build_parser() is cli._build_parser()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("text, good", [
+    pytest.param(json.dumps(D1Q3_GAUSS), True, id="good"),
+    pytest.param(None, False, id="missing-file"),
+    pytest.param('{"scheme": "D1Q3",', False, id="invalid-json"),
+    pytest.param(json.dumps({**D1Q3_GAUSS, "initial": {"overrides": [[64, 0.5]]}}), False,
+                 id="bad-row"),
+])
+def test_config_reading_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch,
+                                                            enabled, text, good):
+    # the config is parsed and checked with the collector paused, and a
+    # collector the caller disabled is not switched on
+    path = tmp_path / "c.json"
+    if text is not None:
+        path.write_text(text)
+    loads, during = json.loads, []
+
+    def spy(*args, **kwargs):
+        during.append(gc.isenabled())
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "loads", spy)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if good:
+            assert cli.RunConfig.from_json(str(path)).M == 64
+        else:
+            with pytest.raises(cli.ConfigError):
+                cli.RunConfig.from_json(str(path))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == ([] if text is None else [False])
+
+
+@pytest.mark.parametrize("mode", ["quantum-exact", "quantum-sampled", "legacy"])
+@pytest.mark.parametrize("uniform, cause", [
+    pytest.param(1e300, "overflows", id="squares-overflow"),
+    pytest.param(1e154, "overflows", id="sum-overflows"),
+    pytest.param(1e-200, "underflows", id="squares-underflow"),
+    pytest.param(1e-160, "underflows", id="sum-subnormal"),
+])
+def test_a_field_whose_2_norm_leaves_float64_exits_2(tmp_path, capsys, mode, uniform,
+                                                     cause):
+    # every entry is finite and nonzero, but the encoding's norm is not a
+    # normal float64: refused as a config error that names why, with no
+    # numpy warning and no output
+    lattice = {"M": 8}
+    if mode == "legacy":
+        lattice = {"scheme": "D1Q2", "M": 8, "w_hat": [0.75, 0.25], "u": 0.0, "loops": 1}
+    cfg = write_config(tmp_path, "c.json", mode=mode,
+                       initial={"uniform": uniform, "overrides": [[3, uniform / 2]]},
+                       **lattice)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"2-norm {cause} float64" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_that_is_not_an_object_exit_code(tmp_path):
