@@ -8,6 +8,7 @@ Toffoli gates (n=2 is one Toffoli, n<=1 is free).
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,16 +23,11 @@ def toffolis_per_mcx(n_controls: int) -> int:
 
 @dataclass
 class GateInventory:
-    """Multi-controlled-NOT census plus a tally of the remaining gates."""
+    """Multi-controlled-NOT census plus a tally of the remaining gates;
+    ``circuit_inventory`` stores no zero count."""
 
-    mcx: dict[int, int] = field(default_factory=dict)  # controls -> count
-    other: dict[str, int] = field(default_factory=dict)
-
-    def add_mcx(self, n_controls: int, count: int = 1):
-        self.mcx[n_controls] = self.mcx.get(n_controls, 0) + count
-
-    def add_other(self, name: str, count: int = 1):
-        self.other[name] = self.other.get(name, 0) + count
+    mcx: Counter[int] = field(default_factory=Counter)  # controls -> count
+    other: Counter[str] = field(default_factory=Counter)
 
     def toffoli_total(self) -> int:
         return sum(c * toffolis_per_mcx(n) for n, c in self.mcx.items())
@@ -87,12 +83,12 @@ def circuit_inventory(circuit: Circuit) -> GateInventory:
         for gate in lowered:
             k = len(gate.controls)
             if gate.kind == "x" and k:
-                inv.add_mcx(k)
+                inv.mcx[k] += 1
             else:
-                inv.add_other(f"{gate.kind}[{k}c]" if k else gate.kind)
+                inv.other[f"{gate.kind}[{k}c]" if k else gate.kind] += 1
             negatives = sum(1 for _, pol in gate.controls if pol == 0)
             if negatives:
-                inv.add_other("x", 2 * negatives)
+                inv.other["x"] += 2 * negatives
     return inv
 
 

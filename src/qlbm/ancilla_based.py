@@ -34,8 +34,7 @@ from .statevector import Circuit, GateOp, QubitLayout, apply, encode_amplitudes
 class LegacyStepResult:
     field: MacroField
     probability: float
-    post_state: np.ndarray  # rescaled work-register amplitudes after post-selection
-    residual: np.ndarray  # the direction-1 part of post_state
+    post_state: np.ndarray  # rescaled post-selected amplitudes: field, then residual
 
 
 def legacy_circuit(spec: ModelSpec) -> Circuit:
@@ -81,5 +80,4 @@ def run_legacy_step(spec: ModelSpec, phi0: np.ndarray) -> LegacyStepResult:
     if np.max(np.abs(macro.imag)) > 1e-12:
         raise AssertionError("macroscopic block acquired a phase")
     field = MacroField(macro.real, (spec.M,))
-    return LegacyStepResult(field=field, probability=probability,
-                            post_state=post, residual=post[spec.M:])
+    return LegacyStepResult(field=field, probability=probability, post_state=post)

@@ -63,11 +63,6 @@ class LoopState:
     loop_probs: tuple[float, ...] = ()
     log_postselect_cum: float = 0.0
 
-    @property
-    def loop_index(self) -> int:
-        """Loops run so far."""
-        return len(self.loop_probs)
-
 
 def layout_for(spec: ModelSpec) -> QubitLayout:
     """Register layout of a model: the direction qubits its codes need,
@@ -225,7 +220,7 @@ def run_loop_exact(loop_state: LoopState, spec: ModelSpec, loops: int = 1) -> Lo
     the stencil folded from the loop's gates in one call.
 
     The returned position-register amplitudes are proportional to the
-    classical field advanced by loop_index + loops cycles.
+    classical field advanced by len(loop_state.loop_probs) + loops cycles.
     """
     state, probs = _stencil_for(spec).run(loop_state.state, loops)
     return _advanced(loop_state, state, probs.tolist())

@@ -449,10 +449,8 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: Path,
     t0 = time.perf_counter()
     run_a, run_b = execute(cfg_a), execute(cfg_b)
     field_a, field_b = run_a.report.field, run_b.report.field
+    # every metric before anything is written: a refused one writes nothing
     l2, linf = error_metrics(field_a, field_b)
-    _write(out_dir / "compare.csv",
-           field_csv(cfg_a.geometry, phi_a=field_a.phi, phi_b=field_b.phi))
-
     summary = {"l2_error": l2, "linf_error": linf}
     if seeds:
         metrics = [error_metrics(run_a.field(s), run_b.field(s)) for s in seeds]
@@ -463,6 +461,8 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: Path,
             "median_l2": float(np.median([m[0] for m in metrics])),
             "median_linf": float(np.median([m[1] for m in metrics])),
         }
+    _write(out_dir / "compare.csv",
+           field_csv(cfg_a.geometry, phi_a=field_a.phi, phi_b=field_b.phi))
     initial = _archive(out_dir / "config_a.json", cfg_a)
     # the same rows by type and bits: 1 and 1.0, or 0.0 and -0.0, are equal
     # but archive as different text
@@ -547,7 +547,6 @@ def _build_parser() -> argparse.ArgumentParser:
     probe = sub.add_parser("probe", help="per-loop post-selection probability trace")
     probe.add_argument("--config", required=True)
     probe.add_argument("--out", default=".")
-    probe.add_argument("--seed", type=int, default=None)
     return parser
 
 
@@ -560,7 +559,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_gatecount(args.scheme, m_list, out_dir)
         paths = args.config if args.command == "compare" else [args.config]
         cfgs = [RunConfig.from_json(path) for path in paths]
-        if args.seed is not None:  # on both configs of compare
+        if getattr(args, "seed", None) is not None:  # run and compare; on both configs
             for cfg in cfgs:
                 cfg.seed = args.seed
         if args.command == "compare":

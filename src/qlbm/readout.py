@@ -98,13 +98,21 @@ def difference_reconstruct(delta_field: MacroField, baseline: float) -> MacroFie
 
 
 def error_metrics(field: MacroField, reference: MacroField) -> tuple[float, float]:
-    """(relative L2 error, absolute Linf error) against a reference."""
+    """(relative L2 error, absolute Linf error) against a reference.  A
+    2-norm or relative error that overflows float64 is refused with a
+    ValueError naming which, as is an all-zero reference."""
     if field.geometry != reference.geometry:
         raise ValueError("geometry mismatch")
-    ref_l2 = l2_norm(reference.phi)
+    diff = field.phi - reference.phi
+    with np.errstate(over="ignore"):  # refused below, naming the overflow
+        ref_l2, diff_l2 = l2_norm(reference.phi), l2_norm(diff)
+    if ref_l2 == math.inf:
+        raise ValueError("reference field too large: its 2-norm overflows float64")
+    if diff_l2 == math.inf:
+        raise ValueError("fields too far apart: their difference's 2-norm overflows float64")
     if ref_l2 == 0.0:
         raise ValueError("relative error against an all-zero reference field")
-    diff = field.phi - reference.phi
-    l2 = l2_norm(diff) / ref_l2
-    linf = float(np.max(np.abs(diff)))
-    return l2, linf
+    l2 = diff_l2 / ref_l2
+    if l2 == math.inf:
+        raise ValueError("reference field too small: the relative L2 error overflows float64")
+    return l2, float(np.max(np.abs(diff)))

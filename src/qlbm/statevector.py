@@ -163,46 +163,6 @@ def _pin_controls(n: int, controls, free: range) -> list:
     return index
 
 
-class _Plan(NamedTuple):
-    """What applying one gate to an n-qubit register needs."""
-
-    shape: tuple[int, ...]  # view of the amplitudes the slices index
-    # one-qubit gate: the target's 0 and 1 slices, and u00, u01, u10, u11
-    # of the 2x2 matrix; shift: pairs (dst, src) of slice moves, no coeffs
-    slices: tuple
-    coeffs: tuple[float | complex, ...] = ()
-
-
-def _plan(op: GateOp, n: int) -> _Plan:
-    """Build the plan of ``op`` on n qubits, checking the qubits it names."""
-    if op.kind == "shift":
-        offset, size = op.block
-        if offset < 0 or offset + size > n:
-            raise IndexError(f"shift block {op.block} out of range for {n} qubits")
-        index = _pin_controls(n, op.controls, range(offset, offset + size))
-        # the block's qubits merge into one axis of 2**size positions
-        shape = (2,) * offset + (1 << size,) + (2,) * (n - offset - size)
-        # (dst, src) pairs: the bulk moves one step, the position that
-        # falls off one end re-enters at the other
-        moves = ((slice(1, None), slice(None, -1)), (slice(0, 1), slice(-1, None)))
-        if op.direction == -1:
-            moves = tuple(move[::-1] for move in moves)
-        head, tail = index[:offset], index[offset + size:]
-
-        def at(block_slice):
-            return tuple(head + [block_slice] + tail)
-
-        return _Plan(shape, tuple((at(to), at(frm)) for to, frm in moves))
-    if not 0 <= op.target < n:
-        raise IndexError(f"target qubit {op.target} out of range for {n} qubits")
-    index = _pin_controls(n, op.controls, range(op.target, op.target + 1))
-    index[op.target] = 0
-    i0 = tuple(index)
-    index[op.target] = 1
-    i1 = tuple(index)
-    return _Plan((2,) * n, (i0, i1), _coefficients(op))
-
-
 def _coefficients(op: GateOp) -> tuple[float | complex, ...]:
     """u00, u01, u10, u11 of a one-qubit gate's 2x2 matrix; complex for Rz."""
     if op.kind == "h":
@@ -221,20 +181,36 @@ def _coefficients(op: GateOp) -> tuple[float | complex, ...]:
 def apply(state: QState, op: GateOp) -> QState:
     """Apply one GateOp; returns a new state (norm preserved), complex if
     the gate's matrix is."""
-    plan = _plan(op, state.layout.n_qubits)
+    n = state.layout.n_qubits
     amps = state.amplitudes
+    if op.kind == "shift":
+        offset, size = op.block
+        if offset < 0 or offset + size > n:
+            raise IndexError(f"shift block {op.block} out of range for {n} qubits")
+        index = _pin_controls(n, op.controls, range(offset, offset + size))
+        # the block's qubits merge into one axis of 2**size positions
+        shape = (2,) * offset + (1 << size,) + (2,) * (n - offset - size)
+        out = amps.copy()
+        src, dst = amps.reshape(shape), out.reshape(shape)
+        head, tail = index[:offset], index[offset + size:]
+        # (dst, src) pairs: the bulk moves one step, the position that
+        # falls off one end re-enters at the other
+        for to, frm in ((slice(1, None), slice(None, -1)), (slice(0, 1), slice(-1, None))):
+            if op.direction == -1:
+                to, frm = frm, to
+            dst[(*head, to, *tail)] = src[(*head, frm, *tail)]
+        return QState(out, state.layout)
+    if not 0 <= op.target < n:
+        raise IndexError(f"target qubit {op.target} out of range for {n} qubits")
+    index = _pin_controls(n, op.controls, range(op.target, op.target + 1))
+    coeffs = u00, u01, u10, u11 = _coefficients(op)
     # a complex matrix makes a real state complex, so no imaginary part is dropped
-    out = amps.astype(np.result_type(amps, *plan.coeffs))
-    src, dst = amps.reshape(plan.shape), out.reshape(plan.shape)
-    if plan.coeffs:
-        i0, i1 = plan.slices
-        u00, u01, u10, u11 = plan.coeffs
-        a0, a1 = src[i0], src[i1]
-        dst[i0] = u00 * a0 + u01 * a1
-        dst[i1] = u10 * a0 + u11 * a1
-    else:
-        for to, frm in plan.slices:
-            dst[to] = src[frm]
+    out = amps.astype(np.result_type(amps, *coeffs))
+    src, dst = amps.reshape((2,) * n), out.reshape((2,) * n)
+    i0, i1 = ((*index[:op.target], bit, *index[op.target + 1:]) for bit in (0, 1))
+    a0, a1 = src[i0], src[i1]
+    dst[i0] = u00 * a0 + u01 * a1
+    dst[i1] = u10 * a0 + u11 * a1
     return QState(out, state.layout)
 
 

@@ -124,7 +124,7 @@ def test_golden_step_post_state():
     expected[1] = 0.25
     expected[6] = 1j * (np.sqrt(7) + np.sqrt(15)) / 4
     assert np.allclose(result.post_state, expected, atol=1e-12)
-    assert np.isclose(result.residual[2], 1j * (np.sqrt(7) + np.sqrt(15)) / 4)
+    assert np.isclose(result.post_state[GOLDEN.M + 2], 1j * (np.sqrt(7) + np.sqrt(15)) / 4)
 
 
 def test_golden_step_probability():
@@ -158,7 +158,7 @@ def test_post_state_cannot_seed_next_loop():
     # the post-selected state keeps a residual outside the macroscopic
     # block, so normalizing it does not give the clean next-step encoding
     result = run_legacy_step(GOLDEN, GOLDEN_PHI)
-    assert np.linalg.norm(result.residual) > 0.5
+    assert np.linalg.norm(result.post_state[GOLDEN.M:]) > 0.5
     next_input = np.concatenate([result.field.phi, result.field.phi]).astype(complex)
     next_input /= np.linalg.norm(next_input)
     got = result.post_state / np.linalg.norm(result.post_state)
@@ -192,8 +192,7 @@ def frozen_legacy_step(spec, phi0):
     if np.max(np.abs(macro.imag)) > 1e-12:
         raise AssertionError("macroscopic block acquired a phase")
     field = MacroField(macro.real, (spec.M,))
-    return LegacyStepResult(field=field, probability=probability,
-                            post_state=post, residual=post[spec.M:])
+    return LegacyStepResult(field=field, probability=probability, post_state=post)
 
 
 def legacy_blas_field():
@@ -235,7 +234,6 @@ def test_step_runs_as_frozen_step(spec, phi):
     assert got.field.phi.tobytes() == frozen.field.phi.tobytes()
     assert got.post_state.dtype == frozen.post_state.dtype == np.complex128
     assert got.post_state.tobytes() == frozen.post_state.tobytes()
-    assert got.residual.tobytes() == frozen.residual.tobytes()
     assert np.float64(got.probability).tobytes() == np.float64(frozen.probability).tobytes()
 
 

@@ -430,7 +430,7 @@ def test_stencil_matches_gate_path(spec, difference_mode, loops, seed):
     stencil = run_loop_exact(start, spec, loops=loops)
     gates = run_loop_gates(start, spec, loops=loops)
     assert stencil.state.layout == gates.state.layout == start.state.layout
-    assert stencil.loop_index == gates.loop_index == loops
+    assert len(stencil.loop_probs) == len(gates.loop_probs) == loops
     gap = np.abs(stencil.state.amplitudes - gates.state.amplitudes)
     assert np.max(gap) <= AMPLITUDE_EPS * np.finfo(float).eps
     probs = np.array(gates.loop_probs)
@@ -453,7 +453,7 @@ def test_stencil_calls_chain(spec, splits, seed):
         ls = run_loop_exact(ls, spec, loops=loops)
     assert np.array_equal(ls.state.amplitudes, whole.state.amplitudes)
     assert ls.loop_probs == whole.loop_probs
-    assert ls.loop_index == whole.loop_index == sum(splits)
+    assert len(ls.loop_probs) == len(whole.loop_probs) == sum(splits)
 
 
 @pytest.mark.parametrize("spec", [ModelSpec(scheme="D1Q3", M=8, u=0.2),
@@ -530,7 +530,6 @@ def test_loop_needs_no_field_reconstruction():
     ls = encode_initial(MacroField(np.arange(1.0, 9.0), (8,)))
     for _ in range(3):
         ls = run_loop_exact(ls, spec)
-    assert ls.loop_index == 3
     assert len(ls.loop_probs) == 3
 
 

@@ -348,7 +348,7 @@ def loop_counter(monkeypatch):
     original = cli.run_loop_exact
 
     def counted(ls, spec, loops=1):
-        calls.extend(range(ls.loop_index, ls.loop_index + loops))
+        calls.extend(range(len(ls.loop_probs), len(ls.loop_probs) + loops))
         return original(ls, spec, loops=loops)
 
     # run_exact looks the loop up in its own module
@@ -582,6 +582,29 @@ def test_compare_against_an_all_zero_field_refused_before_output(tmp_path):
                          initial={"uniform": 0.0, "overrides": []})
     assert cli.main(["compare", "--config", str(cfg_a), str(cfg_b),
                      "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_compare_with_an_overflowing_norm_refused_before_output(tmp_path):
+    # the 2-norms of these fields overflow float64: an L2 error of NaN would
+    # be written into summary.json, which is then not JSON
+    cfg_a = write_config(tmp_path, "a.json", mode="classical",
+                         initial={"uniform": 1e300, "overrides": []})
+    cfg_b = write_config(tmp_path, "b.json", mode="classical",
+                         initial={"uniform": 1e300, "overrides": [[1, 5e299]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["compare", "--config", str(cfg_a), str(cfg_b),
+                         "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_probe_takes_no_seed(tmp_path):
+    # probe runs quantum-exact only, which draws nothing
+    cfg = write_config(tmp_path, "p.json")
+    with pytest.raises(SystemExit) as refused:
+        cli.main(["probe", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "o")])
+    assert refused.value.code == 2
     assert not (tmp_path / "o").exists()
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,19 @@ def test_error_metrics_refuse_an_all_zero_reference():
     with pytest.raises(ValueError, match="all-zero reference"):
         error_metrics(uniform_field((8,), 0.3), uniform_field((8,), 0.0))
     assert error_metrics(uniform_field((8,), 0.0), uniform_field((8,), 0.3)) == (1.0, 0.3)
+
+
+@pytest.mark.parametrize("field, reference, match", [
+    (1e300, 5e299, "reference field too large"),
+    (1e300, 1.0, "difference's 2-norm overflows"),
+    (1e150, 1e-160, "reference field too small"),
+], ids=["reference", "difference", "ratio"])
+def test_error_metrics_refuse_an_overflow_by_name(field, reference, match):
+    # float64 squares overflow past 1.3e154: a NaN or Infinity would not be JSON
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            error_metrics(uniform_field((8,), field), uniform_field((8,), reference))
 
 
 def test_error_metrics_single_bump():

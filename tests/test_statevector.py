@@ -1,7 +1,9 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -126,9 +128,12 @@ def test_index_out_of_range():
     for op in (GateOp(kind="x", target=9),
                GateOp(kind="x", target=0, controls=((7, 1),)),
                GateOp(kind="shift", block=(2, 3), direction=+1)):
-        # a target, control or block past the register's 4 qubits is refused
-        with pytest.raises(IndexError):
+        # a target, control or block past the register's 4 qubits is refused,
+        # in the frozen apply's words
+        with pytest.raises(IndexError) as refused:
             apply(basis(L22, 0), op)
+        with pytest.raises(IndexError, match=re.escape(str(refused.value))):
+            frozen_apply(basis(L22, 0), op)
 
 
 @settings(max_examples=60, deadline=None)
@@ -187,6 +192,89 @@ def reference_matrix(n, op):
     return mat
 
 
+class FrozenPlan(NamedTuple):
+    shape: tuple[int, ...]
+    slices: tuple
+    coeffs: tuple = ()
+
+
+def frozen_pin_controls(n, controls, free):
+    index = [slice(None)] * n
+    for qubit, polarity in controls:
+        if not 0 <= qubit < n:
+            raise IndexError(f"control qubit {qubit} out of range for {n} qubits")
+        if polarity not in (0, 1):
+            raise ValueError("control polarity must be 0 or 1")
+        if qubit in free:
+            raise ValueError("control overlaps gate target")
+        if index[qubit] != slice(None):
+            raise ValueError(f"control qubit {qubit} given twice")
+        index[qubit] = slice(polarity, polarity + 1)
+    return index
+
+
+def frozen_plan(op, n):
+    if op.kind == "shift":
+        offset, size = op.block
+        if offset < 0 or offset + size > n:
+            raise IndexError(f"shift block {op.block} out of range for {n} qubits")
+        index = frozen_pin_controls(n, op.controls, range(offset, offset + size))
+        shape = (2,) * offset + (1 << size,) + (2,) * (n - offset - size)
+        moves = ((slice(1, None), slice(None, -1)), (slice(0, 1), slice(-1, None)))
+        if op.direction == -1:
+            moves = tuple(move[::-1] for move in moves)
+        head, tail = index[:offset], index[offset + size:]
+
+        def at(block_slice):
+            return tuple(head + [block_slice] + tail)
+
+        return FrozenPlan(shape, tuple((at(to), at(frm)) for to, frm in moves))
+    if not 0 <= op.target < n:
+        raise IndexError(f"target qubit {op.target} out of range for {n} qubits")
+    index = frozen_pin_controls(n, op.controls, range(op.target, op.target + 1))
+    index[op.target] = 0
+    i0 = tuple(index)
+    index[op.target] = 1
+    i1 = tuple(index)
+    return FrozenPlan((2,) * n, (i0, i1), frozen_coefficients(op))
+
+
+def frozen_coefficients(op):
+    if op.kind == "h":
+        r = 1.0 / np.sqrt(2.0)
+        u = np.array([[r, r], [r, -r]])
+    elif op.kind == "x":
+        u = np.array([[0.0, 1.0], [1.0, 0.0]])
+    else:
+        c, s = np.cos(op.angle / 2), np.sin(op.angle / 2)
+        if op.kind == "ry":
+            u = np.array([[c, -s], [s, c]])
+        else:
+            u = np.array([[complex(c, -s), 0], [0, complex(c, s)]])
+    return tuple(u.ravel().tolist())
+
+
+def frozen_apply(state, op):
+    """``apply`` as it stood when it first built each gate into a plan of
+    view shape, slices and coefficients, kept as the bits every gate must
+    reproduce: the fold's coefficients, and so every quantum output, are
+    ``apply``'s bits."""
+    plan = frozen_plan(op, state.layout.n_qubits)
+    amps = state.amplitudes
+    out = amps.astype(np.result_type(amps, *plan.coeffs))
+    src, dst = amps.reshape(plan.shape), out.reshape(plan.shape)
+    if plan.coeffs:
+        i0, i1 = plan.slices
+        u00, u01, u10, u11 = plan.coeffs
+        a0, a1 = src[i0], src[i1]
+        dst[i0] = u00 * a0 + u01 * a1
+        dst[i1] = u10 * a0 + u11 * a1
+    else:
+        for to, frm in plan.slices:
+            dst[to] = src[frm]
+    return QState(out, state.layout)
+
+
 @st.composite
 def gate_ops(draw, n):
     kind = draw(st.sampled_from(["ry", "rz", "h", "x", "shift"]))
@@ -221,9 +309,11 @@ def test_apply_matches_reference_matrix(data, n, is_complex, seed):
     expected = reference_matrix(n, op) @ before
     # a complex gate makes a real state complex; every other gate keeps its dtype
     dtype = np.complex128 if is_complex or op.kind == "rz" else np.float64
+    frozen = frozen_apply(state, op).amplitudes
     for _ in range(2):  # a second call gives the same result
         out = apply(state, op)
-        assert out.amplitudes.dtype == dtype
+        assert out.amplitudes.dtype == frozen.dtype == dtype
+        assert out.amplitudes.tobytes() == frozen.tobytes()
         assert np.allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
         assert np.array_equal(state.amplitudes, before)  # apply leaves its input alone
 
@@ -264,9 +354,11 @@ def test_one_gate_on_registers_of_two_sizes(op):
 ])
 def test_bad_control_raises_value_error(op):
     # a control on the target's qubit or shift block, a polarity other than 0 or 1,
-    # or one qubit named as a control twice
-    with pytest.raises(ValueError):
+    # or one qubit named as a control twice, in the frozen apply's words
+    with pytest.raises(ValueError) as refused:
         apply(basis(L22, 0), op)
+    with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+        frozen_apply(basis(L22, 0), op)
 
 
 @st.composite
