@@ -34,7 +34,6 @@ from .lattice import (
     weighted_stream_sum,
 )
 from .readout import (
-    ReadoutReport,
     difference_reconstruct,
     error_metrics,
     macroscopic_exact,

@@ -29,7 +29,7 @@ branch, so no trajectory is lost to post-selection in the simulator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,16 +52,29 @@ class LoopState:
 
     ``state`` is the post-selected position register, ``QubitLayout(0,
     axis_qubits)``, and ``loop_probs`` the post-selection probability of
-    each loop so far, oldest first.  The cumulative probability is carried
-    only as its natural log: after thousands of loops it is far below the
-    smallest float.
+    each loop so far, oldest first.
     """
 
     state: QState
     initial_l1: float
     baseline: float | None = None
     loop_probs: tuple[float, ...] = ()
-    log_postselect_cum: float = 0.0
+
+    @property
+    def log_postselect_cum(self) -> float:
+        """Natural log of the cumulative post-selection probability: after
+        thousands of loops the probability itself is far below the smallest
+        float."""
+        return log_cumulative(self.loop_probs)
+
+
+def log_cumulative(probs) -> float:
+    """Sum of ``math.log`` over ``probs``, oldest first, one addition at a
+    time from 0.0: the order fixes the last bit of a report's log10 P_cum."""
+    log_p = 0.0
+    for prob in probs:
+        log_p += math.log(prob)
+    return log_p
 
 
 def layout_for(spec: ModelSpec) -> QubitLayout:
@@ -223,7 +236,8 @@ def run_loop_exact(loop_state: LoopState, spec: ModelSpec, loops: int = 1) -> Lo
     classical field advanced by len(loop_state.loop_probs) + loops cycles.
     """
     state, probs = _stencil_for(spec).run(loop_state.state, loops)
-    return _advanced(loop_state, state, probs.tolist())
+    return replace(loop_state, state=state,
+                   loop_probs=loop_state.loop_probs + tuple(probs.tolist()))
 
 
 def run_loop_gates(loop_state: LoopState, spec: ModelSpec, loops: int = 1) -> LoopState:
@@ -245,20 +259,7 @@ def run_loop_gates(loop_state: LoopState, spec: ModelSpec, loops: int = 1) -> Lo
             state = apply_circuit(state, circuit)
         prob, block = project(state)
         probs.append(prob)
-    return _advanced(loop_state, block, probs)
-
-
-def _advanced(loop_state: LoopState, state: QState, probs: list[float]) -> LoopState:
-    log_p = loop_state.log_postselect_cum
-    for prob in probs:
-        log_p += math.log(prob)
-    return LoopState(
-        state=state,
-        initial_l1=loop_state.initial_l1,
-        baseline=loop_state.baseline,
-        loop_probs=loop_state.loop_probs + tuple(probs),
-        log_postselect_cum=log_p,
-    )
+    return replace(loop_state, state=block, loop_probs=loop_state.loop_probs + tuple(probs))
 
 
 def sample_readout(loop_state: LoopState, shots: int, seed: int) -> np.ndarray:

@@ -20,7 +20,10 @@ column is filled by ``%.17g`` directly.  Every JSON file but an archive is
 ``json.dumps(obj, indent=2, sort_keys=True)``.  A snapshot of the final
 state reuses the final field's text.  A run's field is written once, to
 ``field.csv``: ``report.json`` holds no copy of it, only what decides
-whether it can be trusted.
+whether it can be trusted.  That report is built once per run, from the
+config, its ``ModelSpec`` and the post-selection probability of each loop;
+every field a quantum run writes, each ``compare --seeds`` draw too, goes
+through one reader that returns the field alone.
 
 Exit codes: 0 success, 2 config error, 3 post-selection failure,
 4 internal assertion (regression tripwire).
@@ -53,6 +56,7 @@ from .ancilla_free import (
     build_streaming,
     encode_initial,
     layout_for,
+    log_cumulative,
     run_exact,
     run_loop_exact,
     sample_readout,
@@ -65,11 +69,12 @@ from .lattice import (
     ModelSpec,
     classical_run,  # noqa: F401 -- unused here; bench/tracer.py wraps it by name
     classical_step,
+    diffusion_coefficient,
+    drift,
     scheme_row,
     uniform_field,
 )
 from .readout import (
-    ReadoutReport,
     difference_reconstruct,
     error_metrics,
     macroscopic_exact,
@@ -220,6 +225,8 @@ class RunConfig:
         if self.mode == "quantum-sampled":
             if self.shots < 1:
                 raise ConfigError("shots must be >= 1")
+            if self.shots > 2**63 - 1:  # numpy's multinomial draws an int64 count
+                raise ConfigError("shots must be <= 2**63 - 1")
             if self.loops < 1:
                 raise ConfigError("quantum-sampled needs loops >= 1")
         self._overrides  # noqa: B018 -- the rows' one check, kept for initial_field
@@ -286,32 +293,50 @@ class Evolved:
     """
 
     cfg: RunConfig
-    report: ReadoutReport  # read out at the config's own seed
+    field: MacroField  # read out at the config's own seed
+    report: dict  # what report.json holds
     snapshots: list[tuple[int, MacroField]]
     final: LoopState | None = None  # post-selected state of a quantum-sampled run
 
-    def field(self, seed: int) -> MacroField:
+    def field_at(self, seed: int) -> MacroField:
         """The output field with the readout drawn from ``seed``."""
         if self.final is None:
-            return self.report.field
-        return _quantum_report(self.cfg, self.final, seed).field
+            return self.field
+        return _read_out(self.cfg, self.final, seed)
 
 
-def _quantum_report(cfg: RunConfig, ls: LoopState, seed: int) -> ReadoutReport:
-    """Report on a post-selected state, read exactly or from ``cfg.shots`` samples."""
-    sampled = {}
+def _read_out(cfg: RunConfig, ls: LoopState, seed: int) -> MacroField:
+    """The field of a post-selected state, read exactly or from ``cfg.shots`` samples."""
     if cfg.mode == "quantum-exact":
         delta = macroscopic_exact(ls.state, ls.initial_l1, cfg.geometry)
     else:
         counts = sample_readout(ls, cfg.shots, seed)
         delta = macroscopic_from_counts(counts, ls.initial_l1, cfg.geometry)
-        sampled = {"shots": cfg.shots, "seed": seed}
-    out = (difference_reconstruct(delta, ls.baseline)
-           if cfg.difference_mode else delta)
-    return ReadoutReport(field=out, method=cfg.mode.removeprefix("quantum-"),
-                         spec=cfg.model_spec(), postselect_probs=list(ls.loop_probs),
-                         log_postselect_cum=ls.log_postselect_cum,
-                         baseline=ls.baseline, initial_l1=ls.initial_l1, **sampled)
+    return difference_reconstruct(delta, ls.baseline) if cfg.difference_mode else delta
+
+
+def _report(cfg: RunConfig, spec: ModelSpec, probs: list[float] | None = None,
+            ls: LoopState | None = None) -> dict:
+    """report.json, from the config, its model, the post-selection
+    probability of each loop and a quantum run's final state ``ls``."""
+    sampled = cfg.mode == "quantum-sampled"
+    log_p = None if probs is None else log_cumulative(probs)
+    return {
+        "method": cfg.mode.removeprefix("quantum-"),
+        "geometry": list(cfg.geometry),
+        "shots": cfg.shots if sampled else None,
+        "seed": cfg.seed if sampled else None,
+        "postselect_probs": probs,
+        # log10 P_cum stays finite where the product underflows
+        "log10_postselect_cum": None if log_p is None else log_p / math.log(10.0),
+        # shots are drawn from the post-selected state: a hardware run of
+        # this many trajectories keeps about this many of them
+        "expected_survivors": cfg.shots * math.exp(log_p) if sampled else None,
+        "baseline": None if ls is None else ls.baseline,
+        "initial_l1": None if ls is None else ls.initial_l1,
+        "drift": drift(spec).tolist(),
+        "diffusion": diffusion_coefficient(spec).tolist(),
+    }
 
 
 def execute(cfg: RunConfig) -> Evolved:
@@ -321,10 +346,7 @@ def execute(cfg: RunConfig) -> Evolved:
     spec = cfg.model_spec()
     if cfg.mode == "legacy":
         result = run_legacy_step(spec, field0.phi)
-        return Evolved(cfg, ReadoutReport(
-            field=result.field, method="legacy", spec=spec,
-            postselect_probs=[result.probability],
-            log_postselect_cum=math.log(result.probability)), [])
+        return Evolved(cfg, result.field, _report(cfg, spec, [result.probability]), [])
 
     classical = cfg.mode == "classical"
     state = field0 if classical else encode_initial(field0, cfg.difference_mode)
@@ -338,14 +360,17 @@ def execute(cfg: RunConfig) -> Evolved:
             state = run_loop_exact(state, spec, loops=t - done)
         done = t
         if t < cfg.loops:
-            snapshots.append((t, state if classical
-                              else _quantum_report(cfg, state, cfg.seed).field))
-    report = (ReadoutReport(field=state, method="classical", spec=spec) if classical
-              else _quantum_report(cfg, state, cfg.seed))
+            snapshots.append((t, state if classical else _read_out(cfg, state, cfg.seed)))
+    if classical:
+        field, report = state, _report(cfg, spec)
+    else:
+        field = _read_out(cfg, state, cfg.seed)
+        report = _report(cfg, spec, list(state.loop_probs), state)
     if cfg.loops in cfg.snapshots:  # the final state, read out once
-        snapshots.append((cfg.loops, report.field))
+        snapshots.append((cfg.loops, field))
+    # a quantum-exact state is dropped here: only a sampled one is read again
     final = state if cfg.mode == "quantum-sampled" else None
-    return Evolved(cfg, report, snapshots, final)
+    return Evolved(cfg, field, report, snapshots, final)
 
 
 def _csv(header: list[str], axes: list[list[str]], *columns) -> str:
@@ -419,9 +444,9 @@ def _archive(path: Path, cfg: RunConfig, initial: str | None = None) -> str:
 def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     t0 = time.perf_counter()
     run = execute(cfg)
-    field = run.report.field
+    field = run.field
     _archive(out_dir / "config.json", cfg)
-    _write(out_dir / "report.json", _dump_json(run.report.to_dict()))
+    _write(out_dir / "report.json", _dump_json(run.report))
     text = field_csv(field.geometry, phi=field.phi)
     _write(out_dir / "field.csv", text)
     for t, snap in run.snapshots:
@@ -448,12 +473,12 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: Path,
     seeds = _sweep_seeds(cfg_a.seed, sweep) if sweep else []
     t0 = time.perf_counter()
     run_a, run_b = execute(cfg_a), execute(cfg_b)
-    field_a, field_b = run_a.report.field, run_b.report.field
+    field_a, field_b = run_a.field, run_b.field
     # every metric before anything is written: a refused one writes nothing
     l2, linf = error_metrics(field_a, field_b)
     summary = {"l2_error": l2, "linf_error": linf}
     if seeds:
-        metrics = [error_metrics(run_a.field(s), run_b.field(s)) for s in seeds]
+        metrics = [error_metrics(run_a.field_at(s), run_b.field_at(s)) for s in seeds]
         summary["sweep"] = {
             "seeds": seeds,
             "l2_errors": [m[0] for m in metrics],

@@ -1,60 +1,21 @@
-"""Turn measurement statistics or exact amplitudes back into fields.
+"""Turn measurement statistics or exact amplitudes back into fields, and
+measure a field against a reference.
 
 The finite-shot path estimates each cell amplitude as sqrt(S_i / S),
 normalizes the estimates to unit 1-norm and distributes the recorded
 initial 1-norm over the cells, so the output always sums to exactly that
-1-norm.  Cells never observed get zero.
+1-norm.  Cells never observed get zero.  Each function returns a field or
+an error metric: what a readout cost goes into report.json, which ``cli``
+builds from the run's own state.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import MacroField, ModelSpec, diffusion_coefficient, drift
-from .statevector import QState, l2_norm
-
-
-@dataclass
-class ReadoutReport:
-    """What one run produced.  ``to_dict`` is its trust record for
-    report.json: the quantities that decide whether the field can be
-    believed.  The field itself is not in it; it is written once, as CSV.
-
-    ``log_postselect_cum`` is the natural log of the cumulative
-    post-selection probability, None for a run that post-selects nothing.
-    """
-
-    field: MacroField
-    method: str  # "classical" | "exact" | "sampled" | "legacy"
-    spec: ModelSpec
-    shots: int | None = None
-    seed: int | None = None
-    postselect_probs: list[float] | None = None
-    log_postselect_cum: float | None = None
-    baseline: float | None = None
-    initial_l1: float | None = None
-
-    def to_dict(self) -> dict:
-        log_p = self.log_postselect_cum
-        return {
-            "method": self.method,
-            "geometry": list(self.field.geometry),
-            "shots": self.shots,
-            "seed": self.seed,
-            "postselect_probs": self.postselect_probs,
-            # log10 P_cum stays finite where the product underflows
-            "log10_postselect_cum": None if log_p is None else log_p / math.log(10.0),
-            # shots are drawn from the post-selected state: a hardware run
-            # of this many trajectories keeps about this many of them
-            "expected_survivors": (None if self.shots is None
-                                   else self.shots * math.exp(log_p)),
-            "baseline": self.baseline,
-            "initial_l1": self.initial_l1,
-            "drift": drift(self.spec).tolist(),
-            "diffusion": diffusion_coefficient(self.spec).tolist(),
-        }
+from .lattice import MacroField
+from .statevector import _L2_FLOOR, QState, l2_norm
 
 
 def macroscopic_from_counts(counts: np.ndarray, l1: float,
@@ -100,7 +61,12 @@ def difference_reconstruct(delta_field: MacroField, baseline: float) -> MacroFie
 def error_metrics(field: MacroField, reference: MacroField) -> tuple[float, float]:
     """(relative L2 error, absolute Linf error) against a reference.  A
     2-norm or relative error that overflows float64 is refused with a
-    ValueError naming which, as is an all-zero reference."""
+    ValueError naming which, as is an all-zero reference.
+
+    A nonzero reference whose sum of squares underflows has both 2-norms
+    taken again of the fields times a power of two, which is exact and
+    leaves their ratio as it is: its largest entry is scaled to at least
+    2**-511, where its square is a normal float."""
     if field.geometry != reference.geometry:
         raise ValueError("geometry mismatch")
     diff = field.phi - reference.phi
@@ -110,8 +76,12 @@ def error_metrics(field: MacroField, reference: MacroField) -> tuple[float, floa
         raise ValueError("reference field too large: its 2-norm overflows float64")
     if diff_l2 == math.inf:
         raise ValueError("fields too far apart: their difference's 2-norm overflows float64")
-    if ref_l2 == 0.0:
-        raise ValueError("relative error against an all-zero reference field")
+    if ref_l2 < _L2_FLOOR:
+        if not reference.phi.any():
+            raise ValueError("relative error against an all-zero reference field")
+        scale = 2.0 ** (-510 - math.frexp(float(np.max(np.abs(reference.phi))))[1])
+        with np.errstate(over="ignore"):  # an infinite ratio is refused below
+            ref_l2, diff_l2 = l2_norm(reference.phi * scale), l2_norm(diff * scale)
     l2 = diff_l2 / ref_l2
     if l2 == math.inf:
         raise ValueError("reference field too small: the relative L2 error overflows float64")

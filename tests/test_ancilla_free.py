@@ -349,6 +349,25 @@ def test_cumulative_probability_survives_long_runs():
     assert math.exp(ls.log_postselect_cum) == 0.0
 
 
+
+def test_log_postselect_cum_is_read_from_the_loop_probs():
+    # not stored: read from loop_probs, it is the running sum of the logs,
+    # oldest first, that one advance after another adds up, bit for bit
+    spec = ModelSpec(scheme="D1Q3", M=16, u=0.2)
+    ls = encode_initial(MacroField(np.arange(1.0, 17.0), (16,)))
+    assert ls.log_postselect_cum == 0.0
+    running = 0.0
+    for loops in (1, 7, 0, 30, 2):
+        ls = run_loop_exact(ls, spec, loops=loops)
+        for prob in ls.loop_probs[len(ls.loop_probs) - loops:]:
+            running += math.log(prob)
+        assert ls.log_postselect_cum == running
+    with pytest.raises(AttributeError):
+        ls.log_postselect_cum = 0.0
+    with pytest.raises(TypeError):
+        LoopState(ls.state, ls.initial_l1, log_postselect_cum=running)
+
+
 def test_continuing_a_state_twice_keeps_both_histories():
     spec = ModelSpec(scheme="D1Q3", M=16, u=0.2)
     start = run_exact(MacroField(np.arange(1.0, 17.0), (16,)), spec, 3)

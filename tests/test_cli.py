@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,21 @@ from test_spectral import hills, spectral_log_postselect, spectral_run
 
 import qlbm.ancilla_free as ancilla_free
 import qlbm.cli as cli
-from qlbm.lattice import effective_weights
+from qlbm.ancilla_based import run_legacy_step
+from qlbm.ancilla_free import encode_initial, run_loop_exact, sample_readout
+from qlbm.lattice import (
+    MacroField,
+    ModelSpec,
+    classical_run,
+    diffusion_coefficient,
+    drift,
+    effective_weights,
+)
+from qlbm.readout import (
+    difference_reconstruct,
+    macroscopic_exact,
+    macroscopic_from_counts,
+)
 from qlbm.statevector import PostSelectionError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"  # the shipped ones
@@ -211,6 +226,100 @@ def test_report_fields_by_mode(tmp_path):
     assert legacy["drift"] == [0.5] and legacy["diffusion"] == [[0.5 * (1 - 0.5**2)]]
 
 
+
+@dataclass
+class FrozenReadoutReport:
+    """The report object report.json was once written from, kept as it was:
+    ``to_dict`` is held byte for byte to the report ``cli`` now builds."""
+
+    field: MacroField
+    method: str
+    spec: ModelSpec
+    shots: int | None = None
+    seed: int | None = None
+    postselect_probs: list[float] | None = None
+    log_postselect_cum: float | None = None
+    baseline: float | None = None
+    initial_l1: float | None = None
+
+    def to_dict(self) -> dict:
+        log_p = self.log_postselect_cum
+        return {
+            "method": self.method,
+            "geometry": list(self.field.geometry),
+            "shots": self.shots,
+            "seed": self.seed,
+            "postselect_probs": self.postselect_probs,
+            "log10_postselect_cum": None if log_p is None else log_p / math.log(10.0),
+            "expected_survivors": (None if self.shots is None
+                                   else self.shots * math.exp(log_p)),
+            "baseline": self.baseline,
+            "initial_l1": self.initial_l1,
+            "drift": drift(self.spec).tolist(),
+            "diffusion": diffusion_coefficient(self.spec).tolist(),
+        }
+
+
+def frozen_report(cfg: cli.RunConfig) -> dict:
+    """The report of a run assembled as it was when every loop call carried
+    the log of P_cum on, adding its own loops' logs to it, and every readout
+    built a full report to keep its field."""
+    spec, field0 = cfg.model_spec(), cfg.initial_field()
+    if cfg.mode == "legacy":
+        result = run_legacy_step(spec, field0.phi)
+        return FrozenReadoutReport(field=result.field, method="legacy", spec=spec,
+                                   postselect_probs=[result.probability],
+                                   log_postselect_cum=math.log(result.probability)).to_dict()
+    if cfg.mode == "classical":
+        return FrozenReadoutReport(field=classical_run(field0, spec, cfg.loops),
+                                   method="classical", spec=spec).to_dict()
+    ls, log_p, done = encode_initial(field0, cfg.difference_mode), 0.0, 0
+    for t in sorted(set(cfg.snapshots) | {cfg.loops}):
+        ls = run_loop_exact(ls, spec, loops=t - done)
+        for prob in ls.loop_probs[done:]:
+            log_p += math.log(prob)
+        done = t
+    sampled = {}
+    if cfg.mode == "quantum-exact":
+        delta = macroscopic_exact(ls.state, ls.initial_l1, cfg.geometry)
+    else:
+        counts = sample_readout(ls, cfg.shots, cfg.seed)
+        delta = macroscopic_from_counts(counts, ls.initial_l1, cfg.geometry)
+        sampled = {"shots": cfg.shots, "seed": cfg.seed}
+    out = difference_reconstruct(delta, ls.baseline) if cfg.difference_mode else delta
+    return FrozenReadoutReport(field=out, method=cfg.mode.removeprefix("quantum-"),
+                               spec=cfg.model_spec(), postselect_probs=list(ls.loop_probs),
+                               log_postselect_cum=log_p, baseline=ls.baseline,
+                               initial_l1=ls.initial_l1, **sampled).to_dict()
+
+
+D1Q2_MODEL = {"scheme": "D1Q2", "M": 8, "u": 0.0, "w_hat": [0.7, 0.3],
+              "initial": {"uniform": 0.1, "overrides": [[3, 0.6]]}}
+
+
+@pytest.mark.parametrize("updates", [
+    {"mode": "classical", "snapshots": [4, 30]},
+    {},
+    {"difference_mode": True, "loops": 12, "snapshots": [3, 7, 12]},
+    {"mode": "quantum-sampled", "difference_mode": True, "shots": 5000, "loops": 4},
+    {"mode": "quantum-sampled", "shots": 2**40, "loops": 3, "seed": 11},
+    {**D1Q2_MODEL, "mode": "legacy", "loops": 1},
+    {**D1Q2_MODEL, "loops": 5, "snapshots": [2]},
+    {"loops": 0},
+    {"difference_mode": True, "loops": 2500, "snapshots": [1, 7, 1000]},
+    {"scheme": "D2Q5", "M": 16, "v": -0.1, "loops": 6, "snapshots": [2],
+     "initial": {"uniform": 0.1, "overrides": [[[3, 4], 0.5]]}},
+], ids=["classical", "exact", "exact-difference-snapshots", "sampled", "sampled-2^40",
+        "legacy", "d1q2-exact", "loops-0", "exact-2500-loops", "d2q5-exact"])
+def test_report_json_is_the_frozen_readout_report(tmp_path, updates):
+    cfg = write_config(tmp_path, "c.json", **updates)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    expected = frozen_report(cli.RunConfig.from_json(str(cfg)))
+    assert (out / "report.json").read_bytes() == (
+        json.dumps(expected, indent=2, sort_keys=True) + "\n").encode()
+
+
 def test_run_d2q5(tmp_path):
     cfg = write_config(tmp_path, "d2.json", scheme="D2Q5", M=16, v=0.15,
                        loops=5, initial={"uniform": 0.1, "overrides": [[[4, 4], 0.3]]})
@@ -372,7 +481,7 @@ def test_run_with_snapshots_evolves_once(tmp_path, loop_counter):
 def test_run_reads_out_and_formats_the_final_state_once(tmp_path, monkeypatch,
                                                         updates, readouts):
     calls = collections.Counter()
-    for name in ("_quantum_report", "macroscopic_exact", "field_csv", "classical_step"):
+    for name in ("_read_out", "macroscopic_exact", "field_csv", "classical_step"):
         def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
@@ -380,7 +489,7 @@ def test_run_reads_out_and_formats_the_final_state_once(tmp_path, monkeypatch,
     cfg = write_config(tmp_path, "c.json", loops=12, snapshots=[12, 3, 7], **updates)
     out = tmp_path / "o"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    assert calls["_quantum_report"] == calls["macroscopic_exact"] == readouts
+    assert calls["_read_out"] == calls["macroscopic_exact"] == readouts
     assert calls["classical_step"] == (12 if updates else 0)
     assert calls["field_csv"] == 3  # field.csv, field_t3.csv and field_t7.csv
     assert (out / "field_t12.csv").read_bytes() == (out / "field.csv").read_bytes()
@@ -499,6 +608,28 @@ def test_compare_seed_sweep_evolves_each_config_once(tmp_path, loop_counter):
     assert loop_counter == list(range(4)) * 2
 
 
+
+def test_compare_seed_sweep_builds_no_model_per_seed(tmp_path, monkeypatch):
+    # a seed only redraws the final readout: the models a compare builds do
+    # not grow with the number of seeds it sweeps
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(kwargs.get("scheme"))
+        return ModelSpec(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ModelSpec", counted)
+    cfg_s = write_config(tmp_path, "s.json", mode="quantum-sampled", shots=5000, loops=4)
+    cfg_c = write_config(tmp_path, "c.json", mode="classical", loops=4)
+    counts = []
+    for n in (1, 2, 7):
+        built.clear()
+        assert cli.main(["compare", "--config", str(cfg_s), str(cfg_c),
+                         "--out", str(tmp_path / f"o{n}"), "--seeds", str(n)]) == 0
+        counts.append(len(built))
+    assert counts[0] > 0 and counts == [counts[0]] * 3
+
+
 def test_compare_seed_sweep_is_reproducible(tmp_path):
     cfg_s = write_config(tmp_path, "s.json", mode="quantum-sampled",
                          difference_mode=True, shots=5000, loops=3)
@@ -597,6 +728,49 @@ def test_compare_with_an_overflowing_norm_refused_before_output(tmp_path):
         assert cli.main(["compare", "--config", str(cfg_a), str(cfg_b),
                          "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+
+
+
+@pytest.mark.parametrize("uniform, bump", [(1e-200, 2e-200), (1e-160, 3e-160)],
+                         ids=["squares-underflow", "sum-subnormal"])
+def test_compare_of_fields_whose_squares_underflow(tmp_path, uniform, bump):
+    # neither field is zero: the relative L2 error is the one of the same
+    # fields scaled by a power of two, which no float64 norm underflows
+    def compare(tag, scale):
+        cfg_a = write_config(tmp_path, f"{tag}a.json", mode="classical", loops=3,
+                             initial={"uniform": uniform * scale, "overrides": []})
+        cfg_b = write_config(tmp_path, f"{tag}b.json", mode="classical", loops=3,
+                             initial={"uniform": uniform * scale,
+                                      "overrides": [[1, bump * scale]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["compare", "--config", str(cfg_a), str(cfg_b),
+                             "--out", str(tmp_path / tag)]) == 0
+        return json.loads((tmp_path / tag / "summary.json").read_text())
+
+    tiny, scaled = compare("tiny", 1.0), compare("scaled", 2.0**600)
+    assert tiny["l2_error"] == scaled["l2_error"] > 0
+    assert tiny["linf_error"] == scaled["linf_error"] * 2.0**-600 > 0
+    zero = write_config(tmp_path, "zero.json", mode="classical", loops=3,
+                        initial={"uniform": 0.0, "overrides": []})
+    assert cli.main(["compare", "--config", str(tmp_path / "tinya.json"), str(zero),
+                     "--out", str(tmp_path / "z")]) == 2
+    assert not (tmp_path / "z").exists()
+
+
+@pytest.mark.parametrize("shots", [2**63, 1e30])
+def test_shots_beyond_an_int64_count_exit_2(tmp_path, capsys, shots):
+    # numpy's multinomial counts in int64: 2**63 shots would raise an
+    # OverflowError mid-run
+    cfg = write_config(tmp_path, "s.json", mode="quantum-sampled", shots=shots, loops=2)
+    classical = write_config(tmp_path, "c.json", mode="classical", loops=2)
+    for argv in (["run", "--config", str(cfg)],
+                 ["compare", "--config", str(cfg), str(classical), "--seeds", "2"]):
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert "shots must be <= 2**63 - 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+    raw = {**D1Q3_GAUSS, "mode": "quantum-sampled", "shots": 2**63 - 1}
+    assert cli.RunConfig.from_dict(raw).shots == 2**63 - 1
 
 
 def test_probe_takes_no_seed(tmp_path):

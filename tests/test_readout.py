@@ -183,6 +183,26 @@ def test_error_metrics_refuse_an_overflow_by_name(field, reference, match):
             error_metrics(uniform_field((8,), field), uniform_field((8,), reference))
 
 
+
+@pytest.mark.parametrize("reference, field", [
+    ([1e-200] * 8, [1e-200, 2e-200] + [1e-200] * 6),
+    ([1e-160, 3e-160, 0.0, 1e-161] * 2, [2e-160] * 8),
+    ([5e-310, 1e-310, 5e-324, 0.0] * 2, [0.0] * 8),
+    ([1e-300] * 8, [1e-100] * 8),
+], ids=["squares-underflow", "sum-subnormal", "subnormal-entries", "far-apart"])
+@pytest.mark.parametrize("k", [300, 600])
+def test_error_metrics_of_a_reference_whose_squares_underflow(reference, field, k):
+    # a nonzero reference is not refused as all-zero: its relative L2 error
+    # is, bit for bit, the one of both fields scaled by 2**k
+    ref, out = (MacroField(np.array(v), (8,)) for v in (reference, field))
+    scaled_ref, scaled_out = (MacroField(f.phi * 2.0**k, (8,)) for f in (ref, out))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        l2, linf = error_metrics(out, ref)
+        assert l2 == error_metrics(scaled_out, scaled_ref)[0] > 0
+    assert linf == np.max(np.abs(out.phi - ref.phi))
+
+
 def test_error_metrics_single_bump():
     ref = uniform_field((64,), 1.0)
     bumped = ref.copy()
