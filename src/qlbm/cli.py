@@ -316,9 +316,8 @@ def _read_out(cfg: RunConfig, ls: LoopState, seed: int) -> MacroField:
 
 
 def _report(cfg: RunConfig, spec: ModelSpec, probs: list[float] | None = None,
-            ls: LoopState | None = None) -> dict:
-    """report.json, from the config, its model, the post-selection
-    probability of each loop and a quantum run's final state ``ls``."""
+            baseline: float | None = None, initial_l1: float | None = None) -> dict:
+    """report.json, from the config, its model and what the run's loops recorded."""
     sampled = cfg.mode == "quantum-sampled"
     log_p = None if probs is None else log_cumulative(probs)
     return {
@@ -332,8 +331,8 @@ def _report(cfg: RunConfig, spec: ModelSpec, probs: list[float] | None = None,
         # shots are drawn from the post-selected state: a hardware run of
         # this many trajectories keeps about this many of them
         "expected_survivors": cfg.shots * math.exp(log_p) if sampled else None,
-        "baseline": None if ls is None else ls.baseline,
-        "initial_l1": None if ls is None else ls.initial_l1,
+        "baseline": baseline,
+        "initial_l1": initial_l1,
         "drift": drift(spec).tolist(),
         "diffusion": diffusion_coefficient(spec).tolist(),
     }
@@ -365,7 +364,7 @@ def execute(cfg: RunConfig) -> Evolved:
         field, report = state, _report(cfg, spec)
     else:
         field = _read_out(cfg, state, cfg.seed)
-        report = _report(cfg, spec, list(state.loop_probs), state)
+        report = _report(cfg, spec, list(state.loop_probs), state.baseline, state.initial_l1)
     if cfg.loops in cfg.snapshots:  # the final state, read out once
         snapshots.append((cfg.loops, field))
     # a quantum-exact state is dropped here: only a sampled one is read again

@@ -58,15 +58,19 @@ def difference_reconstruct(delta_field: MacroField, baseline: float) -> MacroFie
     return MacroField(delta_field.phi + baseline, delta_field.geometry)
 
 
+def _split_l2(values: np.ndarray) -> tuple[float, int]:
+    """(m, e), the 2-norm being m * 2**e: m is taken with the largest |entry|
+    scaled into [0.5, 1), so entries 2**-511 of it and above square normally."""
+    e = math.frexp(float(np.max(np.abs(values))))[1]
+    return l2_norm(np.ldexp(values, -e)), e
+
+
 def error_metrics(field: MacroField, reference: MacroField) -> tuple[float, float]:
     """(relative L2 error, absolute Linf error) against a reference.  A
     2-norm or relative error that overflows float64 is refused with a
-    ValueError naming which, as is an all-zero reference.
-
-    A nonzero reference whose sum of squares underflows has both 2-norms
-    taken again of the fields times a power of two, which is exact and
-    leaves their ratio as it is: its largest entry is scaled to at least
-    2**-511, where its square is a normal float."""
+    ValueError naming which, as is an all-zero reference.  Where the
+    reference's or a nonzero difference's sum of squares underflows, the
+    ratio is taken of their ``_split_l2`` norms, each scaled on its own."""
     if field.geometry != reference.geometry:
         raise ValueError("geometry mismatch")
     diff = field.phi - reference.phi
@@ -76,13 +80,14 @@ def error_metrics(field: MacroField, reference: MacroField) -> tuple[float, floa
         raise ValueError("reference field too large: its 2-norm overflows float64")
     if diff_l2 == math.inf:
         raise ValueError("fields too far apart: their difference's 2-norm overflows float64")
-    if ref_l2 < _L2_FLOOR:
-        if not reference.phi.any():
-            raise ValueError("relative error against an all-zero reference field")
-        scale = 2.0 ** (-510 - math.frexp(float(np.max(np.abs(reference.phi))))[1])
+    if ref_l2 < _L2_FLOOR and not reference.phi.any():
+        raise ValueError("relative error against an all-zero reference field")
+    if ref_l2 < _L2_FLOOR or (diff_l2 < _L2_FLOOR and diff.any()):
+        (dm, de), (rm, re) = _split_l2(diff), _split_l2(reference.phi)
         with np.errstate(over="ignore"):  # an infinite ratio is refused below
-            ref_l2, diff_l2 = l2_norm(reference.phi * scale), l2_norm(diff * scale)
-    l2 = diff_l2 / ref_l2
+            l2 = float(np.ldexp(dm / rm, de - re))
+    else:
+        l2 = diff_l2 / ref_l2
     if l2 == math.inf:
         raise ValueError("reference field too small: the relative L2 error overflows float64")
     return l2, float(np.max(np.abs(diff)))

@@ -731,8 +731,10 @@ def test_compare_with_an_overflowing_norm_refused_before_output(tmp_path):
 
 
 
-@pytest.mark.parametrize("uniform, bump", [(1e-200, 2e-200), (1e-160, 3e-160)],
-                         ids=["squares-underflow", "sum-subnormal"])
+@pytest.mark.parametrize("uniform, bump", [
+    (1e-200, 2e-200), (1e-160, 3e-160),
+    (1e-200, 1e-200 * (1 + 1e-9)), (1e-200, 1e-200 * (1 + 1e-3)),
+], ids=["squares-underflow", "sum-subnormal", "relative-1e-9", "relative-1e-3"])
 def test_compare_of_fields_whose_squares_underflow(tmp_path, uniform, bump):
     # neither field is zero: the relative L2 error is the one of the same
     # fields scaled by a power of two, which no float64 norm underflows

@@ -189,7 +189,10 @@ def test_error_metrics_refuse_an_overflow_by_name(field, reference, match):
     ([1e-160, 3e-160, 0.0, 1e-161] * 2, [2e-160] * 8),
     ([5e-310, 1e-310, 5e-324, 0.0] * 2, [0.0] * 8),
     ([1e-300] * 8, [1e-100] * 8),
-], ids=["squares-underflow", "sum-subnormal", "subnormal-entries", "far-apart"])
+    ([1e-200] * 8, [1e-200, 1e-200 * (1 + 1e-9)] + [1e-200] * 6),
+    ([1e-200] * 8, [1e-200, 1e-200 * (1 + 1e-3)] + [1e-200] * 6),
+], ids=["squares-underflow", "sum-subnormal", "subnormal-entries", "far-apart",
+        "relative-1e-9", "relative-1e-3"])
 @pytest.mark.parametrize("k", [300, 600])
 def test_error_metrics_of_a_reference_whose_squares_underflow(reference, field, k):
     # a nonzero reference is not refused as all-zero: its relative L2 error
@@ -201,6 +204,20 @@ def test_error_metrics_of_a_reference_whose_squares_underflow(reference, field, 
         l2, linf = error_metrics(out, ref)
         assert l2 == error_metrics(scaled_out, scaled_ref)[0] > 0
     assert linf == np.max(np.abs(out.phi - ref.phi))
+
+
+def test_error_metrics_of_a_difference_whose_squares_underflow():
+    # a normal reference against a field that differs from it by less than
+    # 2**-511 in 2-norm: the difference is not rounded away to 0
+    ref = MacroField(np.array([1.0, 0.5, 1e-170, 0.25]), (4,))
+    out = MacroField(np.array([1.0, 0.5, 2e-170, 0.25]), (4,))
+    scaled_ref, scaled_out = (MacroField(f.phi * 2.0**400, (4,)) for f in (ref, out))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        l2, linf = error_metrics(out, ref)
+        assert l2 == error_metrics(scaled_out, scaled_ref)[0] > 0
+    assert linf == 1e-170
+    assert error_metrics(ref, ref) == (0.0, 0.0)
 
 
 def test_error_metrics_single_bump():
