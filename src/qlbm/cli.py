@@ -13,10 +13,17 @@ A config is read with the cyclic garbage collector paused: its override
 rows are one list each, thousands of them, which the collector would walk on
 every pass it makes while they are built, and a parsed config holds no cycles.
 
-A CSV fills one row template with every value as ``%.17g``; a column whose
-values are at most half distinct has each distinct value formatted once (a
-difference-mode or sampled field is mostly a few values), and every other
-column is filled by ``%.17g`` directly.  Every JSON file but an archive is
+A CSV fills one row template with the ``%.17g`` text of every value; a
+column whose values are at most half distinct has each distinct value
+formatted once (a difference-mode or sampled field is mostly a few values).
+An array of 512 values or more, a column's distinct values or a whole
+column, is formatted by ``_g17`` in numpy: for v in [2**-9, 2**52), where
+``%.17g`` is fixed-point, Dekker's two-product gives v * 10**k exactly as a
+float64 and its rounding error, so the 17 significant digits come out
+rounded half to even, as dtoa rounds them, and ``%d`` writes them.  Every
+other value, and every smaller array, is formatted by ``%.17g`` one value
+at a time.  Either way the bytes are those of ``"%.17g" % v``.  Every JSON
+file but an archive is
 ``json.dumps(obj, indent=2, sort_keys=True)``.  A snapshot of the final
 state reuses the final field's text.  A run's field is written once, to
 ``field.csv``: ``report.json`` holds no copy of it, only what decides
@@ -380,20 +387,33 @@ def _csv(header: list[str], axes: list[list[str]], *columns) -> str:
     gives the bytes of ``f"{x:.17g}"`` for every float, nan and -0.0 too.
     Each column is judged on its own: when at most half of its values have
     distinct bits, each is formatted once and its text filled by ``%s``, so
-    a sampled field beside an all-distinct one is still deduplicated.  The
+    a sampled field beside an all-distinct one is still deduplicated.  Those
+    distinct values, or an all-distinct column, go through ``_g17`` from
+    ``_G17_MIN`` values up; a smaller all-distinct column is left to the
+    template's own ``%.17g``.  The
     template is joined a last-axis block at a time, with no string per row:
     65536 row labels made and dropped fragmented the heap, and peak RSS grew
     3 MB over repeated D2Q5 M=256 runs.
     """
-    keys = [_distinct(column) for column in columns]
-    row = "".join(",%.17g" if k is None else ",%s" for k in keys) + "\n"
+    texts = [_text(column) for column in columns]
+    row = "".join(",%.17g" if t is None else ",%s" for t in texts) + "\n"
     last = axes[-1]
     prefixes = map("".join, itertools.product(*([i + "," for i in a] for a in axes[:-1])))
     template = "".join(p + (row + p).join(last) + row for p in prefixes) if last else ""
     values = [None] * sum(column.size for column in columns)
-    for i, (column, k) in enumerate(zip(columns, keys)):
-        values[i::len(columns)] = column.tolist() if k is None else _formatted(column, k)
+    for i, (column, t) in enumerate(zip(columns, texts)):
+        values[i::len(columns)] = column.tolist() if t is None else t
     return ",".join(header) + "\n" + template % tuple(values)
+
+
+def _text(column: np.ndarray) -> list[str] | None:
+    """The ``%.17g`` text of each value of ``column``, or None when the row
+    template formats the column itself: fewer than ``_G17_MIN`` values, over
+    half of them distinct."""
+    keys = _distinct(column)
+    if keys is not None:
+        return _formatted(column, keys)
+    return _g17(column) if column.size >= _G17_MIN else None
 
 
 def _distinct(column: np.ndarray) -> np.ndarray | None:
@@ -408,8 +428,92 @@ def _distinct(column: np.ndarray) -> np.ndarray | None:
 
 def _formatted(values: np.ndarray, keys: np.ndarray) -> list[str]:
     """``"%.17g" % x`` of each value, run once per bit pattern of sorted ``keys``."""
-    text = np.array(["%.17g" % x for x in keys.view(np.float64).tolist()], dtype=object)
+    floats = keys.view(np.float64)
+    text = np.array(_g17(floats) if floats.size >= _G17_MIN
+                    else ["%.17g" % x for x in floats.tolist()], dtype=object)
     return text[np.searchsorted(keys, values.view(np.int64))].tolist()
+
+
+# _g17 writes arrays of this many values or more; below it, one "%.17g" per
+# value is faster (see CHANGES.md for the measured crossover)
+_G17_MIN = 512
+_G17_BLOCK = 4096  # values per pass, so each numpy temporary stays 32 KB
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter of a 53-bit significand
+_POW10 = np.array([float(10**k) for k in range(20)])  # exact: 5**19 < 2**53
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+
+def _times_pow10(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, err) with p + err == x * 10**k exactly: Dekker's two-product
+    (Numer. Math. 18, 224, 1971), each ufunc rounding once to nearest."""
+    p = x * _POW10[k]
+    t = x * _SPLIT
+    hi = t - (t - x)
+    lo = x - hi
+    c_hi, c_lo = _POW10_HI[k], _POW10_LO[k]
+    return p, ((hi * c_hi - p) + hi * c_lo + lo * c_hi) + lo * c_lo
+
+
+def _g17(values: np.ndarray) -> list[str]:
+    """``["%.17g" % v for v in values]`` for a float64 array, computed in
+    blocks of ``_G17_BLOCK`` values."""
+    text = []
+    for start in range(0, values.size, _G17_BLOCK):
+        text += _g17_block(values[start:start + _G17_BLOCK])
+    return text
+
+
+def _g17_block(v: np.ndarray) -> list[str]:
+    """``"%.17g"`` of each value, the digits of those in [2**-9, 2**52) taken
+    in numpy.  There ``%.17g`` is fixed-point with a decimal exponent e in
+    [-3, 15]: the value's 17 significant digits are ``x * 10**(16 - e)``
+    rounded half to even, which ``_times_pow10`` gives exactly.  Every other
+    value (zeros, negatives, subnormals, NaN, infinities, the rest) is
+    formatted one by one."""
+    text = np.empty(v.size, dtype=object)
+    with np.errstate(invalid="ignore"):  # NaN compares False
+        fast = (v >= 2.0**-9) & (v < 2.0**52)
+    slow = np.flatnonzero(~fast)
+    text[slow] = ["%.17g" % x for x in v[slow].tolist()]
+    at = np.flatnonzero(fast)
+    x = v[at]
+    # log10 may miss e by one next to a power of ten; the exact product
+    # then falls outside [1e16, 1e17) and is taken again
+    e = np.floor(np.log10(x)).astype(np.int64)
+    p, err = _times_pow10(x, 16 - e)
+    low = (p < 1e16) | ((p == 1e16) & (err < 0))
+    high = (p > 1e17) | ((p == 1e17) & (err >= 0))
+    e += high
+    e -= low
+    redo = np.flatnonzero(low | high)
+    if redo.size:
+        p[redo], err[redo] = _times_pow10(x[redo], 16 - e[redo])
+    # p >= 1e16 > 2**53 is an even integer, so p + rint(err) is p + err
+    # rounded half to even.  That never carries to 1e17, nor does x round up
+    # to the next integer: 17 digits tell float64 values apart, so x rounds
+    # to no other float (an integer, or 10**e for e >= 0), and no float below
+    # 0.1 or 0.01 lies within half a unit of the 17th digit of either
+    digits = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    width = 16 - e  # digits after the point
+    whole = np.floor(x).astype(np.int64)
+    frac = digits - whole * 10 ** np.minimum(width, 18)  # whole is 0 below 1
+    integer = frac == 0
+    for s in (16, 8, 4, 2, 1):  # strip trailing zeros, binary search
+        q = frac // 10**s
+        zeros = q * 10**s == frac
+        frac = np.where(zeros, q, frac)
+        width -= s * zeros
+    for fmt, group, args in (("%d", integer, (whole,)),
+                             ("0.%d", e == -1, (frac,)),
+                             ("0.0%d", e == -2, (frac,)),
+                             ("0.00%d", e == -3, (frac,)),
+                             ("%d.%0*d", (e >= 0) & ~integer, (whole, width, frac))):
+        sel = np.flatnonzero(group)
+        if sel.size:
+            flat = np.stack([a[sel] for a in args], axis=1).ravel().tolist()
+            text[at[sel]] = ("\n".join([fmt] * sel.size) % tuple(flat)).split("\n")
+    return text.tolist()
 
 
 def field_csv(geometry: tuple[int, ...], **columns: np.ndarray) -> str:

@@ -716,19 +716,26 @@ def test_compare_against_an_all_zero_field_refused_before_output(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-def test_compare_with_an_overflowing_norm_refused_before_output(tmp_path):
-    # the 2-norms of these fields overflow float64: an L2 error of NaN would
-    # be written into summary.json, which is then not JSON
-    cfg_a = write_config(tmp_path, "a.json", mode="classical",
-                         initial={"uniform": 1e300, "overrides": []})
-    cfg_b = write_config(tmp_path, "b.json", mode="classical",
-                         initial={"uniform": 1e300, "overrides": [[1, 5e299]]})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cli.main(["compare", "--config", str(cfg_a), str(cfg_b),
-                         "--out", str(tmp_path / "o")]) == 2
-    assert not (tmp_path / "o").exists()
+def test_compare_of_fields_whose_squares_overflow(tmp_path):
+    # the 2-norms of these fields overflow float64: each is taken of its field
+    # scaled by a power of two, so summary.json holds the same finite L2 error
+    # as a compare of both fields scaled by 2**-600
+    def compare(tag, scale):
+        cfg_a = write_config(tmp_path, f"{tag}a.json", mode="classical",
+                             initial={"uniform": 1e300 * scale, "overrides": []})
+        cfg_b = write_config(tmp_path, f"{tag}b.json", mode="classical",
+                             initial={"uniform": 1e300 * scale,
+                                      "overrides": [[1, 5e299 * scale]]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["compare", "--config", str(cfg_a), str(cfg_b),
+                             "--out", str(tmp_path / tag)]) == 0
+        text = (tmp_path / tag / "summary.json").read_text()
+        return json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in summary.json"))
 
+    huge, scaled = compare("huge", 1.0), compare("scaled", 2.0**-600)
+    assert 0 < huge["l2_error"] == scaled["l2_error"] < 1
+    assert huge["linf_error"] == scaled["linf_error"] * 2.0**600 > 0
 
 
 @pytest.mark.parametrize("uniform, bump", [

@@ -171,17 +171,46 @@ def test_error_metrics_refuse_an_all_zero_reference():
 
 
 @pytest.mark.parametrize("field, reference, match", [
-    (1e300, 5e299, "reference field too large"),
-    (1e300, 1.0, "difference's 2-norm overflows"),
     (1e150, 1e-160, "reference field too small"),
-], ids=["reference", "difference", "ratio"])
+], ids=["ratio"])
 def test_error_metrics_refuse_an_overflow_by_name(field, reference, match):
-    # float64 squares overflow past 1.3e154: a NaN or Infinity would not be JSON
+    # a relative L2 error of about 1e311: an Infinity would not be JSON
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=match):
             error_metrics(uniform_field((8,), field), uniform_field((8,), reference))
 
+
+@pytest.mark.parametrize("field, reference, l2", [
+    (1e300, 5e299, 1.0),
+    (1e300, 1.0, 1e300),
+    (1e160, 1e-140, 1e300),
+], ids=["reference", "difference", "far-apart"])
+def test_error_metrics_of_norms_that_overflow(field, reference, l2):
+    # float64 squares overflow past 1.3e154: the 2-norm of the reference or
+    # of the difference is then taken of its vector scaled by a power of two
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = error_metrics(uniform_field((8,), field), uniform_field((8,), reference))
+    assert got == (pytest.approx(l2, rel=1e-15), field - reference)
+
+
+@pytest.mark.parametrize("reference, field", [
+    ([1e190] * 8, [1e200] * 8),
+    ([1e154] * 8, [1e154, 2e154] + [1e154] * 6),
+    ([1e-140] * 8, [1e160] * 8),
+    ([1e-100, 1e160, 0.0, 1e150] * 2, [1e155, 0.0, 3e160, 1e150] * 2),
+], ids=["squares-overflow", "sum-overflows", "difference-overflows", "mixed"])
+def test_error_metrics_of_a_reference_or_difference_whose_squares_overflow(reference, field):
+    # the relative L2 error is, bit for bit, the one of both fields scaled by
+    # 2**-400, whose norms take the plain path or the underflow path
+    ref, out = (MacroField(np.array(v), (8,)) for v in (reference, field))
+    scaled_ref, scaled_out = (MacroField(f.phi * 2.0**-400, (8,)) for f in (ref, out))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        l2, linf = error_metrics(out, ref)
+        assert l2 == error_metrics(scaled_out, scaled_ref)[0] > 0
+    assert linf == np.max(np.abs(out.phi - ref.phi))
 
 
 @pytest.mark.parametrize("reference, field", [

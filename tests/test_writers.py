@@ -2,7 +2,9 @@
 
 `cli.field_csv` must give the bytes of formatting each value with
 ``f"{x:.17g}"``, whether it formats every value of a column or, when at most
-half of that column's values are distinct, each distinct bit pattern once.
+half of that column's values are distinct, each distinct bit pattern once,
+and whether it formats them one by one or, from `cli._G17_MIN` values up,
+through `cli._g17`, which must equal ``"%.17g" % v`` on every float64.
 `cli._dump_json` is the
 stdlib's ``json.dumps(obj, indent=2, sort_keys=True)`` itself, and no output
 it writes holds a config's override rows: ``config.json`` does, once.
@@ -11,6 +13,7 @@ import contextlib
 import json
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -165,6 +168,90 @@ def test_field_csv_of_a_self_compare_formats_each_column_in_full():
         text = cli.field_csv((300,), phi_a=phi, phi_b=phi.copy())
     assert calls == []
     assert text == reference_field_csv((300,), phi_a=phi, phi_b=phi)
+
+
+def g17_corpus() -> np.ndarray:
+    """Over 10**6 float64 values, from a fixed seed, for `cli._g17`."""
+    rng = np.random.default_rng(2025)
+    # random bit patterns from 2**-12 to 2**60, across both ends of the
+    # numpy range [2**-9, 2**52)
+    bits = rng.integers(1011 << 52, 1083 << 52, 600_000, dtype=np.int64)
+    # 10**k and 2 ulps either side, where log10 is off by one; below 10**k
+    # for some k lie floats that round up to it at 17 digits, as 1e-14 does
+    powers = [float(f"1e{k}") for k in range(-307, 309)]
+    near = [np.nextafter(p, d) for p in powers for d in (0.0, math.inf)]
+    near += [np.nextafter(p, d) for p in near for d in (0.0, math.inf)]
+    # exact ties at the 17th digit: m / 2**j for odd m, m * 5**j of 18 digits
+    ties = []
+    for j in range(2, 26):  # at j = 1, an 18-digit m * 5 needs m > 2**53
+        low, high = -(-10**17 // 5**j), min(10**18 // 5**j, 2**53)
+        ties += [(m | 1) / 2**j for m in rng.integers(low, high, 8000).tolist()
+                 if (m | 1) < high]
+    integers = np.arange(100_000, dtype=np.float64)
+    integers = np.concatenate([integers, 2.0**52 - integers, integers / 8,
+                               rng.integers(1, 2**52, 50_000) / 8.0])
+    special = [0.0, -0.0, 5e-324, -5e-324, math.nan, NEG_NAN, math.inf, -math.inf]
+    values = np.concatenate([bits.view(np.float64), powers, near, ties, integers,
+                             special])
+    return np.concatenate([values, -rng.choice(values, 50_000)])
+
+
+def test_g17_is_percent_17g():
+    values = g17_corpus()
+    assert values.size > 10**6
+    # the corpus reaches a float that rounds up to a power of ten
+    assert Fraction(1e-14) < Fraction(1, 10**14) and "%.17g" % 1e-14 == "1e-14"
+    text = cli._g17(values)
+    mismatches = [(x, t) for x, t in zip(values.tolist(), text) if "%.17g" % x != t]
+    assert mismatches == []
+    assert len(text) == values.size
+
+
+@contextlib.contextmanager
+def g17_calls():
+    """Record the size of each array `cli._g17` formats."""
+    calls, original = [], cli._g17
+    cli._g17 = lambda values: calls.append(values.size) or original(values)
+    try:
+        yield calls
+    finally:
+        cli._g17 = original
+
+
+# values on both sides of 1.0, and others each formatted one by one
+FALLBACK = [0.0, -0.0, -0.25, 1e-3, 2.0**-9 - 2.0**-60, 2.0**52, 1e300, 5e-324,
+            math.nan, NEG_NAN, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("geometry", [(1100,), (64, 64)])
+def test_field_csv_of_large_columns(geometry):
+    """Two all-distinct columns, one of them with fallback values among the
+    others, and one of 524 values each repeated, formatted once each."""
+    cells = int(np.prod(geometry))
+    rng = np.random.default_rng(cells)
+    distinct = 0.5 + rng.random(cells)  # from 0.5 to 1.5
+    mixed = rng.random(cells) * 8.0
+    mixed[::7] = np.resize(FALLBACK, mixed[::7].size)
+    pool = np.append(0.1 + rng.random(cli._G17_MIN), FALLBACK)
+    repeated = rng.permutation(np.resize(pool, cells))
+    columns = {"distinct": distinct, "mixed": mixed, "repeated": repeated}
+    with g17_calls() as calls:
+        text = cli.field_csv(geometry, **columns)
+    assert calls == [cells, cells, pool.size]
+    assert text == reference_field_csv(geometry, **columns)
+
+
+def test_field_csv_of_two_large_columns_beside_small_ones():
+    """A column of _G17_MIN values or more goes through _g17, a smaller one
+    is formatted value by value, as every shipped paper CSV is."""
+    rng = np.random.default_rng(8)
+    small, large = cli._G17_MIN - 1, cli._G17_MIN
+    for cells, expected in [(small, []), (large, [large, large])]:
+        phi_a, phi_b = 0.1 + rng.random(cells), 1.0 + rng.random(cells)
+        with g17_calls() as calls:
+            text = cli.field_csv((cells,), phi_a=phi_a, phi_b=phi_b)
+        assert calls == expected
+        assert text == reference_field_csv((cells,), phi_a=phi_a, phi_b=phi_b)
 
 
 def test_probe_csv_of_zero_loops_is_its_header(tmp_path):
