@@ -80,14 +80,16 @@ POOL_FLOATS = [-0.0, 0.0, math.nan, NEG_NAN, math.inf, -math.inf, 5e-324]
 
 
 @contextlib.contextmanager
-def formatted_calls():
-    """Record the size of each array `cli._csv` formats once per distinct value."""
-    calls, original = [], cli._formatted
-    cli._formatted = lambda values, keys: calls.append(values.size) or original(values, keys)
+def sizes_passed_to(name):
+    """Record the size of the array each call of ``cli.<name>`` formats:
+    ``_formatted`` for a column formatted once per distinct value, ``_g17``
+    for an array formatted in numpy."""
+    calls, original = [], getattr(cli, name)
+    setattr(cli, name, lambda values, *rest: calls.append(values.size) or original(values, *rest))
     try:
         yield calls
     finally:
-        cli._formatted = original
+        setattr(cli, name, original)
 
 
 @settings(max_examples=100, deadline=None)
@@ -102,7 +104,7 @@ def test_field_csv_on_columns_of_few_values(geometry, pools, data):
     columns = {f"c{i}": np.array(data.draw(st.lists(st.sampled_from(pool),
                                                     min_size=cells, max_size=cells)))
                for i, pool in enumerate(pools)}
-    with formatted_calls() as calls:
+    with sizes_passed_to("_formatted") as calls:
         text = cli.field_csv(geometry, **columns)
     assert calls == [cells] * len(pools)
     assert text == reference_field_csv(geometry, **columns)
@@ -111,7 +113,7 @@ def test_field_csv_on_columns_of_few_values(geometry, pools, data):
 def test_field_csv_keeps_signed_zeros_and_nans_apart():
     phi = np.resize(np.array(POOL_FLOATS), 40)  # 7 bit patterns, 6 texts
     for geometry in [(40,), (5, 8)]:
-        with formatted_calls() as calls:
+        with sizes_passed_to("_formatted") as calls:
             text = cli.field_csv(geometry, phi=phi, twice=-phi)
         assert calls == [40, 40]
         assert text == reference_field_csv(geometry, phi=phi, twice=-phi)
@@ -124,7 +126,7 @@ def test_field_csv_at_half_distinct(distinct, deduplicated):
     pool = rng.random(distinct) - 0.5
     phi = rng.permutation(np.resize(pool, 1000))
     assert np.unique(phi).size == distinct
-    with formatted_calls() as calls:
+    with sizes_passed_to("_formatted") as calls:
         text = cli.field_csv((1000,), phi=phi)
     assert calls == ([1000] if deduplicated else [])
     assert text == reference_field_csv((1000,), phi=phi)
@@ -137,7 +139,7 @@ def test_field_csv_one_column_repeats_and_one_does_not(shared):
     of phi_b's, and phi_b is formatted value by value."""
     phi_b = np.random.default_rng(5).random(300)
     phi_a = np.full(300, phi_b[3] if shared else 0.1)
-    with formatted_calls() as calls:
+    with sizes_passed_to("_formatted") as calls:
         text = cli.field_csv((300,), phi_a=phi_a, phi_b=phi_b)
     assert calls == [300]
     assert text == reference_field_csv((300,), phi_a=phi_a, phi_b=phi_b)
@@ -152,7 +154,7 @@ def test_field_csv_of_a_sampled_field_beside_an_exact_one():
     phi_b = 0.1 + rng.random(4096) / 100
     phi_a = rng.choice(np.append(phi_b[:200], [0.0, -0.0]), 4096)
     assert np.unique(np.concatenate([phi_a, phi_b])).size > 4096
-    with formatted_calls() as calls:
+    with sizes_passed_to("_formatted") as calls:
         text = cli.field_csv((64, 64), phi_a=phi_a, phi_b=phi_b)
     assert calls == [4096]
     assert text == reference_field_csv((64, 64), phi_a=phi_a, phi_b=phi_b)
@@ -164,7 +166,7 @@ def test_field_csv_of_a_self_compare_formats_each_column_in_full():
     as it comes: the one input where a judgement over the concatenation
     would format fewer values."""
     phi = np.random.default_rng(7).random(300)
-    with formatted_calls() as calls:
+    with sizes_passed_to("_formatted") as calls:
         text = cli.field_csv((300,), phi_a=phi, phi_b=phi.copy())
     assert calls == []
     assert text == reference_field_csv((300,), phi_a=phi, phi_b=phi)
@@ -207,18 +209,7 @@ def test_g17_is_percent_17g():
     assert len(text) == values.size
 
 
-@contextlib.contextmanager
-def g17_calls():
-    """Record the size of each array `cli._g17` formats."""
-    calls, original = [], cli._g17
-    cli._g17 = lambda values: calls.append(values.size) or original(values)
-    try:
-        yield calls
-    finally:
-        cli._g17 = original
-
-
-# values on both sides of 1.0, and others each formatted one by one
+# values _g17 formats one by one: not in [2**-9, 2**52)
 FALLBACK = [0.0, -0.0, -0.25, 1e-3, 2.0**-9 - 2.0**-60, 2.0**52, 1e300, 5e-324,
             math.nan, NEG_NAN, math.inf, -math.inf]
 
@@ -235,7 +226,7 @@ def test_field_csv_of_large_columns(geometry):
     pool = np.append(0.1 + rng.random(cli._G17_MIN), FALLBACK)
     repeated = rng.permutation(np.resize(pool, cells))
     columns = {"distinct": distinct, "mixed": mixed, "repeated": repeated}
-    with g17_calls() as calls:
+    with sizes_passed_to("_g17") as calls:
         text = cli.field_csv(geometry, **columns)
     assert calls == [cells, cells, pool.size]
     assert text == reference_field_csv(geometry, **columns)
@@ -248,7 +239,7 @@ def test_field_csv_of_two_large_columns_beside_small_ones():
     small, large = cli._G17_MIN - 1, cli._G17_MIN
     for cells, expected in [(small, []), (large, [large, large])]:
         phi_a, phi_b = 0.1 + rng.random(cells), 1.0 + rng.random(cells)
-        with g17_calls() as calls:
+        with sizes_passed_to("_g17") as calls:
             text = cli.field_csv((cells,), phi_a=phi_a, phi_b=phi_b)
         assert calls == expected
         assert text == reference_field_csv((cells,), phi_a=phi_a, phi_b=phi_b)
