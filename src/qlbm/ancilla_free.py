@@ -10,11 +10,14 @@ readout in between.
 
 So a ``LoopState`` holds the position register alone.  The post-selected
 loop is a linear map of that register which commutes with translation, so
-it is one weighted stream-sum, sum_a c_a roll(block, e_a).  Per model, the
-loop's three circuits run once through ``apply`` on a unit delta, the
+it is one weighted stream-sum, sum_a c_a roll(block, e_a).  Once per run,
+the loop's three circuits run through ``apply`` on a unit delta, the
 post-selected block they leave holds the c_a, and those are checked against
-w_hat_a / (||w_hat|| 2**(q/2)) before a ``Stencil`` runs them.  A loop runs
-on two paths with one signature:
+w_hat_a / (||w_hat|| 2**(q/2)) before a ``Stencil`` runs them.  The
+``LoopState`` carries that fold from one call to the next, so a run
+advanced in several calls, one per snapshot, folds its model once, and no
+module-level cache holds it between runs.  A loop runs on two paths with
+one signature:
 
 - ``run_loop_exact`` runs the stencil, ``loops`` loops per call;
 - ``run_loop_gates`` runs every gate on the full register, the reference
@@ -23,13 +26,13 @@ on two paths with one signature:
 Every circuit is built from the scheme's row in ``lattice._SCHEMES``: its
 velocities and the q-register code of each, with the weights that
 ``effective_weights`` gives.  Only the final state is measured:
-``sample_readout(run_exact(...))`` draws shots from the post-selected
-branch, so no trajectory is lost to post-selection in the simulator.
+``sample_readout`` draws shots from the post-selected branch of the last
+loop state, so no trajectory is lost to post-selection in the simulator.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -52,20 +55,17 @@ class LoopState:
 
     ``state`` is the post-selected position register, ``QubitLayout(0,
     axis_qubits)``, and ``loop_probs`` the post-selection probability of
-    each loop so far, oldest first.
+    each loop so far, oldest first: ``log_cumulative(loop_probs)`` is the log
+    of their product, which after thousands of loops is far below the
+    smallest float.  ``fold`` is the model the last exact loop ran under and
+    its stencil, so a run that continues under the same model folds once.
     """
 
     state: QState
     initial_l1: float
     baseline: float | None = None
     loop_probs: tuple[float, ...] = ()
-
-    @property
-    def log_postselect_cum(self) -> float:
-        """Natural log of the cumulative post-selection probability: after
-        thousands of loops the probability itself is far below the smallest
-        float."""
-        return log_cumulative(self.loop_probs)
+    fold: tuple[ModelSpec, Stencil] | None = field(default=None, compare=False, repr=False)
 
 
 def log_cumulative(probs) -> float:
@@ -157,8 +157,9 @@ def _loop_circuits(spec: ModelSpec, layout: QubitLayout) -> tuple[Circuit, Circu
 
 def _stencil_for(spec: ModelSpec) -> Stencil:
     # folded on every call, a few ``apply`` calls on 2**(q + 2d) amplitudes:
-    # with no cache, every run of a model does the same gate work, so the
-    # gate counts of one run are those of the next
+    # a run carries its fold on its LoopState instead of a cache, so every
+    # run of a model does the same gate work, and the gate counts of one run
+    # are those of the next
     kernel = _fold(spec)
     _check_fold(kernel, spec)
     q = spec.row.q_qubits
@@ -234,9 +235,14 @@ def run_loop_exact(loop_state: LoopState, spec: ModelSpec, loops: int = 1) -> Lo
 
     The returned position-register amplitudes are proportional to the
     classical field advanced by len(loop_state.loop_probs) + loops cycles.
+    The stencil is folded, and checked, only if ``loop_state`` carries no
+    fold of ``spec``; the returned state carries the one it ran.
     """
-    state, probs = _stencil_for(spec).run(loop_state.state, loops)
-    return replace(loop_state, state=state,
+    fold = loop_state.fold
+    if fold is None or fold[0] != spec:
+        fold = (spec, _stencil_for(spec))
+    state, probs = fold[1].run(loop_state.state, loops)
+    return replace(loop_state, state=state, fold=fold,
                    loop_probs=loop_state.loop_probs + tuple(probs.tolist()))
 
 
@@ -266,7 +272,8 @@ def sample_readout(loop_state: LoopState, shots: int, seed: int) -> np.ndarray:
     """Measure the position register of a post-selected loop state: the
     multinomial counts per cell, an int array in row-major cell order.  The
     shots are drawn from the post-selected branch, tracked exactly; a
-    hardware run keeps about shots * exp(log_postselect_cum) of them."""
+    hardware run keeps about shots * exp(log_cumulative(loop_probs)) of
+    them."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     probs = np.abs(loop_state.state.amplitudes) ** 2

@@ -32,6 +32,11 @@ config, its ``ModelSpec`` and the post-selection probability of each loop;
 every field a quantum run writes, each ``compare --seeds`` draw too, goes
 through one reader that returns the field alone.
 
+Every command evolves a config through ``execute`` alone: ``run``,
+``compare`` and ``probe``, whose probabilities are the report's
+``postselect_probs``.  A quantum run folds its loop's gates into a stencil
+once, however many snapshots split its loops.
+
 Exit codes: 0 success, 2 config error, 3 post-selection failure,
 4 internal assertion (regression tripwire).
 """
@@ -64,7 +69,7 @@ from .ancilla_free import (
     encode_initial,
     layout_for,
     log_cumulative,
-    run_exact,
+    run_exact,  # noqa: F401 -- unused here; bench/tracer.py wraps it by name
     run_loop_exact,
     sample_readout,
 )
@@ -347,7 +352,8 @@ def _report(cfg: RunConfig, spec: ModelSpec, probs: list[float] | None = None,
 
 def execute(cfg: RunConfig) -> Evolved:
     """Walk the config's loops once, taking the requested snapshots on the
-    way: a quantum run advances from one snapshot to the next in one call."""
+    way: a quantum run advances from one snapshot to the next in one call,
+    and its state carries the stencil from the first call to the rest."""
     field0 = cfg.initial_field()
     spec = cfg.model_spec()
     if cfg.mode == "legacy":
@@ -629,18 +635,16 @@ def cmd_gatecount(scheme: str, m_list: list[int], out_dir: Path) -> int:
 def cmd_probe(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.mode != "quantum-exact":
         raise ConfigError("probe needs mode quantum-exact")
-    spec = cfg.model_spec()
-    ls = run_exact(cfg.initial_field(), spec, cfg.loops, cfg.difference_mode)
+    probs = execute(cfg).report["postselect_probs"]
     low, high = probability_bounds(cfg.scheme)
-    loops = [str(i) for i in range(1, len(ls.loop_probs) + 1)]
-    _write(out_dir / "probe.csv",
-           _csv(["loop", "probability"], [loops], np.array(ls.loop_probs)))
+    loops = [str(i) for i in range(1, len(probs) + 1)]
+    _write(out_dir / "probe.csv", _csv(["loop", "probability"], [loops], np.array(probs)))
     eps = 1e-12
     verdict = {
         "bounds": [low, high],
-        "min_probability": min(ls.loop_probs) if ls.loop_probs else None,
-        "max_probability": max(ls.loop_probs) if ls.loop_probs else None,
-        "within_bounds": all(low - eps <= p <= high + eps for p in ls.loop_probs),
+        "min_probability": min(probs) if probs else None,
+        "max_probability": max(probs) if probs else None,
+        "within_bounds": all(low - eps <= p <= high + eps for p in probs),
     }
     _archive(out_dir / "config.json", cfg)
     _write(out_dir / "verdict.json", _dump_json(verdict))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qlbm.ancilla_free import (
     build_summation,
     encode_initial,
     layout_for,
+    log_cumulative,
     _check_fold,
     _fold,
     _stencil_for,
@@ -330,7 +332,7 @@ def test_cumulative_probability_is_product():
     spec = ModelSpec(scheme="D1Q3", M=16, u=0.2)
     rng = np.random.default_rng(3)
     ls = run_exact(MacroField(rng.random(16), (16,)), spec, 5)
-    cumulative = math.exp(ls.log_postselect_cum)
+    cumulative = math.exp(log_cumulative(ls.loop_probs))
     assert np.isclose(cumulative, np.prod(ls.loop_probs))
     assert 0.0 < cumulative <= 1.0
 
@@ -345,8 +347,9 @@ def test_cumulative_probability_survives_long_runs():
                    2500, difference_mode=True)
     log10_sum = sum(math.log10(p) for p in ls.loop_probs)
     assert log10_sum < -330
-    assert abs(ls.log_postselect_cum / math.log(10) - log10_sum) < 1e-9
-    assert math.exp(ls.log_postselect_cum) == 0.0
+    log_p = log_cumulative(ls.loop_probs)
+    assert abs(log_p / math.log(10) - log10_sum) < 1e-9
+    assert math.exp(log_p) == 0.0
 
 
 
@@ -355,17 +358,13 @@ def test_log_postselect_cum_is_read_from_the_loop_probs():
     # oldest first, that one advance after another adds up, bit for bit
     spec = ModelSpec(scheme="D1Q3", M=16, u=0.2)
     ls = encode_initial(MacroField(np.arange(1.0, 17.0), (16,)))
-    assert ls.log_postselect_cum == 0.0
+    assert log_cumulative(ls.loop_probs) == 0.0
     running = 0.0
     for loops in (1, 7, 0, 30, 2):
         ls = run_loop_exact(ls, spec, loops=loops)
         for prob in ls.loop_probs[len(ls.loop_probs) - loops:]:
             running += math.log(prob)
-        assert ls.log_postselect_cum == running
-    with pytest.raises(AttributeError):
-        ls.log_postselect_cum = 0.0
-    with pytest.raises(TypeError):
-        LoopState(ls.state, ls.initial_l1, log_postselect_cum=running)
+        assert log_cumulative(ls.loop_probs) == running
 
 
 def test_continuing_a_state_twice_keeps_both_histories():
@@ -373,6 +372,7 @@ def test_continuing_a_state_twice_keeps_both_histories():
     start = run_exact(MacroField(np.arange(1.0, 17.0), (16,)), spec, 3)
     history = list(start.loop_probs)
     first = run_loop_exact(start, spec)
+    assert first.fold is start.fold  # the same model: no refold
     first_history = list(first.loop_probs)
     other_spec = ModelSpec(scheme="D1Q3", M=16, u=-0.3)
     second = run_loop_exact(start, other_spec)
@@ -382,10 +382,17 @@ def test_continuing_a_state_twice_keeps_both_histories():
     assert list(second.loop_probs) == history + [second.loop_probs[-1]]
     assert len(second.loop_probs) == 4
     for ls in (start, first, second):
-        assert math.isclose(math.exp(ls.log_postselect_cum),
+        assert math.isclose(math.exp(log_cumulative(ls.loop_probs)),
                             math.prod(ls.loop_probs), rel_tol=1e-12)
     # a history continued again after the branch still sees only its own loops
     assert list(run_loop_exact(first, spec).loop_probs)[:4] == first_history
+    # a state carrying the fold of spec refolds under other_spec: it advances
+    # as the same state with no fold does, bit for bit
+    assert start.fold[0] == spec
+    unfolded = run_loop_exact(replace(start, fold=None), other_spec)
+    assert unfolded.loop_probs == second.loop_probs
+    assert np.array_equal(unfolded.state.amplitudes, second.state.amplitudes)
+    assert second.fold[0] == other_spec
 
 
 @st.composite
@@ -455,8 +462,8 @@ def test_stencil_matches_gate_path(spec, difference_mode, loops, seed):
     probs = np.array(gates.loop_probs)
     assert np.all(np.abs(np.array(stencil.loop_probs) - probs)
                   <= PROBABILITY_ULP * np.spacing(probs))
-    assert abs(stencil.log_postselect_cum
-               - gates.log_postselect_cum) <= LOG_P_ABS
+    assert abs(log_cumulative(stencil.loop_probs)
+               - log_cumulative(gates.loop_probs)) <= LOG_P_ABS
 
 
 @settings(max_examples=50, deadline=None)

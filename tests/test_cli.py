@@ -460,9 +460,21 @@ def loop_counter(monkeypatch):
         calls.extend(range(len(ls.loop_probs), len(ls.loop_probs) + loops))
         return original(ls, spec, loops=loops)
 
-    # run_exact looks the loop up in its own module
     monkeypatch.setattr(cli, "run_loop_exact", counted)
-    monkeypatch.setattr(ancilla_free, "run_loop_exact", counted)
+    return calls
+
+
+@pytest.fixture
+def fold_counter(monkeypatch):
+    """Count the folds of a loop's gates into a stencil."""
+    calls = []
+    original = ancilla_free._fold
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(ancilla_free, "_fold", counted)
     return calls
 
 
@@ -472,6 +484,39 @@ def test_run_with_snapshots_evolves_once(tmp_path, loop_counter):
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     assert loop_counter == list(range(12))
     assert (out / "field_t12.csv").read_bytes() == (out / "field.csv").read_bytes()
+
+
+def test_each_quantum_run_folds_once(tmp_path, fold_counter, loop_counter):
+    # the snapshots split the run into three calls, all on the first fold
+    cfg = write_config(tmp_path, "q.json", loops=12, snapshots=[3, 7, 12])
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+    assert len(fold_counter) == 1
+    fold_counter.clear()
+    loop_counter.clear()
+    # probe evolves through the same path
+    assert cli.main(["probe", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 0
+    assert len(fold_counter) == 1
+    assert loop_counter == list(range(12))
+    fold_counter.clear()
+    # no fold outlives its run: a compare of two runs folds twice, even of
+    # one model
+    other = write_config(tmp_path, "e.json", loops=5, snapshots=[2])
+    assert cli.main(["compare", "--config", str(cfg), str(other),
+                     "--out", str(tmp_path / "c")]) == 0
+    assert len(fold_counter) == 2
+    assert fold_counter[0] == fold_counter[1]
+
+
+def test_probe_reads_the_probabilities_of_a_run(tmp_path):
+    cfg = write_config(tmp_path, "d.json", difference_mode=True, loops=12,
+                       snapshots=[3, 7])
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+    assert cli.main(["probe", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 0
+    report = json.loads((tmp_path / "r" / "report.json").read_text())
+    lines = (tmp_path / "p" / "probe.csv").read_text().strip().splitlines()[1:]
+    probs = [float(line.split(",")[1]) for line in lines]
+    assert len(probs) == 12
+    assert probs == report["postselect_probs"]
 
 
 @pytest.mark.parametrize("updates, readouts", [
@@ -524,9 +569,7 @@ def test_stencil_and_gate_path_write_the_same_bytes(tmp_path, monkeypatch):
 
     def outputs(tag, loop=None):
         if loop is not None:
-            # run_exact looks the loop up in its own module
             monkeypatch.setattr(cli, "run_loop_exact", loop)
-            monkeypatch.setattr(ancilla_free, "run_loop_exact", loop)
         root = tmp_path / tag
         for i, argv in enumerate(commands):
             assert cli.main(argv + ["--out", str(root / str(i))]) == 0
