@@ -59,6 +59,8 @@ class LoopState:
     of their product, which after thousands of loops is far below the
     smallest float.  ``fold`` is the model the last exact loop ran under and
     its stencil, so a run that continues under the same model folds once.
+    A loop call returns a new state and leaves its input as it was, so a run
+    can keep each reading's state unread until an output needs its field.
     """
 
     state: QState

@@ -24,21 +24,23 @@ rounded half to even, as dtoa rounds them, and ``%d`` writes them.  Every
 other value, and every smaller array, is formatted by ``%.17g`` one value
 at a time.  Either way the bytes are those of ``"%.17g" % v``.  Every JSON
 file but an archive is
-``json.dumps(obj, indent=2, sort_keys=True)``.  A snapshot of the final
-state reuses the final field's text.  A run's field is written once, to
-``field.csv``: ``report.json`` holds no copy of it, only what decides
-whether it can be trusted.  That report is built once per run, from the
-config, its ``ModelSpec`` and the post-selection probability of each loop;
-every field a quantum run writes, each ``compare --seeds`` draw too, goes
-through one reader that returns the field alone.
+``json.dumps(obj, indent=2, sort_keys=True)``.  A run's field is written
+once, to ``field.csv``: ``report.json`` holds no copy of it, only what
+decides whether it can be trusted.  That report is built once per run, from
+the config, its ``ModelSpec`` and the post-selection probability of each
+loop.
 
 Every command evolves a config through ``execute`` alone: ``run``,
 ``compare`` and ``probe``, whose probabilities are the report's
 ``postselect_probs``.  A quantum run folds its loop's gates into a stencil
-once, however many snapshots split its loops.
+once, however many snapshots split its loops.  ``execute`` returns each
+reading's state unread, and a command reads out only the fields it writes,
+before it writes any: ``run`` each reading once, its text formatted once
+for every file it goes to; ``compare`` each side's last state once, and a
+sampled side again per ``--seeds`` draw; ``probe`` none.
 
-Exit codes: 0 success, 2 config error, 3 post-selection failure,
-4 internal assertion (regression tripwire).
+Exit codes: 0 success, 2 config error or an output that cannot be written,
+3 post-selection failure, 4 internal assertion (regression tripwire).
 """
 from __future__ import annotations
 
@@ -229,6 +231,8 @@ class RunConfig:
                 raise ConfigError(f"{f.name} is not read in mode {self.mode}: leave it unset")
         if self.loops < 0:
             raise ConfigError("loops must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.mode == "legacy" and self.scheme != D1Q2:
             raise ConfigError("mode legacy runs the two-direction model: scheme D1Q2")
         self.model_spec()  # lattice size, the row's model keys and omega
@@ -296,29 +300,9 @@ class RunConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-@dataclass
-class Evolved:
-    """A config's loops walked once: everything in its outputs but the draw.
-
-    Only a quantum-sampled readout depends on the seed, and it measures the
-    kept final state, so a seed sweep never runs the loops again.
-    """
-
-    cfg: RunConfig
-    field: MacroField  # read out at the config's own seed
-    report: dict  # what report.json holds
-    snapshots: list[tuple[int, MacroField]]
-    final: LoopState | None = None  # post-selected state of a quantum-sampled run
-
-    def field_at(self, seed: int) -> MacroField:
-        """The output field with the readout drawn from ``seed``."""
-        if self.final is None:
-            return self.field
-        return _read_out(self.cfg, self.final, seed)
-
-
-def _read_out(cfg: RunConfig, ls: LoopState, seed: int) -> MacroField:
-    """The field of a post-selected state, read exactly or from ``cfg.shots`` samples."""
+def _read_field(cfg: RunConfig, ls: LoopState, seed: int) -> MacroField:
+    """The field of a kept quantum state: read exactly, or from ``cfg.shots``
+    samples drawn from ``seed``, then difference-reconstructed if encoded so."""
     if cfg.mode == "quantum-exact":
         delta = macroscopic_exact(ls.state, ls.initial_l1, cfg.geometry)
     else:
@@ -350,19 +334,20 @@ def _report(cfg: RunConfig, spec: ModelSpec, probs: list[float] | None = None,
     }
 
 
-def execute(cfg: RunConfig) -> Evolved:
-    """Walk the config's loops once, taking the requested snapshots on the
-    way: a quantum run advances from one snapshot to the next in one call,
-    and its state carries the stencil from the first call to the rest."""
+def execute(cfg: RunConfig) -> tuple[dict, dict[int, MacroField | LoopState]]:
+    """Walk the config's loops once: report.json's content, and the state at
+    each reading (the snapshots and ``loops``), a classical or legacy one as
+    its field and a quantum one unread.  A quantum run advances from one
+    reading to the next in one call, carrying its stencil from the first."""
     field0 = cfg.initial_field()
     spec = cfg.model_spec()
     if cfg.mode == "legacy":
         result = run_legacy_step(spec, field0.phi)
-        return Evolved(cfg, result.field, _report(cfg, spec, [result.probability]), [])
+        return _report(cfg, spec, [result.probability]), {cfg.loops: result.field}
 
     classical = cfg.mode == "classical"
     state = field0 if classical else encode_initial(field0, cfg.difference_mode)
-    snapshots, done = [], 0
+    states, done = {}, 0
     for t in sorted(set(cfg.snapshots) | {cfg.loops}):
         if classical:
             for _ in range(t - done):
@@ -370,19 +355,10 @@ def execute(cfg: RunConfig) -> Evolved:
         else:
             # by keyword: the benchmark's tracer unpacks (state, spec)
             state = run_loop_exact(state, spec, loops=t - done)
-        done = t
-        if t < cfg.loops:
-            snapshots.append((t, state if classical else _read_out(cfg, state, cfg.seed)))
-    if classical:
-        field, report = state, _report(cfg, spec)
-    else:
-        field = _read_out(cfg, state, cfg.seed)
-        report = _report(cfg, spec, list(state.loop_probs), state.baseline, state.initial_l1)
-    if cfg.loops in cfg.snapshots:  # the final state, read out once
-        snapshots.append((cfg.loops, field))
-    # a quantum-exact state is dropped here: only a sampled one is read again
-    final = state if cfg.mode == "quantum-sampled" else None
-    return Evolved(cfg, field, report, snapshots, final)
+        states[t], done = state, t
+    report = _report(cfg, spec) if classical else _report(
+        cfg, spec, list(state.loop_probs), state.baseline, state.initial_l1)
+    return report, states
 
 
 def _csv(header: list[str], axes: list[list[str]], *columns) -> str:
@@ -552,16 +528,19 @@ def _archive(path: Path, cfg: RunConfig, initial: str | None = None) -> str:
 
 def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     t0 = time.perf_counter()
-    run = execute(cfg)
-    field = run.field
+    report, readings = execute(cfg)
+    # each reading read out once, before anything is written; rebound, so no state outlives it
+    readings = {t: _read_field(cfg, state, cfg.seed) if isinstance(state, LoopState) else state
+                for t, state in readings.items()}
     _archive(out_dir / "config.json", cfg)
-    _write(out_dir / "report.json", _dump_json(run.report))
-    text = field_csv(field.geometry, phi=field.phi)
-    _write(out_dir / "field.csv", text)
-    for t, snap in run.snapshots:
-        # the snapshot at t == loops is the final field, formatted above
-        _write(out_dir / f"field_t{t}.csv",
-               text if snap is field else field_csv(snap.geometry, phi=snap.phi))
+    _write(out_dir / "report.json", _dump_json(report))
+    for t, field in readings.items():
+        text = field_csv(field.geometry, phi=field.phi)
+        if t in cfg.snapshots:
+            _write(out_dir / f"field_t{t}.csv", text)
+        if t == cfg.loops:
+            _write(out_dir / "field.csv", text)
+        del text  # two texts alive at once cost 28 MB of ru_maxrss at D2Q5 M = 1024
     print(f"[qlbm] {cfg.mode} run finished in {time.perf_counter() - t0:.3f}s",
           file=sys.stderr)
     return 0
@@ -578,16 +557,23 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: Path,
         raise ConfigError("compared configs must share the lattice geometry")
     if sweep is not None and sweep < 1:
         raise ConfigError(f"--seeds must be >= 1 (got {sweep})")
-    # before anything is written: a negative seed raises here
     seeds = _sweep_seeds(cfg_a.seed, sweep) if sweep else []
     t0 = time.perf_counter()
-    run_a, run_b = execute(cfg_a), execute(cfg_b)
-    field_a, field_b = run_a.field, run_b.field
+    cfgs = (cfg_a, cfg_b)
+    # each side's last state, read once at its config's seed
+    states = [execute(cfg)[1][cfg.loops] for cfg in cfgs]
+    field_a, field_b = fields = [
+        _read_field(cfg, state, cfg.seed) if isinstance(state, LoopState) else state
+        for cfg, state in zip(cfgs, states)]
     # every metric before anything is written: a refused one writes nothing
     l2, linf = error_metrics(field_a, field_b)
     summary = {"l2_error": l2, "linf_error": linf}
     if seeds:
-        metrics = [error_metrics(run_a.field_at(s), run_b.field_at(s)) for s in seeds]
+        # a seed re-draws a sampled side alone; any other reads the same at every seed
+        metrics = [error_metrics(*(_read_field(cfg, state, seed)
+                                   if cfg.mode == "quantum-sampled" else field
+                                   for cfg, state, field in zip(cfgs, states, fields)))
+                   for seed in seeds]
         summary["sweep"] = {
             "seeds": seeds,
             "l2_errors": [m[0] for m in metrics],
@@ -635,7 +621,7 @@ def cmd_gatecount(scheme: str, m_list: list[int], out_dir: Path) -> int:
 def cmd_probe(cfg: RunConfig, out_dir: Path) -> int:
     if cfg.mode != "quantum-exact":
         raise ConfigError("probe needs mode quantum-exact")
-    probs = execute(cfg).report["postselect_probs"]
+    probs = execute(cfg)[0]["postselect_probs"]
     low, high = probability_bounds(cfg.scheme)
     loops = [str(i) for i in range(1, len(probs) + 1)]
     _write(out_dir / "probe.csv", _csv(["loop", "probability"], [loops], np.array(probs)))
@@ -651,6 +637,13 @@ def cmd_probe(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """``--seed``: an integer >= 0, as a config's seed; argparse exits 2 on any other."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0 (got {text})")
+    return int(text)
+
+
 @cache  # built at the first main call, then reused: parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qlbm",
@@ -660,13 +653,13 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one configured experiment")
     run.add_argument("--config", required=True)
     run.add_argument("--out", default=".")
-    run.add_argument("--seed", type=int, default=None)
+    run.add_argument("--seed", type=_seed, default=None)
 
     comp = sub.add_parser("compare", help="run two configs and compare fields")
     comp.add_argument("--config", required=True, nargs=2,
                       metavar=("CONFIG_A", "CONFIG_B"))
     comp.add_argument("--out", default=".")
-    comp.add_argument("--seed", type=int, default=None)
+    comp.add_argument("--seed", type=_seed, default=None)
     comp.add_argument("--seeds", type=int, default=None,
                       help="sweep this many derived seeds and report medians")
 
@@ -705,6 +698,9 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a config that cannot be read is a ConfigError
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

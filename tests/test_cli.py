@@ -57,6 +57,14 @@ def write_config(tmp_path, name, **updates):
     return path
 
 
+def exit_code(argv) -> int:
+    """What ``main`` returns, or the status argparse exits with."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def read_field_csv(path):
     lines = path.read_text().strip().splitlines()[1:]
     return np.array([float(line.split(",")[-1]) for line in lines])
@@ -526,7 +534,7 @@ def test_probe_reads_the_probabilities_of_a_run(tmp_path):
 def test_run_reads_out_and_formats_the_final_state_once(tmp_path, monkeypatch,
                                                         updates, readouts):
     calls = collections.Counter()
-    for name in ("_read_out", "macroscopic_exact", "field_csv", "classical_step"):
+    for name in ("_read_field", "macroscopic_exact", "field_csv", "classical_step"):
         def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
@@ -534,11 +542,85 @@ def test_run_reads_out_and_formats_the_final_state_once(tmp_path, monkeypatch,
     cfg = write_config(tmp_path, "c.json", loops=12, snapshots=[12, 3, 7], **updates)
     out = tmp_path / "o"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    assert calls["_read_out"] == calls["macroscopic_exact"] == readouts
+    assert calls["_read_field"] == calls["macroscopic_exact"] == readouts
     assert calls["classical_step"] == (12 if updates else 0)
     assert calls["field_csv"] == 3  # field.csv, field_t3.csv and field_t7.csv
     assert (out / "field_t12.csv").read_bytes() == (out / "field.csv").read_bytes()
     assert (out / "field_t3.csv").read_bytes() != (out / "field_t7.csv").read_bytes()
+
+
+@pytest.fixture
+def readout_counter(monkeypatch):
+    """Count the CLI's exact and sampled readouts, by function name."""
+    calls = collections.Counter()
+    for name in ("macroscopic_exact", "sample_readout"):
+        def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("config", ["snapshots", "shipped"])
+def test_probe_reads_out_no_field(tmp_path, readout_counter, config):
+    # probe writes the loops' probabilities alone
+    cfg = (write_config(tmp_path, "q.json", loops=12, snapshots=[3, 7, 12])
+           if config == "snapshots" else CONFIGS / "d2q5_gaussian_hill_exact.json")
+    assert cli.main(["probe", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert readout_counter["macroscopic_exact"] == 0
+
+
+def test_run_reads_out_before_it_writes(tmp_path, monkeypatch):
+    def refused(*args):
+        raise ValueError("readout refused")
+
+    monkeypatch.setattr(cli, "macroscopic_exact", refused)
+    cfg = write_config(tmp_path, "q.json", loops=4, snapshots=[2])
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("seeds", [1, 5])
+@pytest.mark.parametrize("modes", [("quantum-exact", "classical"),
+                                   ("quantum-sampled", "quantum-exact"),
+                                   ("classical", "quantum-sampled")])
+def test_compare_reads_only_a_sampled_side_per_seed(tmp_path, readout_counter, modes,
+                                                    seeds):
+    paths = [str(write_config(tmp_path, f"{i}.json", mode=mode, loops=4,
+                              **({"shots": 2000} if mode == "quantum-sampled" else {})))
+             for i, mode in enumerate(modes)]
+    assert cli.main(["compare", "--config", *paths, "--seeds", str(seeds),
+                     "--out", str(tmp_path / "o")]) == 0
+    assert readout_counter["macroscopic_exact"] == modes.count("quantum-exact")
+    assert readout_counter["sample_readout"] == modes.count("quantum-sampled") * (1 + seeds)
+
+
+@pytest.mark.parametrize("mode", ["quantum-sampled", "classical"])
+def test_a_negative_seed_exits_2_before_output(tmp_path, capsys, mode):
+    # a config's seed and --seed are refused where they are read, by name
+    shots = {"shots": 500} if mode == "quantum-sampled" else {}
+    bad = str(write_config(tmp_path, "bad.json", mode=mode, loops=3, seed=-1, **shots))
+    good = str(write_config(tmp_path, "good.json", mode=mode, loops=3, **shots))
+    classical = str(write_config(tmp_path, "c.json", mode="classical", loops=3))
+    for argv in (["run", "--config", bad],
+                 ["compare", "--config", bad, classical],
+                 ["run", "--config", good, "--seed", "-1"],
+                 ["compare", "--config", good, classical, "--seed", "-1"]):
+        assert exit_code([*argv, "--out", str(tmp_path / "o")]) == 2, argv
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+def test_an_out_that_cannot_be_made_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    exact = str(write_config(tmp_path, "e.json", loops=2))
+    classical = str(write_config(tmp_path, "c.json", mode="classical", loops=2))
+    for argv in (["run", "--config", classical], ["probe", "--config", exact],
+                 ["compare", "--config", exact, classical], ["gatecount", "--m-list", "4"]):
+        assert cli.main([*argv, "--out", str(blocker / "o")]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output:") and err.count("\n") == 1
 
 
 def test_a_fold_off_the_weights_exits_4(tmp_path, monkeypatch, capsys):
@@ -743,8 +825,8 @@ def test_compare_sweep_refused_before_output(tmp_path, sweep):
     # two classical runs draw nothing, so only the sweep can refuse them
     cfg_a = write_config(tmp_path, "a.json", mode="classical", loops=2)
     cfg_b = write_config(tmp_path, "b.json", mode="classical", loops=3)
-    assert cli.main(["compare", "--config", str(cfg_a), str(cfg_b), *sweep,
-                     "--out", str(tmp_path / "o")]) == 2
+    assert exit_code(["compare", "--config", str(cfg_a), str(cfg_b), *sweep,
+                      "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
 
 
