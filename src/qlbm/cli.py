@@ -39,6 +39,18 @@ before it writes any: ``run`` each reading once, its text formatted once
 for every file it goes to; ``compare`` each side's last state once, and a
 sampled side again per ``--seeds`` draw; ``probe`` none.
 
+A ``--seeds`` sweep with no sampled side reads one pair of errors at every
+seed, computed once.  One with a sampled side, on a lattice of 4096 cells
+or more (``_SWEEP_THREAD_MIN_CELLS``), splits its seeds into contiguous
+chunks, one per CPU the process may use and at most one per seed: the first
+is drawn in the calling thread, each other in a thread of its own, as
+numpy's multinomial releases the GIL.  A smaller lattice, or one usable CPU,
+draws every seed in the calling thread and starts no thread.  Each seed
+draws from its own generator, the error metrics call no BLAS, and the
+errors are joined in seed order, so no output depends on the CPU count; a
+failed draw raises the first error in seed order, before anything is
+written.
+
 Exit codes: 0 success, 2 config error or an output that cannot be written,
 3 post-selection failure, 4 internal assertion (regression tripwire).
 """
@@ -50,7 +62,9 @@ import itertools
 import json
 import marshal
 import math
+import os
 import sys
+import threading
 import time
 from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
@@ -551,6 +565,47 @@ def _sweep_seeds(master_seed: int, n: int) -> list[int]:
             np.random.SeedSequence(master_seed).generate_state(n, dtype=np.uint64)]
 
 
+# a sweep on this many cells or more draws on every usable CPU: numpy's
+# multinomial releases the GIL.  On fewer, the threads' GIL hand-offs cost
+# more than the draws they overlap (the measured crossover is in CHANGES.md)
+_SWEEP_THREAD_MIN_CELLS = 4096
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _sweep(draw, seeds: list[int], threads: int) -> list:
+    """``[draw(seed) for seed in seeds]``, the seeds split into ``threads``
+    contiguous chunks: the first runs in the calling thread, each other in
+    a thread of its own.  Once every chunk has stopped, the first exception
+    in seed order is raised, as the serial loop would raise it."""
+    n = len(seeds)
+    chunks = [seeds[i * n // threads:(i + 1) * n // threads] for i in range(threads)]
+    results: list = [None] * threads
+
+    def run(i: int):
+        try:
+            results[i] = [draw(seed) for seed in chunks[i]]
+        except Exception as exc:  # handed to the calling thread, raised below
+            results[i] = exc
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(1, threads)]
+    for worker in workers:
+        worker.start()
+    run(0)
+    for worker in workers:
+        worker.join()
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return [m for result in results for m in result]
+
+
 def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: Path,
                 sweep: int | None) -> int:
     if cfg_a.geometry != cfg_b.geometry:
@@ -570,10 +625,18 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: Path,
     summary = {"l2_error": l2, "linf_error": linf}
     if seeds:
         # a seed re-draws a sampled side alone; any other reads the same at every seed
-        metrics = [error_metrics(*(_read_field(cfg, state, seed)
-                                   if cfg.mode == "quantum-sampled" else field
-                                   for cfg, state, field in zip(cfgs, states, fields)))
-                   for seed in seeds]
+        if any(cfg.mode == "quantum-sampled" for cfg in cfgs):
+            def draw(seed: int) -> tuple[float, float]:
+                return error_metrics(*(_read_field(cfg, state, seed)
+                                       if cfg.mode == "quantum-sampled" else field
+                                       for cfg, state, field in zip(cfgs, states, fields)))
+
+            # each seed draws from its own generator, and the metrics call no
+            # BLAS, so no byte depends on how many threads share the seeds
+            large = math.prod(cfg_a.geometry) >= _SWEEP_THREAD_MIN_CELLS
+            metrics = _sweep(draw, seeds, min(len(seeds), _usable_cpus()) if large else 1)
+        else:
+            metrics = [(l2, linf)] * len(seeds)
         summary["sweep"] = {
             "seeds": seeds,
             "l2_errors": [m[0] for m in metrics],

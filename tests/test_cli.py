@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,6 +31,7 @@ from qlbm.lattice import (
 )
 from qlbm.readout import (
     difference_reconstruct,
+    error_metrics,
     macroscopic_exact,
     macroscopic_from_counts,
 )
@@ -782,6 +784,144 @@ def test_compare_sweep_difference_beats_direct(tmp_path):
         medians[label] = json.loads(
             (out / "summary.json").read_text())["sweep"]["median_l2"]
     assert medians["diff"] < medians["direct"]
+
+
+def test_a_sweep_with_no_sampled_side_computes_its_errors_once(tmp_path, monkeypatch):
+    # exact against classical reads the same pair at every seed
+    calls = []
+
+    def counted(*fields):
+        calls.append(fields)
+        return error_metrics(*fields)
+
+    monkeypatch.setattr(cli, "error_metrics", counted)
+    cfg_e = write_config(tmp_path, "e.json", loops=4)
+    cfg_c = write_config(tmp_path, "c.json", mode="classical", loops=4)
+    out = tmp_path / "o"
+    assert cli.main(["compare", "--config", str(cfg_e), str(cfg_c),
+                     "--out", str(out), "--seeds", "5"]) == 0
+    assert len(calls) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["sweep"]["l2_errors"] == [summary["l2_error"]] * 5
+    assert summary["sweep"]["linf_errors"] == [summary["linf_error"]] * 5
+    assert summary["sweep"]["median_l2"] == summary["l2_error"]
+
+
+def large_sampled_pair(tmp_path) -> list[str]:
+    """A quantum-sampled D1Q3 config at the sweep's thread crossover, with few
+    shots, and its classical reference."""
+    m = cli._SWEEP_THREAD_MIN_CELLS
+    rows = [[i, 0.1 + 0.3 * math.exp(-((i - m / 3) / 40) ** 2)] for i in range(0, m, 7)]
+    common = {"M": m, "loops": 2, "initial": {"uniform": 0.1, "overrides": rows}}
+    return [str(write_config(tmp_path, "s.json", mode="quantum-sampled",
+                             difference_mode=True, shots=3000, **common)),
+            str(write_config(tmp_path, "c.json", mode="classical", **common))]
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Count the threads started, by any caller."""
+    starts = []
+    original = threading.Thread.start
+
+    def counted(self):
+        starts.append(self)
+        return original(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    return starts
+
+
+def test_sweep_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, thread_starts):
+    paths = large_sampled_pair(tmp_path)
+    outputs = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda cpus=cpus: cpus)
+        thread_starts.clear()
+        out = tmp_path / f"cpus{cpus}"
+        assert cli.main(["compare", "--config", *paths, "--seeds", "7",
+                         "--out", str(out)]) == 0
+        # one chunk per CPU, the first in the calling thread
+        assert len(thread_starts) == cpus - 1
+        assert not any(t.is_alive() for t in thread_starts)
+        outputs.append([(out / f).read_bytes() for f in ("summary.json", "compare.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(set(json.loads(outputs[0][0])["sweep"]["l2_errors"])) == 7
+    # fewer seeds than CPUs: one chunk per seed
+    thread_starts.clear()
+    assert cli.main(["compare", "--config", *paths, "--seeds", "2",
+                     "--out", str(tmp_path / "two")]) == 0
+    assert len(thread_starts) == 1
+
+
+def test_sweep_joins_its_chunks_in_seed_order_under_thread_switches(thread_starts):
+    # more threads than cores, switching as often as the interpreter allows
+    seeds = list(range(50))
+
+    def draw(seed):
+        return seed, float(np.sum(np.arange(seed + 1000.0)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        swept = cli._sweep(draw, seeds, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert swept == [draw(seed) for seed in seeds]
+    assert len(thread_starts) == 7
+    assert not any(t.is_alive() for t in thread_starts)
+
+
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    assert cli._usable_cpus() >= 1
+    # where there is no affinity call, as on macOS and Windows
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 5)
+    assert cli._usable_cpus() == 5
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # undeterminable
+    assert cli._usable_cpus() == 1
+
+
+def test_a_small_sampled_sweep_starts_no_thread(tmp_path, monkeypatch, thread_starts):
+    # below the crossover the GIL hand-offs would cost more than they overlap
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    assert cli.main(["compare", "--config", str(CONFIGS / "d1q3_gaussian_hill_sampled.json"),
+                     str(CONFIGS / "d1q3_gaussian_hill_classical.json"), "--seeds", "4",
+                     "--out", str(tmp_path / "o")]) == 0
+    assert thread_starts == []
+
+
+@pytest.mark.parametrize("refused", ["last", "every"])
+def test_a_failed_draw_exits_as_the_serial_sweep_does(tmp_path, monkeypatch, capsys,
+                                                      thread_starts, refused):
+    paths = large_sampled_pair(tmp_path)
+    seeds = cli._sweep_seeds(D1Q3_GAUSS["seed"], 7)
+    failing = set(seeds[-1:] if refused == "last" else seeds)
+    drawn = threading.local()  # the seed each thread drew last
+
+    def sample(loop_state, shots, seed):
+        drawn.seed = seed
+        return sample_readout(loop_state, shots, seed)
+
+    def metrics(*fields):
+        if drawn.seed in failing:
+            raise ValueError(f"refused at seed {drawn.seed}")
+        return error_metrics(*fields)
+
+    monkeypatch.setattr(cli, "sample_readout", sample)
+    monkeypatch.setattr(cli, "error_metrics", metrics)
+    errors = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert cli.main(["compare", "--config", *paths, "--seeds", "7",
+                         "--out", str(out)]) == 2
+        assert not out.exists()
+        errors.append(capsys.readouterr().err)
+    assert len(thread_starts) == 2
+    # the first refusal in seed order, whichever thread drew it
+    first = seeds[-1] if refused == "last" else seeds[0]
+    assert errors == [f"config error: refused at seed {first}\n"] * 2
 
 
 def test_compare_geometry_mismatch_is_config_error(tmp_path):
