@@ -13,22 +13,14 @@ A config is read with the cyclic garbage collector paused: its override
 rows are one list each, thousands of them, which the collector would walk on
 every pass it makes while they are built, and a parsed config holds no cycles.
 
-A CSV fills one row template with the ``%.17g`` text of every value; a
-column whose values are at most half distinct has each distinct value
-formatted once (a difference-mode or sampled field is mostly a few values).
-An array of 512 values or more, a column's distinct values or a whole
-column, is formatted by ``_g17`` in numpy: for v in [2**-9, 2**52), where
-``%.17g`` is fixed-point, Dekker's two-product gives v * 10**k exactly as a
-float64 and its rounding error, so the 17 significant digits come out
-rounded half to even, as dtoa rounds them, and ``%d`` writes them.  Every
-other value, and every smaller array, is formatted by ``%.17g`` one value
-at a time.  Either way the bytes are those of ``"%.17g" % v``.  Every JSON
-file but an archive is
-``json.dumps(obj, indent=2, sort_keys=True)``.  A run's field is written
-once, to ``field.csv``: ``report.json`` holds no copy of it, only what
-decides whether it can be trusted.  That report is built once per run, from
-the config, its ``ModelSpec`` and the post-selection probability of each
-loop.
+Every CSV value is the text of ``"%.17g" % v``, and a column whose bit
+patterns are at most half distinct (a difference-mode or sampled field is
+mostly a few values) has each pattern formatted once.  Every JSON file but
+an archive is ``json.dumps(obj, indent=2, sort_keys=True)``.  A run's field
+is written once, to ``field.csv``: ``report.json`` holds no copy of it, only
+what decides whether it can be trusted.  That report is built once per run,
+from the config, its ``ModelSpec`` and the post-selection probability of
+each loop.
 
 Every command evolves a config through ``execute`` alone: ``run``,
 ``compare`` and ``probe``, whose probabilities are the report's
@@ -163,11 +155,14 @@ def _initial(value) -> dict:
     """The initial field: a uniform value, and the ``[cell, value]`` override
     rows as the JSON parser returned them (``RunConfig`` checks them)."""
     if not isinstance(value, dict) or not value.keys() <= {"uniform", "overrides"}:
-        raise ConfigError("initial is an object with the keys uniform and overrides")
+        raise ConfigError("an object with the keys uniform and overrides only")
     uniform = _real(value.get("uniform", 0.0))
     if uniform < 0:
         raise ConfigError("field values must be nonnegative")
-    return {"uniform": uniform, "overrides": value.get("overrides", [])}
+    overrides = value.get("overrides", [])
+    if not isinstance(overrides, list):
+        raise ConfigError("overrides must be a list of [cell, value] rows")
+    return {"uniform": uniform, "overrides": overrides}
 
 
 def _key(parse, modes=None, **default):
@@ -213,8 +208,14 @@ class RunConfig:
         unknown = raw.keys() - parsers.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        parsed = {}
+        for key, value in raw.items():
+            try:
+                parsed[key] = parsers[key](value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{key}: {exc}") from exc
+        cfg = cls(**parsed)
         try:
-            cfg = cls(**{key: parsers[key](value) for key, value in raw.items()})
             cfg.validate()
         except ConfigError:
             raise
@@ -376,62 +377,41 @@ def execute(cfg: RunConfig) -> tuple[dict, dict[int, MacroField | LoopState]]:
 
 
 def _csv(header: list[str], axes: list[list[str]], *columns) -> str:
-    """One row per index of ``axes`` in row-major order: the index, then each
-    float64 column's value as ``%.17g``.
+    """One row per index of ``axes`` in row-major order: the index, then
+    each float64 column's value as the text of ``"%.17g" % v`` (``_text``).
 
-    The rows are one template filled by a single ``%``; ``"%.17g" % x``
-    gives the bytes of ``f"{x:.17g}"`` for every float, nan and -0.0 too.
-    Each column is judged on its own: when at most half of its values have
-    distinct bits, each is formatted once and its text filled by ``%s``, so
-    a sampled field beside an all-distinct one is still deduplicated.  Those
-    distinct values, or an all-distinct column, go through ``_g17`` from
-    ``_G17_MIN`` values up; a smaller all-distinct column is left to the
-    template's own ``%.17g``.  The
-    template is joined a last-axis block at a time, with no string per row:
-    65536 row labels made and dropped fragmented the heap, and peak RSS grew
-    3 MB over repeated D2Q5 M=256 runs.
+    The rows are one template of ``%s`` slots filled by a single ``%``.  Each
+    column's text is taken as it is copied into the values, so no column's
+    text outlives its copy.  The template is joined a last-axis block at a
+    time, with no string per row: 65536 row labels made and dropped
+    fragmented the heap, and peak RSS grew 3 MB over repeated D2Q5 M=256 runs.
     """
-    texts = [_text(column) for column in columns]
-    row = "".join(",%.17g" if t is None else ",%s" for t in texts) + "\n"
+    row = ",%s" * len(columns) + "\n"
     last = axes[-1]
     prefixes = map("".join, itertools.product(*([i + "," for i in a] for a in axes[:-1])))
     template = "".join(p + (row + p).join(last) + row for p in prefixes) if last else ""
     values = [None] * sum(column.size for column in columns)
-    for i, (column, t) in enumerate(zip(columns, texts)):
-        values[i::len(columns)] = column.tolist() if t is None else t
+    for i, column in enumerate(columns):
+        values[i::len(columns)] = _text(column)
     return ",".join(header) + "\n" + template % tuple(values)
 
 
-def _text(column: np.ndarray) -> list[str] | None:
-    """The ``%.17g`` text of each value of ``column``, or None when the row
-    template formats the column itself: fewer than ``_G17_MIN`` values, over
-    half of them distinct."""
-    keys = _distinct(column)
-    if keys is not None:
-        return _formatted(column, keys)
-    return _g17(column) if column.size >= _G17_MIN else None
+def _text(column: np.ndarray) -> list[str]:
+    """``"%.17g" % v`` of each value of ``column``.  When at most half of its
+    bit patterns are distinct, as in a difference-mode or sampled field,
+    each pattern is formatted once and its text mapped back to the values."""
+    bits = column.view(np.int64)
+    keys = np.sort(bits)
+    new = keys[1:] != keys[:-1]
+    if 2 * (1 + np.count_nonzero(new)) > keys.size:
+        return _g17(column)
+    keys = np.append(keys[:1], keys[1:][new])
+    text = np.array(_g17(keys.view(np.float64)), dtype=object)
+    return text[np.searchsorted(keys, bits)].tolist()
 
 
-def _distinct(column: np.ndarray) -> np.ndarray | None:
-    """The sorted distinct bit patterns of ``column`` as int64, or None when
-    more than half of its values are distinct."""
-    bits = np.sort(column.view(np.int64))
-    new = bits[1:] != bits[:-1]
-    if 2 * (1 + np.count_nonzero(new)) > bits.size:
-        return None
-    return np.append(bits[:1], bits[1:][new])
-
-
-def _formatted(values: np.ndarray, keys: np.ndarray) -> list[str]:
-    """``"%.17g" % x`` of each value, run once per bit pattern of sorted ``keys``."""
-    floats = keys.view(np.float64)
-    text = np.array(_g17(floats) if floats.size >= _G17_MIN
-                    else ["%.17g" % x for x in floats.tolist()], dtype=object)
-    return text[np.searchsorted(keys, values.view(np.int64))].tolist()
-
-
-# _g17 writes arrays of this many values or more; below it, one "%.17g" per
-# value is faster (see CHANGES.md for the measured crossover)
+# _g17 writes arrays of this many values or more in numpy; below it, one
+# "%.17g" per value is faster (see CHANGES.md for the measured crossover)
 _G17_MIN = 512
 _G17_BLOCK = 4096  # values per pass, so each numpy temporary stays 32 KB
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter of a 53-bit significand
@@ -452,8 +432,11 @@ def _times_pow10(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _g17(values: np.ndarray) -> list[str]:
-    """``["%.17g" % v for v in values]`` for a float64 array, computed in
-    blocks of ``_G17_BLOCK`` values."""
+    """``["%.17g" % v for v in values]`` for a float64 array: one value at a
+    time below ``_G17_MIN`` values, and from there in numpy blocks of
+    ``_G17_BLOCK`` values (``_g17_block``)."""
+    if values.size < _G17_MIN:
+        return ["%.17g" % v for v in values.tolist()]
     text = []
     for start in range(0, values.size, _G17_BLOCK):
         text += _g17_block(values[start:start + _G17_BLOCK])
@@ -464,7 +447,9 @@ def _g17_block(v: np.ndarray) -> list[str]:
     """``"%.17g"`` of each value, the digits of those in [2**-9, 2**52) taken
     in numpy.  There ``%.17g`` is fixed-point with a decimal exponent e in
     [-3, 15]: the value's 17 significant digits are ``x * 10**(16 - e)``
-    rounded half to even, which ``_times_pow10`` gives exactly.  Every other
+    rounded half to even, as dtoa rounds them.  Dekker's two-product
+    (``_times_pow10``) gives that product exactly, as a float64 and its
+    rounding error, and ``%d`` writes the digits.  Every other
     value (zeros, negatives, subnormals, NaN, infinities, the rest) is
     formatted one by one."""
     text = np.empty(v.size, dtype=object)

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -1172,11 +1173,28 @@ def test_bad_config_exit_code(tmp_path):
     {"initial": {"uniform": 0.1, "overrides": [[64, 0.5]]}},
     {"initial": {"uniform": 0.1, "overrides": [[[11], 0.2]]}},
     {"initial": {"uniform": 0.1, "overrides": {}}},
+    {"initial": {"overrides": None}},
+    {"snapshots": 5},
 ])
 def test_malformed_config_exit_code(tmp_path, updates):
     cfg = write_config(tmp_path, "bad.json", **updates)
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("updates, message", [
+    ({"loops": "3"}, "loops: '3' is not a finite number"),
+    ({"snapshots": 5}, "snapshots: "),
+    ({"weights": 5}, "weights: "),
+    ({"mode": "exact"}, "mode: 'exact' is not one of"),
+    ({"initial": {"overrides": None}}, "initial: overrides must be a list"),
+    ({"initial": {"uniform": 0.1, "overrides": {}}}, "initial: overrides must be a list"),
+    ({"initial": [0.1]}, "initial: an object with the keys uniform and overrides"),
+])
+def test_a_refused_config_value_names_its_key(tmp_path, capsys, updates, message):
+    cfg = write_config(tmp_path, "bad.json", **updates)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("updates", [
@@ -1404,3 +1422,29 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
     assert "from_json" in cli.RunConfig.__dict__
+
+
+def test_run_memory_peak_at_d2q5_m256(tmp_path):
+    """cmd_run's tracemalloc peak on a D2Q5 M = 256 run with a snapshot,
+    against the field's M**2 * 8 bytes.  The peak is the CSV text of the
+    final field: about 19.6x here (Python 3.11, numpy 2.4), and 20.7x when
+    each column's text stayed alive beside the values list.  So a bound of
+    21x refuses another full-size array or list alive at that point beside
+    the older layout, and two beside this one."""
+    m = 256
+    rng = np.random.default_rng(1)
+    n = m * m // 9
+    rows = [[c, v] for c, v in zip(rng.integers(0, m, (n, 2)).tolist(),
+                                   (0.1 + rng.random(n)).tolist())]
+    cfg = cli.RunConfig.from_dict({
+        "scheme": "D2Q5", "M": m, "mode": "quantum-exact", "difference_mode": True,
+        "u": 0.1, "v": 0.05, "loops": 20, "snapshots": [10],
+        "initial": {"uniform": 0.1, "overrides": rows}})
+    tracemalloc.start()
+    try:
+        assert cli.cmd_run(cfg, tmp_path) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "field_t10.csv").exists()
+    assert peak <= 21 * m * m * 8, peak / (m * m * 8)

@@ -2,9 +2,10 @@
 
 `cli.field_csv` must give the bytes of formatting each value with
 ``f"{x:.17g}"``, whether it formats every value of a column or, when at most
-half of that column's values are distinct, each distinct bit pattern once,
-and whether it formats them one by one or, from `cli._G17_MIN` values up,
-through `cli._g17`, which must equal ``"%.17g" % v`` on every float64.
+half of that column's bit patterns are distinct, each pattern once.  Either
+way the text comes from `cli._g17`, which must equal ``"%.17g" % v`` on
+every float64 at every size: one by one below `cli._G17_MIN` values, in
+numpy blocks from there.
 `cli._dump_json` is the
 stdlib's ``json.dumps(obj, indent=2, sort_keys=True)`` itself, and no output
 it writes holds a config's override rows: ``config.json`` does, once.
@@ -82,14 +83,20 @@ POOL_FLOATS = [-0.0, 0.0, math.nan, NEG_NAN, math.inf, -math.inf, 5e-324]
 @contextlib.contextmanager
 def sizes_passed_to(name):
     """Record the size of the array each call of ``cli.<name>`` formats:
-    ``_formatted`` for a column formatted once per distinct value, ``_g17``
-    for an array formatted in numpy."""
+    ``_g17`` for a column or its distinct bit patterns, ``_g17_block`` for
+    an array formatted in numpy."""
     calls, original = [], getattr(cli, name)
     setattr(cli, name, lambda values, *rest: calls.append(values.size) or original(values, *rest))
     try:
         yield calls
     finally:
         setattr(cli, name, original)
+
+
+def bit_patterns(column: np.ndarray) -> int:
+    """How many distinct bit patterns ``column`` holds: ``_g17`` formats
+    each once when the column is deduplicated."""
+    return np.unique(column.view(np.int64)).size
 
 
 @settings(max_examples=100, deadline=None)
@@ -104,18 +111,18 @@ def test_field_csv_on_columns_of_few_values(geometry, pools, data):
     columns = {f"c{i}": np.array(data.draw(st.lists(st.sampled_from(pool),
                                                     min_size=cells, max_size=cells)))
                for i, pool in enumerate(pools)}
-    with sizes_passed_to("_formatted") as calls:
+    with sizes_passed_to("_g17") as calls:
         text = cli.field_csv(geometry, **columns)
-    assert calls == [cells] * len(pools)
+    assert calls == [bit_patterns(c) for c in columns.values()]
     assert text == reference_field_csv(geometry, **columns)
 
 
 def test_field_csv_keeps_signed_zeros_and_nans_apart():
     phi = np.resize(np.array(POOL_FLOATS), 40)  # 7 bit patterns, 6 texts
     for geometry in [(40,), (5, 8)]:
-        with sizes_passed_to("_formatted") as calls:
+        with sizes_passed_to("_g17") as calls:
             text = cli.field_csv(geometry, phi=phi, twice=-phi)
-        assert calls == [40, 40]
+        assert calls == [7, 7]
         assert text == reference_field_csv(geometry, phi=phi, twice=-phi)
 
 
@@ -126,9 +133,9 @@ def test_field_csv_at_half_distinct(distinct, deduplicated):
     pool = rng.random(distinct) - 0.5
     phi = rng.permutation(np.resize(pool, 1000))
     assert np.unique(phi).size == distinct
-    with sizes_passed_to("_formatted") as calls:
+    with sizes_passed_to("_g17") as calls:
         text = cli.field_csv((1000,), phi=phi)
-    assert calls == ([1000] if deduplicated else [])
+    assert calls == ([distinct] if deduplicated else [1000])
     assert text == reference_field_csv((1000,), phi=phi)
 
 
@@ -136,12 +143,12 @@ def test_field_csv_at_half_distinct(distinct, deduplicated):
 def test_field_csv_one_column_repeats_and_one_does_not(shared):
     """All of phi_b is distinct and phi_a is one value: each column is judged
     on its own, so phi_a is formatted once whether or not its value is one
-    of phi_b's, and phi_b is formatted value by value."""
+    of phi_b's, and all of phi_b is formatted."""
     phi_b = np.random.default_rng(5).random(300)
     phi_a = np.full(300, phi_b[3] if shared else 0.1)
-    with sizes_passed_to("_formatted") as calls:
+    with sizes_passed_to("_g17") as calls:
         text = cli.field_csv((300,), phi_a=phi_a, phi_b=phi_b)
-    assert calls == [300]
+    assert calls == [1, 300]
     assert text == reference_field_csv((300,), phi_a=phi_a, phi_b=phi_b)
 
 
@@ -154,9 +161,9 @@ def test_field_csv_of_a_sampled_field_beside_an_exact_one():
     phi_b = 0.1 + rng.random(4096) / 100
     phi_a = rng.choice(np.append(phi_b[:200], [0.0, -0.0]), 4096)
     assert np.unique(np.concatenate([phi_a, phi_b])).size > 4096
-    with sizes_passed_to("_formatted") as calls:
+    with sizes_passed_to("_g17") as calls:
         text = cli.field_csv((64, 64), phi_a=phi_a, phi_b=phi_b)
-    assert calls == [4096]
+    assert calls == [bit_patterns(phi_a), 4096]
     assert text == reference_field_csv((64, 64), phi_a=phi_a, phi_b=phi_b)
 
 
@@ -166,9 +173,9 @@ def test_field_csv_of_a_self_compare_formats_each_column_in_full():
     as it comes: the one input where a judgement over the concatenation
     would format fewer values."""
     phi = np.random.default_rng(7).random(300)
-    with sizes_passed_to("_formatted") as calls:
+    with sizes_passed_to("_g17") as calls:
         text = cli.field_csv((300,), phi_a=phi, phi_b=phi.copy())
-    assert calls == []
+    assert calls == [300, 300]
     assert text == reference_field_csv((300,), phi_a=phi, phi_b=phi)
 
 
@@ -198,20 +205,30 @@ def g17_corpus() -> np.ndarray:
     return np.concatenate([values, -rng.choice(values, 50_000)])
 
 
-def test_g17_is_percent_17g():
+# values _g17 formats one by one: not in [2**-9, 2**52)
+FALLBACK = [0.0, -0.0, -0.25, 1e-3, 2.0**-9 - 2.0**-60, 2.0**52, 1e300, 5e-324,
+            math.nan, NEG_NAN, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("size", [
+    0, 1, cli._G17_MIN - 1, cli._G17_MIN, cli._G17_BLOCK + 1, None,
+], ids=["0", "1", "below-min", "min", "block+1", "corpus"])
+def test_g17_is_percent_17g(size):
+    """On either side of the crossover to numpy and across a block's end,
+    a sample of the corpus with every fourth value a fallback one; then the
+    whole corpus."""
     values = g17_corpus()
-    assert values.size > 10**6
-    # the corpus reaches a float that rounds up to a power of ten
-    assert Fraction(1e-14) < Fraction(1, 10**14) and "%.17g" % 1e-14 == "1e-14"
+    if size is None:
+        assert values.size > 10**6
+        # the corpus reaches a float that rounds up to a power of ten
+        assert Fraction(1e-14) < Fraction(1, 10**14) and "%.17g" % 1e-14 == "1e-14"
+    else:
+        values = np.random.default_rng(size).choice(values, size)
+        values[1::4] = np.resize(FALLBACK, values[1::4].size)
     text = cli._g17(values)
     mismatches = [(x, t) for x, t in zip(values.tolist(), text) if "%.17g" % x != t]
     assert mismatches == []
     assert len(text) == values.size
-
-
-# values _g17 formats one by one: not in [2**-9, 2**52)
-FALLBACK = [0.0, -0.0, -0.25, 1e-3, 2.0**-9 - 2.0**-60, 2.0**52, 1e300, 5e-324,
-            math.nan, NEG_NAN, math.inf, -math.inf]
 
 
 @pytest.mark.parametrize("geometry", [(1100,), (64, 64)])
@@ -233,15 +250,17 @@ def test_field_csv_of_large_columns(geometry):
 
 
 def test_field_csv_of_two_large_columns_beside_small_ones():
-    """A column of _G17_MIN values or more goes through _g17, a smaller one
-    is formatted value by value, as every shipped paper CSV is."""
+    """Every all-distinct column goes through _g17 whole.  One of _G17_MIN
+    values or more is formatted in numpy blocks, a smaller one value by
+    value, as every shipped paper CSV is."""
     rng = np.random.default_rng(8)
     small, large = cli._G17_MIN - 1, cli._G17_MIN
-    for cells, expected in [(small, []), (large, [large, large])]:
+    for cells, blocks in [(small, []), (large, [large, large])]:
         phi_a, phi_b = 0.1 + rng.random(cells), 1.0 + rng.random(cells)
-        with sizes_passed_to("_g17") as calls:
+        with sizes_passed_to("_g17") as calls, sizes_passed_to("_g17_block") as block_calls:
             text = cli.field_csv((cells,), phi_a=phi_a, phi_b=phi_b)
-        assert calls == expected
+        assert calls == [cells, cells]
+        assert block_calls == blocks
         assert text == reference_field_csv((cells,), phi_a=phi_a, phi_b=phi_b)
 
 
