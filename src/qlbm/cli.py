@@ -11,25 +11,37 @@ byte-identical CSV/JSON files, so timings go to stderr instead of the report.
 
 A config is read with the cyclic garbage collector paused: its override
 rows are one list each, thousands of them, which the collector would walk on
-every pass it makes while they are built, and a parsed config holds no cycles.
+every pass it makes while they are built.  A parsed config holds none of
+them: ``validate`` checks the rows in one pass and keeps an ``Initial``, one
+int64 coordinate array per axis and the values' marshal bytes, about 18 B a
+row against 164 B for the lists.  The field is filled from it, and the
+archive writes its text with one ``%`` fill.
 
-Every CSV value is the text of ``"%.17g" % v``, and a column whose bit
-patterns are at most half distinct (a difference-mode or sampled field is
-mostly a few values) has each pattern formatted once.  Every JSON file but
-an archive is ``json.dumps(obj, indent=2, sort_keys=True)``.  A run's field
-is written once, to ``field.csv``: ``report.json`` holds no copy of it, only
-what decides whether it can be trusted.  That report is built once per run,
-from the config, its ``ModelSpec`` and the post-selection probability of
-each loop.
+Every CSV value is the text of ``"%.17g" % v``, and a block's column whose
+bit patterns are at most half distinct (a difference-mode or sampled field
+is mostly a few values) has each pattern formatted once.  Each CSV is
+written in blocks of whole first-axis rows of about ``_CSV_BLOCK`` cells,
+the header line leading the first, so its text is never whole in memory.
+Every JSON file but an archive is ``json.dumps(obj, indent=2,
+sort_keys=True)``.  A run's field is written once, to ``field.csv``:
+``report.json`` holds no copy of it, only what decides whether it can be
+trusted.  That report is built once per run, from the config, its
+``ModelSpec`` and the post-selection probability of each loop.
+
+So memory follows the state, not the config or the output.  A D2Q5
+quantum-exact difference-mode run of 20 loops with a snapshot at 10 and
+M**2 // 9 override rows at random cells peaks, per process, at 89 MB
+``ru_maxrss`` for ``run`` or ``probe`` at M = 1024 (an 8 MB state) and 259 MB
+at M = 2048 (32 MB); ``cmd_run``'s tracemalloc peak is 6.1x the state.
 
 Every command evolves a config through ``execute`` alone: ``run``,
 ``compare`` and ``probe``, whose probabilities are the report's
 ``postselect_probs``.  A quantum run folds its loop's gates into a stencil
 once, however many snapshots split its loops.  ``execute`` returns each
 reading's state unread, and a command reads out only the fields it writes,
-before it writes any: ``run`` each reading once, its text formatted once
-for every file it goes to; ``compare`` each side's last state once, and a
-sampled side again per ``--seeds`` draw; ``probe`` none.
+before it writes any: ``run`` each reading once, each block of its text
+formatted once for every file it goes to; ``compare`` each side's last state
+once, and a sampled side again per ``--seeds`` draw; ``probe`` none.
 
 A ``--seeds`` sweep with no sampled side reads one pair of errors at every
 seed, computed once.  One with a sampled side, on a lattice of 4096 cells
@@ -49,6 +61,7 @@ Exit codes: 0 success, 2 config error or an output that cannot be written,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import itertools
 import json
@@ -58,8 +71,9 @@ import os
 import sys
 import threading
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
-from functools import cache, cached_property
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -153,7 +167,8 @@ def _choice(*options):
 
 def _initial(value) -> dict:
     """The initial field: a uniform value, and the ``[cell, value]`` override
-    rows as the JSON parser returned them (``RunConfig`` checks them)."""
+    rows as the JSON parser returned them (``RunConfig.validate`` reads them
+    into an ``Initial``)."""
     if not isinstance(value, dict) or not value.keys() <= {"uniform", "overrides"}:
         raise ConfigError("an object with the keys uniform and overrides only")
     uniform = _real(value.get("uniform", 0.0))
@@ -163,6 +178,42 @@ def _initial(value) -> dict:
     if not isinstance(overrides, list):
         raise ConfigError("overrides must be a list of [cell, value] rows")
     return {"uniform": uniform, "overrides": overrides}
+
+
+@dataclass(frozen=True, eq=False)
+class Initial:
+    """A checked config's initial field, as little as its archive needs: the
+    uniform value, and the override rows in row order as one int64 array of
+    cell coordinates per axis and one bytes object of their values as the
+    JSON parser returned them: ``marshal.dumps(values, 2)``, each value's
+    type (int or float) and bits.  No Python object per row stays alive, so
+    the parsed rows' memory is freed whole: an object kept per row would pin
+    the allocator's arenas that the rows shared."""
+
+    uniform: float
+    axes: tuple[np.ndarray, ...] = ()
+    values: bytes = marshal.dumps((), 2)
+
+    def text(self) -> str:
+        """The bytes of ``json.dumps({"uniform": ..., "overrides": rows},
+        sort_keys=True)``, from one ``%`` fill of a row template: ``%d`` writes
+        a coordinate and ``%r`` a value as the stdlib's encoder does."""
+        ndim = len(self.axes)
+        values = marshal.loads(self.values)
+        row = "[%d, %r]" if ndim == 1 else "[[" + ", ".join(["%d"] * ndim) + "], %r]"
+        template = '{"overrides": [' + ", ".join([row] * len(values)) + '], "uniform": %r}'
+        rows = zip(*[axis.tolist() for axis in self.axes], values)
+        return template % tuple(itertools.chain(itertools.chain.from_iterable(rows),
+                                                [self.uniform]))
+
+    def same(self, other: "Initial") -> bool:
+        """The same field and rows by type and bits: 1 and 1.0, or 0.0 and
+        -0.0, are equal but archive as different text.  Version 2 of marshal
+        writes each float's bits and each int as an int, with no references."""
+        return (marshal.dumps(self.uniform, 2) == marshal.dumps(other.uniform, 2)
+                and self.values == other.values
+                and len(self.axes) == len(other.axes)
+                and all(map(np.array_equal, self.axes, other.axes)))
 
 
 def _key(parse, modes=None, **default):
@@ -191,7 +242,8 @@ class RunConfig:
     weights: tuple[float, ...] | None = _key(_optional(_numbers), default=None)
     c_s2: float | None = _key(_optional(_number), default=None)
     w_hat: tuple[float, ...] | None = _key(_optional(_numbers), default=None)
-    initial: dict = _key(_initial, default_factory=lambda: _initial({}))
+    # the parser's dict until validate reads its rows into an Initial
+    initial: Initial = _key(_initial, default_factory=lambda: _initial({}))
     difference_mode: bool = _key(_choice(False, True), ("quantum-exact", "quantum-sampled"),
                                  default=False)
     shots: int = _key(_integer, ("quantum-sampled",), default=10000)
@@ -260,7 +312,7 @@ class RunConfig:
                 raise ConfigError("shots must be <= 2**63 - 1")
             if self.loops < 1:
                 raise ConfigError("quantum-sampled needs loops >= 1")
-        self._overrides  # noqa: B018 -- the rows' one check, kept for initial_field
+        self.initial = _read_initial(self.initial, self.geometry)
         if any(not 1 <= t <= self.loops for t in self.snapshots):
             raise ConfigError("snapshot times must lie in [1, loops]")
 
@@ -268,51 +320,48 @@ class RunConfig:
     def geometry(self) -> tuple[int, ...]:
         return (self.M,) * scheme_row(self.scheme).ndim
 
-    @cached_property
-    def _overrides(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat row-major cell index and value of each override row, from one
-        pass over the rows: a row must be ``[cell, value]``, the cell an int
-        in 1-D and ``[x, y]`` in 2-D on the lattice, the value a finite
-        nonnegative number.  A cell given twice keeps its last value."""
-        rows, ndim = self.initial["overrides"], len(self.geometry)
-        if rows == []:
-            return np.empty(0, np.intp), np.empty(0)
-        # each test is one C-level pass; a JSON boolean fails them, as its type is bool
-        index = None
-        if set(map(type, rows)) == {list} and set(map(len, rows)) == {2}:
-            cells, values = zip(*rows)
-            if ndim == 1:
-                index = [cells]
-            elif set(map(type, cells)) == {list} and set(map(len, cells)) == {ndim}:
-                index = list(zip(*cells))  # one tuple of coordinates per axis
-        if (index is None or not set(map(type, values)) <= {int, float}
-                or set(map(type, itertools.chain(*index))) != {int}):
-            raise ConfigError("override rows must be [cell, value], the cell an int "
-                              "in 1-D and [x, y] in 2-D, the value a number")
-        if min(map(min, index)) < 0 or max(map(max, index)) >= self.M:
-            raise ConfigError(f"an override cell lies outside the {self.geometry} lattice")
-        values = np.array(values, dtype=float)
-        if not (np.isfinite(values) & (values >= 0)).all():
-            raise ConfigError("field values must be finite and nonnegative")
-        cells = np.ravel_multi_index(index, self.geometry)
-        # numpy does not say which value an assignment to a repeated index
-        # keeps, so pick each cell's last row here
-        last = cells.size - 1 - np.unique(cells[::-1], return_index=True)[1]
-        return cells[last], values[last]
-
     def initial_field(self) -> MacroField:
-        out = uniform_field(self.geometry, self.initial["uniform"])
-        cells, values = self._overrides
-        out.phi[cells] = values
+        out = uniform_field(self.geometry, self.initial.uniform)
+        if self.initial.axes:
+            cells = np.ravel_multi_index(self.initial.axes, self.geometry)
+            # numpy does not say which value an assignment to a repeated index
+            # keeps, so pick each cell's last row here
+            last = cells.size - 1 - np.unique(cells[::-1], return_index=True)[1]
+            values = np.array(marshal.loads(self.initial.values), dtype=float)
+            out.phi[cells[last]] = values[last]
         return out
 
     def model_spec(self) -> ModelSpec:
         return ModelSpec(scheme=self.scheme, M=self.M, u=self.u, v=self.v, omega=self.omega,
                          weights=self.weights, c_s2=self.c_s2, w_hat=self.w_hat)
 
-    def resolved(self) -> dict:
-        """Every key with its value; the override rows are the parsed JSON's own."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+def _read_initial(initial: dict, geometry: tuple[int, ...]) -> Initial:
+    """``initial``'s override rows, checked in one pass and held as an
+    ``Initial``: a row must be ``[cell, value]``, the cell an int in 1-D and
+    ``[x, y]`` in 2-D on the lattice, the value a finite nonnegative number."""
+    rows, ndim = initial["overrides"], len(geometry)
+    if rows == []:
+        return Initial(initial["uniform"])
+    # each test is one C-level pass; a JSON boolean fails them, as its type is bool
+    index = None
+    if set(map(type, rows)) == {list} and set(map(len, rows)) == {2}:
+        cells, values = zip(*rows)
+        if ndim == 1:
+            index = [cells]
+        elif set(map(type, cells)) == {list} and set(map(len, cells)) == {ndim}:
+            index = list(zip(*cells))  # one tuple of coordinates per axis
+    if (index is None or not set(map(type, values)) <= {int, float}
+            or set(map(type, itertools.chain(*index))) != {int}):
+        raise ConfigError("override rows must be [cell, value], the cell an int "
+                          "in 1-D and [x, y] in 2-D, the value a number")
+    if min(map(min, index)) < 0 or max(map(max, index)) >= geometry[0]:
+        raise ConfigError(f"an override cell lies outside the {geometry} lattice")
+    floats = np.array(values, dtype=float)
+    if not (np.isfinite(floats) & (floats >= 0)).all():
+        raise ConfigError("field values must be finite and nonnegative")
+    return Initial(initial["uniform"], tuple(np.array(axis, np.int64) for axis in index),
+                   marshal.dumps(values, 2))
 
 
 def _read_field(cfg: RunConfig, ls: LoopState, seed: int) -> MacroField:
@@ -376,24 +425,43 @@ def execute(cfg: RunConfig) -> tuple[dict, dict[int, MacroField | LoopState]]:
     return report, states
 
 
-def _csv(header: list[str], axes: list[list[str]], *columns) -> str:
+# cells per block of CSV text: a block holds whole first-axis rows, one at
+# least, so its text and values list stay small beside the field
+_CSV_BLOCK = 4096
+
+
+def _csv(header: list[str], axes: list[list[str]], *columns) -> Iterator[str]:
     """One row per index of ``axes`` in row-major order: the index, then
     each float64 column's value as the text of ``"%.17g" % v`` (``_text``).
+    The text comes in blocks of whole first-axis rows of about
+    ``_CSV_BLOCK`` cells (``_csv_rows``), the header line leading the first."""
+    text = ",".join(header) + "\n"
+    inner = math.prod(map(len, axes[1:]))  # cells per first-axis row
+    step = max(1, _CSV_BLOCK // inner)
+    for start in range(0, len(axes[0]), step):
+        cells = slice(start * inner, (start + step) * inner)
+        yield text + _csv_rows([axes[0][start:start + step], *axes[1:]],
+                               [column[cells] for column in columns])
+        text = ""
+    if text:  # no rows
+        yield text
 
-    The rows are one template of ``%s`` slots filled by a single ``%``.  Each
-    column's text is taken as it is copied into the values, so no column's
-    text outlives its copy.  The template is joined a last-axis block at a
-    time, with no string per row: 65536 row labels made and dropped
-    fragmented the heap, and peak RSS grew 3 MB over repeated D2Q5 M=256 runs.
-    """
+
+def _csv_rows(axes: list[list[str]], columns: list[np.ndarray]) -> str:
+    """The CSV rows of one block.  They are one template of ``%s`` slots
+    filled by a single ``%``.  Each column's text is taken as it is copied
+    into the values, so no column's text outlives its copy.  The template is
+    joined a last-axis block at a time, with no string per row: 65536 row
+    labels made and dropped fragmented the heap, and peak RSS grew 3 MB over
+    repeated D2Q5 M=256 runs."""
     row = ",%s" * len(columns) + "\n"
     last = axes[-1]
     prefixes = map("".join, itertools.product(*([i + "," for i in a] for a in axes[:-1])))
-    template = "".join(p + (row + p).join(last) + row for p in prefixes) if last else ""
+    template = "".join(p + (row + p).join(last) + row for p in prefixes)
     values = [None] * sum(column.size for column in columns)
     for i, column in enumerate(columns):
         values[i::len(columns)] = _text(column)
-    return ",".join(header) + "\n" + template % tuple(values)
+    return template % tuple(values)
 
 
 def _text(column: np.ndarray) -> list[str]:
@@ -497,15 +565,29 @@ def _g17_block(v: np.ndarray) -> list[str]:
     return text.tolist()
 
 
-def field_csv(geometry: tuple[int, ...], **columns: np.ndarray) -> str:
-    """One row per cell in row-major order: its index, then each named column."""
+def field_csv(geometry: tuple[int, ...], **columns: np.ndarray) -> Iterator[str]:
+    """One row per cell in row-major order: its index, then each named
+    column; in blocks of whole first-axis rows (``_csv``)."""
     header = (["cell"] if len(geometry) == 1 else list("xyz"[: len(geometry)])) + list(columns)
     return _csv(header, [[str(i) for i in range(m)] for m in geometry], *columns.values())
 
 
-def _write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+def _write(blocks: Iterable[str], *paths: Path):
+    """Write each text block, in turn, to every one of ``paths``: a block
+    is formatted once, however many files it goes to.  The first block is
+    formatted before any file is opened, so an output of one block, as every
+    small one is, is whole before its files are: formatting into open files
+    raised the benchmark's long1d peak RSS by 0.3 MB."""
+    blocks = iter(blocks)
+    first = next(blocks, "")
+    with contextlib.ExitStack() as stack:
+        files = []
+        for path in paths:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            files.append(stack.enter_context(path.open("w")))
+        for block in itertools.chain([first], blocks):
+            for file in files:
+                file.write(block)
 
 
 def _dump_json(obj) -> str:
@@ -514,14 +596,12 @@ def _dump_json(obj) -> str:
 
 def _archive(path: Path, cfg: RunConfig, initial: str | None = None) -> str:
     """The resolved config on one line, a config ``qlbm run`` reads as it is:
-    the bytes of ``json.dumps(cfg.resolved(), sort_keys=True)``, joined here
-    so that ``initial``, the text of ``cfg.initial`` if already encoded, is
-    not encoded again.  Returns that text."""
-    text = {key: json.dumps(value, sort_keys=True)
-            for key, value in cfg.resolved().items() if key != "initial"}
-    # the JSON parser's own output, which cannot hold a cycle
-    text["initial"] = initial or json.dumps(cfg.initial, sort_keys=True, check_circular=False)
-    _write(path, "{" + ", ".join(f"{json.dumps(k)}: {text[k]}" for k in sorted(text)) + "}\n")
+    every key with its value, in the bytes of ``json.dumps(..., sort_keys=True)``.
+    ``initial``, the text of ``cfg.initial`` if already encoded, is not
+    encoded again.  Returns that text."""
+    text = {f.name: json.dumps(getattr(cfg, f.name)) for f in fields(cfg) if f.name != "initial"}
+    text["initial"] = initial or cfg.initial.text()
+    _write(["{" + ", ".join(f"{json.dumps(k)}: {text[k]}" for k in sorted(text)) + "}\n"], path)
     return text["initial"]
 
 
@@ -532,14 +612,11 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     readings = {t: _read_field(cfg, state, cfg.seed) if isinstance(state, LoopState) else state
                 for t, state in readings.items()}
     _archive(out_dir / "config.json", cfg)
-    _write(out_dir / "report.json", _dump_json(report))
+    _write([_dump_json(report)], out_dir / "report.json")
     for t, field in readings.items():
-        text = field_csv(field.geometry, phi=field.phi)
-        if t in cfg.snapshots:
-            _write(out_dir / f"field_t{t}.csv", text)
-        if t == cfg.loops:
-            _write(out_dir / "field.csv", text)
-        del text  # two texts alive at once cost 28 MB of ru_maxrss at D2Q5 M = 1024
+        paths = [out_dir / f"field_t{t}.csv"] * (t in cfg.snapshots)
+        paths += [out_dir / "field.csv"] * (t == cfg.loops)
+        _write(field_csv(field.geometry, phi=field.phi), *paths)
     print(f"[qlbm] {cfg.mode} run finished in {time.perf_counter() - t0:.3f}s",
           file=sys.stderr)
     return 0
@@ -629,14 +706,12 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: Path,
             "median_l2": float(np.median([m[0] for m in metrics])),
             "median_linf": float(np.median([m[1] for m in metrics])),
         }
-    _write(out_dir / "compare.csv",
-           field_csv(cfg_a.geometry, phi_a=field_a.phi, phi_b=field_b.phi))
+    _write(field_csv(cfg_a.geometry, phi_a=field_a.phi, phi_b=field_b.phi),
+           out_dir / "compare.csv")
     initial = _archive(out_dir / "config_a.json", cfg_a)
-    # the same rows by type and bits: 1 and 1.0, or 0.0 and -0.0, are equal
-    # but archive as different text
-    same = marshal.dumps(cfg_a.initial, 2) == marshal.dumps(cfg_b.initial, 2)
-    _archive(out_dir / "config_b.json", cfg_b, initial if same else None)
-    _write(out_dir / "summary.json", _dump_json(summary))
+    _archive(out_dir / "config_b.json", cfg_b,
+             initial if cfg_a.initial.same(cfg_b.initial) else None)
+    _write([_dump_json(summary)], out_dir / "summary.json")
     print(f"[qlbm] compare finished in {time.perf_counter() - t0:.3f}s",
           file=sys.stderr)
     return 0
@@ -660,9 +735,9 @@ def cmd_gatecount(scheme: str, m_list: list[int], out_dir: Path) -> int:
         prior = prior_method_toffoli_count(m)
         lines.append(f"{m},{formula},{prior},{prior - formula}")
         inventories[str(m)] = emitted.to_dict()
-    _write(out_dir / "gatecount.csv", "\n".join(lines) + "\n")
-    _write(out_dir / "gatecount.json",
-           _dump_json({"scheme": scheme, "inventories": inventories}))
+    _write(["\n".join(lines) + "\n"], out_dir / "gatecount.csv")
+    _write([_dump_json({"scheme": scheme, "inventories": inventories})],
+           out_dir / "gatecount.json")
     return 0
 
 
@@ -672,7 +747,7 @@ def cmd_probe(cfg: RunConfig, out_dir: Path) -> int:
     probs = execute(cfg)[0]["postselect_probs"]
     low, high = probability_bounds(cfg.scheme)
     loops = [str(i) for i in range(1, len(probs) + 1)]
-    _write(out_dir / "probe.csv", _csv(["loop", "probability"], [loops], np.array(probs)))
+    _write(_csv(["loop", "probability"], [loops], np.array(probs)), out_dir / "probe.csv")
     eps = 1e-12
     verdict = {
         "bounds": [low, high],
@@ -681,7 +756,7 @@ def cmd_probe(cfg: RunConfig, out_dir: Path) -> int:
         "within_bounds": all(low - eps <= p <= high + eps for p in probs),
     }
     _archive(out_dir / "config.json", cfg)
-    _write(out_dir / "verdict.json", _dump_json(verdict))
+    _write([_dump_json(verdict)], out_dir / "verdict.json")
     return 0
 
 

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_config import archive_oracle
 from test_spectral import hills, spectral_log_postselect, spectral_run
 
 import qlbm.ancilla_free as ancilla_free
@@ -1262,22 +1263,20 @@ def test_compare_archives_share_only_identical_rows(tmp_path, monkeypatch, rows_
                          initial={"uniform": 0.1, "overrides": rows_a}, **lattice)
     src_b = write_config(tmp_path, "b.json", mode="classical", loops=3,
                          initial={"uniform": 0.1, "overrides": rows_b}, **lattice)
-    dumps, initials = json.dumps, []
+    text, initials = cli.Initial.text, []
 
-    def spy(obj, **kwargs):
-        if isinstance(obj, dict) and "overrides" in obj:
-            initials.append(obj)
-        return dumps(obj, **kwargs)
+    def spy(initial):
+        initials.append(initial)
+        return text(initial)
 
-    monkeypatch.setattr(cli.json, "dumps", spy)
+    monkeypatch.setattr(cli.Initial, "text", spy)
     cmp = tmp_path / "cmp"
     assert cli.main(["compare", "--config", str(src_a), str(src_b),
                      "--out", str(cmp)]) == 0
     monkeypatch.undo()
     assert len(initials) == encodings
     for src, archive in ((src_a, "config_a.json"), (src_b, "config_b.json")):
-        expected = json.dumps(cli.RunConfig.from_json(src).resolved(), sort_keys=True)
-        assert (cmp / archive).read_text() == expected + "\n"
+        assert (cmp / archive).read_text() == archive_oracle(json.loads(src.read_text()))
     rows_text = json.dumps(rows_b)
     assert rows_text in (cmp / "config_b.json").read_text()
     assert (rows_text in (cmp / "config_a.json").read_text()) == (encodings == 1)
@@ -1426,12 +1425,14 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
 
 def test_run_memory_peak_at_d2q5_m256(tmp_path):
     """cmd_run's tracemalloc peak on a D2Q5 M = 256 run with a snapshot,
-    against the field's M**2 * 8 bytes.  The peak is the CSV text of the
-    final field: about 19.6x here (Python 3.11, numpy 2.4), and 20.7x when
-    each column's text stayed alive beside the values list.  So a bound of
-    21x refuses another full-size array or list alive at that point beside
-    the older layout, and two beside this one."""
+    against the field's M**2 * 8 bytes.  The peak is the readout of the
+    final state beside both kept states: 6.15x here (Python 3.11, numpy
+    2.4); it was 19.6x when each CSV was one string.  Each CSV is written
+    in 16 blocks of whole rows here, which peak at 4.6x, both fields
+    included.  So a bound of 7x refuses one more full-size array alive at
+    the peak."""
     m = 256
+    assert m * m > cli._CSV_BLOCK
     rng = np.random.default_rng(1)
     n = m * m // 9
     rows = [[c, v] for c, v in zip(rng.integers(0, m, (n, 2)).tolist(),
@@ -1440,6 +1441,7 @@ def test_run_memory_peak_at_d2q5_m256(tmp_path):
         "scheme": "D2Q5", "M": m, "mode": "quantum-exact", "difference_mode": True,
         "u": 0.1, "v": 0.05, "loops": 20, "snapshots": [10],
         "initial": {"uniform": 0.1, "overrides": rows}})
+    del rows
     tracemalloc.start()
     try:
         assert cli.cmd_run(cfg, tmp_path) == 0
@@ -1447,4 +1449,37 @@ def test_run_memory_peak_at_d2q5_m256(tmp_path):
     finally:
         tracemalloc.stop()
     assert (tmp_path / "field_t10.csv").exists()
-    assert peak <= 21 * m * m * 8, peak / (m * m * 8)
+    assert peak <= 7 * m * m * 8, peak / (m * m * 8)
+
+
+def test_compare_memory_peak_on_16384_rows(tmp_path):
+    """cmd_compare's tracemalloc peak on a pair shaped like the benchmark's
+    sweep1d: 16384 D1Q3 cells, every one an override row, a sampled side in
+    difference mode against a classical one, and a --seeds sweep.  Against
+    the field's M * 8 bytes it is 22.7x (Python 3.11, numpy 2.4): the text
+    of the first 4096-cell block of both columns, with the header.  Before
+    that, a small compare, so that what a process allocates once (numpy's
+    caches) is not counted.  It was 34x when compare.csv was one string and
+    both configs' rows were held, and a bound of 24x refuses two more
+    full-size arrays."""
+    def configs(m: int) -> list:
+        r = random.Random(22)
+        common = {"scheme": "D1Q3", "M": m, "loops": 10, "u": 0.2,
+                  "initial": {"uniform": 0.1,
+                              "overrides": [[i, 0.1 + r.random()] for i in range(m)]}}
+        return [cli.RunConfig.from_dict({**common, "mode": "quantum-sampled",
+                                         "difference_mode": True, "shots": 100000,
+                                         "seed": 3}),
+                cli.RunConfig.from_dict({**common, "mode": "classical"})]
+
+    assert cli.cmd_compare(*configs(1024), tmp_path / "small", 3) == 0
+    m = 16384
+    cfgs = configs(m)
+    tracemalloc.start()
+    try:
+        assert cli.cmd_compare(*cfgs, tmp_path / "o", 3) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(json.loads((tmp_path / "o" / "summary.json").read_text())["sweep"]["seeds"]) == 3
+    assert peak <= 24 * m * 8, peak / (m * 8)

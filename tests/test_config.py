@@ -1,11 +1,15 @@
 """The config reader against independent per-cell and per-key references.
 
-`RunConfig` checks the ``initial.overrides`` rows and builds their flat cell
-index in one pass; the references here walk the rows one cell at a time.
+`RunConfig` checks the ``initial.overrides`` rows in one pass and keeps them
+as an ``Initial``, from which it fills the field and writes the archive.  The
+references here walk the rows one cell at a time, and hold an archive to the
+stdlib's ``json.dumps`` of the config as ``json.loads`` read it.
 """
 import copy
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,7 +83,9 @@ def test_initial_field_matches_per_cell_reference(raw):
     cfg = cli.RunConfig.from_dict(raw)
     # bit for bit: -0.0 and ints past 2**53 included
     assert cfg.initial_field().phi.tobytes() == reference_field(raw).tobytes()
-    assert cfg.resolved()["initial"]["overrides"] == rows
+    # and archived as the stdlib writes the rows, an int value as an int
+    initial = {"overrides": rows, "uniform": float(raw["initial"]["uniform"])}
+    assert cfg.initial.text() == json.dumps(initial, sort_keys=True)
 
 
 not_numbers = (st.booleans() | st.none() | st.text(max_size=2)
@@ -131,10 +137,11 @@ def test_a_cell_off_the_lattice_is_named_as_such(scheme, cell):
         cli.RunConfig.from_dict(raw)
 
 
-def test_resolved_normalises_numbers_and_writes_every_key():
+def test_resolved_normalises_numbers_and_writes_every_key(tmp_path):
     raw = {"scheme": "D1Q3", "M": 64.0, "mode": "classical", "u": 0,
            "weights": [0.5, 0.25, 0.25], "c_s2": 1}
-    resolved = json.loads(cli._dump_json(cli.RunConfig.from_dict(raw).resolved()))
+    cli._archive(tmp_path / "config.json", cli.RunConfig.from_dict(raw))
+    resolved = json.loads((tmp_path / "config.json").read_text())
     assert resolved == {
         "scheme": "D1Q3", "M": 64, "mode": "classical", "loops": 1, "u": 0.0,
         "v": 0.0, "omega": 1.0, "weights": [0.5, 0.25, 0.25], "c_s2": 1,
@@ -142,3 +149,97 @@ def test_resolved_normalises_numbers_and_writes_every_key():
         "difference_mode": False, "shots": 10000, "seed": 0, "snapshots": [],
     }
     assert [type(resolved[k]) for k in ("M", "u", "c_s2")] == [int, float, int]
+
+
+# every key's default as an archive writes it, copied from the README's table
+ARCHIVE_DEFAULTS = {
+    "loops": 1, "u": 0.0, "v": 0.0, "omega": 1.0, "weights": None, "c_s2": None,
+    "w_hat": None, "difference_mode": False, "shots": 10000, "seed": 0, "snapshots": [],
+}
+
+
+def archive_oracle(source: dict) -> str:
+    """What ``config.json`` holds for ``source``, a config whose values have
+    the types the reader keeps (a float uniform value): the stdlib's
+    ``json.dumps(..., sort_keys=True)`` of it, every default filled in here."""
+    initial = {"uniform": 0.0, "overrides": [], **source.get("initial", {})}
+    return json.dumps({**ARCHIVE_DEFAULTS, **source, "initial": initial},
+                      sort_keys=True) + "\n"
+
+
+archived_values = (st.floats(0.0, 1e300) | st.integers(0, 2**70)
+                   | st.sampled_from([0, 1, 0.0, -0.0, 5e-324, 1e300, 2**53 + 1, 10**20]))
+
+
+@st.composite
+def archived_initials(draw, m: int, ndim: int, cell) -> dict:
+    """An initial field of repeated and unsorted cells, drawn with or
+    without its overrides; fewer rows than cells, so the field is not all
+    zero and a compare against it is not refused."""
+    rows = draw(st.lists(st.tuples(cell, archived_values).map(list), max_size=m**ndim - 1))
+    initial = {"uniform": draw(st.floats(0.1, 10.0))}
+    if rows or draw(st.booleans()):
+        initial["overrides"] = rows
+    return initial
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices(), st.data())
+@example(("D1Q3", 8, 1, st.integers(0, 7)), None)
+def test_archives_are_the_stdlib_encoding_of_their_source(tmp_path_factory, lattice, data):
+    """config.json, config_a.json and config_b.json are each the bytes of
+    ``json.dumps`` of the config as ``json.loads`` read it, whether the two
+    compared configs share their rows (encoded once) or not."""
+    scheme, m, ndim, cell = lattice
+    base = {"scheme": scheme, "M": m, "mode": "classical", "loops": 1}
+    if data is None:
+        # no initial key, run only (its field is zero, which compare refuses);
+        # then the same rows by value, not by type
+        sources = [base, {**base, "initial": {"uniform": 0.5, "overrides": [[1, 1], [2, 0.0]]}},
+                   {**base, "initial": {"uniform": 0.5, "overrides": [[1, 1.0], [2, -0.0]]}}]
+    else:
+        initial_a = data.draw(archived_initials(m, ndim, cell))
+        initial_b = data.draw(st.just(copy.deepcopy(initial_a))
+                              | archived_initials(m, ndim, cell))
+        sources = [{**base, "initial": initial_a}, {**base, "initial": initial_b, "seed": 3}]
+    root = tmp_path_factory.mktemp("archive")
+    paths = []
+    for i, source in enumerate(sources):
+        paths.append(root / f"{i}.json")
+        paths[-1].write_text(json.dumps(source))
+        assert cli.main(["run", "--config", str(paths[-1]), "--out", str(root / f"run{i}")]) == 0
+        text = (root / f"run{i}" / "config.json").read_text()
+        assert text == archive_oracle(source)
+        rows = json.loads(text)["initial"]["overrides"]
+        assert [type(v) for _, v in rows] == [type(v) for _, v in
+                                              source.get("initial", {}).get("overrides", [])]
+    for a, b in ((-2, -1), (-1, -2)):
+        out = root / f"compare{a}{b}"
+        assert cli.main(["compare", "--config", str(paths[a]), str(paths[b]),
+                         "--out", str(out)]) == 0
+        assert (out / "config_a.json").read_text() == archive_oracle(sources[a])
+        assert (out / "config_b.json").read_text() == archive_oracle(sources[b])
+
+
+def test_a_parsed_config_holds_no_rows(tmp_path):
+    """A 16384-row D1Q3 config, parsed: what stays alive is its coordinates
+    as int64 and its values' marshal bytes, about 18 B a row (Python 3.11),
+    not a list per row (164 B a row when the rows were held) nor any other
+    Python object per row, each of which takes 24 B or more."""
+    m = 16384
+    rng = np.random.default_rng(30)
+    rows = [[i, v] for i, v in enumerate((0.1 + rng.random(m) / 100).tolist())]
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps({"scheme": "D1Q3", "M": m, "mode": "classical",
+                                "initial": {"uniform": 0.1, "overrides": rows}}))
+    del rows
+    tracemalloc.start()
+    try:
+        cfg = cli.RunConfig.from_json(str(path))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= 32 * m, retained / m
+    held = {f.name: getattr(cfg.initial, f.name) for f in dataclasses.fields(cfg.initial)}
+    assert [type(v) for v in held.values()] == [float, tuple, bytes]
+    assert [axis.dtype for axis in held["axes"]] == [np.int64]

@@ -1,11 +1,11 @@
 """The CLI's CSV and JSON writers against independent per-value references.
 
 `cli.field_csv` must give the bytes of formatting each value with
-``f"{x:.17g}"``, whether it formats every value of a column or, when at most
-half of that column's bit patterns are distinct, each pattern once.  Either
-way the text comes from `cli._g17`, which must equal ``"%.17g" % v`` on
-every float64 at every size: one by one below `cli._G17_MIN` values, in
-numpy blocks from there.
+``f"{x:.17g}"``, in blocks of whole first-axis rows, whether it formats
+every value of a block's column or, when at most half of its bit patterns
+are distinct, each pattern once.  Either way the text comes from
+`cli._g17`, which must equal ``"%.17g" % v`` on every float64 at every size:
+one by one below `cli._G17_MIN` values, in numpy blocks from there.
 `cli._dump_json` is the
 stdlib's ``json.dumps(obj, indent=2, sort_keys=True)`` itself, and no output
 it writes holds a config's override rows: ``config.json`` does, once.
@@ -57,6 +57,26 @@ def reference_field_csv(geometry, **columns):
     return "\n".join([",".join(header), *rows]) + "\n"
 
 
+def block_cells(geometry) -> list[int]:
+    """The cells of each CSV block: as many whole first-axis rows as fit in
+    ``cli._CSV_BLOCK`` cells, or one row where a row holds more."""
+    inner = math.prod(geometry[1:])
+    rows = max(1, cli._CSV_BLOCK // inner)
+    return [min(rows, geometry[0] - start) * inner for start in range(0, geometry[0], rows)]
+
+
+def field_csv(geometry, **columns) -> str:
+    """`cli.field_csv`'s blocks joined, after checking their layout: whole
+    first-axis rows, one line per cell, the header line leading the first."""
+    blocks = list(cli.field_csv(geometry, **columns))
+    header = blocks[0][:blocks[0].index("\n") + 1]
+    assert header.startswith("cell," if len(geometry) == 1 else "x,y,")
+    blocks[0] = blocks[0][len(header):]
+    assert [block.count("\n") for block in blocks] == block_cells(geometry)
+    assert all(block.endswith("\n") for block in blocks)
+    return header + "".join(blocks)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(1, 6), min_size=1, max_size=2).map(tuple),
        st.integers(1, 3), st.data())
@@ -65,13 +85,13 @@ def test_field_csv_matches_per_value_format(geometry, n_columns, data):
     columns = {f"c{i}": np.array(data.draw(st.lists(floats, min_size=cells,
                                                     max_size=cells)))
                for i in range(n_columns)}
-    assert cli.field_csv(geometry, **columns) == reference_field_csv(geometry, **columns)
+    assert field_csv(geometry, **columns) == reference_field_csv(geometry, **columns)
 
 
 def test_field_csv_special_values():
     phi = np.array(SPECIAL_FLOATS)
     for geometry in [(8,), (2, 4)]:
-        assert (cli.field_csv(geometry, phi=phi, twice=-phi)
+        assert (field_csv(geometry, phi=phi, twice=-phi)
                 == reference_field_csv(geometry, phi=phi, twice=-phi))
 
 
@@ -112,7 +132,7 @@ def test_field_csv_on_columns_of_few_values(geometry, pools, data):
                                                     min_size=cells, max_size=cells)))
                for i, pool in enumerate(pools)}
     with sizes_passed_to("_g17") as calls:
-        text = cli.field_csv(geometry, **columns)
+        text = field_csv(geometry, **columns)
     assert calls == [bit_patterns(c) for c in columns.values()]
     assert text == reference_field_csv(geometry, **columns)
 
@@ -121,7 +141,7 @@ def test_field_csv_keeps_signed_zeros_and_nans_apart():
     phi = np.resize(np.array(POOL_FLOATS), 40)  # 7 bit patterns, 6 texts
     for geometry in [(40,), (5, 8)]:
         with sizes_passed_to("_g17") as calls:
-            text = cli.field_csv(geometry, phi=phi, twice=-phi)
+            text = field_csv(geometry, phi=phi, twice=-phi)
         assert calls == [7, 7]
         assert text == reference_field_csv(geometry, phi=phi, twice=-phi)
 
@@ -134,7 +154,7 @@ def test_field_csv_at_half_distinct(distinct, deduplicated):
     phi = rng.permutation(np.resize(pool, 1000))
     assert np.unique(phi).size == distinct
     with sizes_passed_to("_g17") as calls:
-        text = cli.field_csv((1000,), phi=phi)
+        text = field_csv((1000,), phi=phi)
     assert calls == ([distinct] if deduplicated else [1000])
     assert text == reference_field_csv((1000,), phi=phi)
 
@@ -147,7 +167,7 @@ def test_field_csv_one_column_repeats_and_one_does_not(shared):
     phi_b = np.random.default_rng(5).random(300)
     phi_a = np.full(300, phi_b[3] if shared else 0.1)
     with sizes_passed_to("_g17") as calls:
-        text = cli.field_csv((300,), phi_a=phi_a, phi_b=phi_b)
+        text = field_csv((300,), phi_a=phi_a, phi_b=phi_b)
     assert calls == [1, 300]
     assert text == reference_field_csv((300,), phi_a=phi_a, phi_b=phi_b)
 
@@ -162,7 +182,7 @@ def test_field_csv_of_a_sampled_field_beside_an_exact_one():
     phi_a = rng.choice(np.append(phi_b[:200], [0.0, -0.0]), 4096)
     assert np.unique(np.concatenate([phi_a, phi_b])).size > 4096
     with sizes_passed_to("_g17") as calls:
-        text = cli.field_csv((64, 64), phi_a=phi_a, phi_b=phi_b)
+        text = field_csv((64, 64), phi_a=phi_a, phi_b=phi_b)
     assert calls == [bit_patterns(phi_a), 4096]
     assert text == reference_field_csv((64, 64), phi_a=phi_a, phi_b=phi_b)
 
@@ -174,7 +194,7 @@ def test_field_csv_of_a_self_compare_formats_each_column_in_full():
     would format fewer values."""
     phi = np.random.default_rng(7).random(300)
     with sizes_passed_to("_g17") as calls:
-        text = cli.field_csv((300,), phi_a=phi, phi_b=phi.copy())
+        text = field_csv((300,), phi_a=phi, phi_b=phi.copy())
     assert calls == [300, 300]
     assert text == reference_field_csv((300,), phi_a=phi, phi_b=phi)
 
@@ -231,10 +251,20 @@ def test_g17_is_percent_17g(size):
     assert len(text) == values.size
 
 
-@pytest.mark.parametrize("geometry", [(1100,), (64, 64)])
+# cells per CSV block of each geometry: past one block, 4096 cells and then
+# the rest, or 40 rows of 100 and then 24; a row longer than a block is a
+# block of its own
+LARGE = {(1100,): [1100], (64, 64): [4096], (6000,): [4096, 1904],
+         (64, 100): [4000, 2400], (2, 5000): [5000, 5000]}
+
+
+@pytest.mark.parametrize("geometry", list(LARGE))
 def test_field_csv_of_large_columns(geometry):
     """Two all-distinct columns, one of them with fallback values among the
-    others, and one of 524 values each repeated, formatted once each."""
+    others, and one of 524 values each repeated, formatted once each per
+    block."""
+    blocks = LARGE[geometry]
+    assert block_cells(geometry) == blocks
     cells = int(np.prod(geometry))
     rng = np.random.default_rng(cells)
     distinct = 0.5 + rng.random(cells)  # from 0.5 to 1.5
@@ -244,22 +274,28 @@ def test_field_csv_of_large_columns(geometry):
     repeated = rng.permutation(np.resize(pool, cells))
     columns = {"distinct": distinct, "mixed": mixed, "repeated": repeated}
     with sizes_passed_to("_g17") as calls:
-        text = cli.field_csv(geometry, **columns)
-    assert calls == [cells, cells, pool.size]
+        text = field_csv(geometry, **columns)
+    starts = np.cumsum([0] + blocks)
+    assert calls == [size for start, n in zip(starts, blocks)
+                     for size in (n, n, bit_patterns(repeated[start:start + n]))]
+    if len(blocks) == 1:
+        assert calls[2] == pool.size
     assert text == reference_field_csv(geometry, **columns)
 
 
 def test_field_csv_of_two_large_columns_beside_small_ones():
-    """Every all-distinct column goes through _g17 whole.  One of _G17_MIN
-    values or more is formatted in numpy blocks, a smaller one value by
-    value, as every shipped paper CSV is."""
+    """Every all-distinct column of a CSV block goes through _g17 whole.  One
+    of _G17_MIN values or more is formatted in numpy blocks, a smaller one
+    value by value, as every shipped paper CSV is."""
     rng = np.random.default_rng(8)
-    small, large = cli._G17_MIN - 1, cli._G17_MIN
-    for cells, blocks in [(small, []), (large, [large, large])]:
+    small, large, block = cli._G17_MIN - 1, cli._G17_MIN, cli._CSV_BLOCK
+    for cells, sizes, blocks in [(small, [small] * 2, []), (large, [large] * 2, [large] * 2),
+                                 # a CSV block of _CSV_BLOCK cells, then one of small
+                                 (block + small, [block, block, small, small], [block] * 2)]:
         phi_a, phi_b = 0.1 + rng.random(cells), 1.0 + rng.random(cells)
         with sizes_passed_to("_g17") as calls, sizes_passed_to("_g17_block") as block_calls:
-            text = cli.field_csv((cells,), phi_a=phi_a, phi_b=phi_b)
-        assert calls == [cells, cells]
+            text = field_csv((cells,), phi_a=phi_a, phi_b=phi_b)
+        assert calls == sizes
         assert block_calls == blocks
         assert text == reference_field_csv((cells,), phi_a=phi_a, phi_b=phi_b)
 
