@@ -193,7 +193,7 @@ def _fold(spec: ModelSpec) -> np.ndarray:
     state = QState(amps, layout)
     for circuit in _loop_circuits(spec, layout):
         state = apply_circuit(state, circuit)
-    return state.d_block().reshape((4,) * spec.ndim)
+    return state.amplitudes[: 1 << layout.d_qubits].reshape((4,) * spec.ndim)
 
 
 def _check_fold(kernel: np.ndarray, spec: ModelSpec):

@@ -30,9 +30,9 @@ trusted.  That report is built once per run, from the config, its
 
 So memory follows the state, not the config or the output.  A D2Q5
 quantum-exact difference-mode run of 20 loops with a snapshot at 10 and
-M**2 // 9 override rows at random cells peaks, per process, at 89 MB
-``ru_maxrss`` for ``run`` or ``probe`` at M = 1024 (an 8 MB state) and 259 MB
-at M = 2048 (32 MB); ``cmd_run``'s tracemalloc peak is 6.1x the state.
+M**2 // 9 override rows at random cells peaks, as ``ru_maxrss``, at 80 MB
+for ``run`` and 72 MB for ``probe`` at M = 1024 (an 8 MB state), 207 and 201 MB
+at M = 2048, about what parsing its config takes; ``execute`` holds 4.2x the state.
 
 Every command evolves a config through ``execute`` alone: ``run``,
 ``compare`` and ``probe``, whose probabilities are the report's
@@ -403,14 +403,14 @@ def execute(cfg: RunConfig) -> tuple[dict, dict[int, MacroField | LoopState]]:
     each reading (the snapshots and ``loops``), a classical or legacy one as
     its field and a quantum one unread.  A quantum run advances from one
     reading to the next in one call, carrying its stencil from the first."""
-    field0 = cfg.initial_field()
+    state = cfg.initial_field()  # one name, so the initial field is freed once encoded
     spec = cfg.model_spec()
     if cfg.mode == "legacy":
-        result = run_legacy_step(spec, field0.phi)
+        result = run_legacy_step(spec, state.phi)
         return _report(cfg, spec, [result.probability]), {cfg.loops: result.field}
 
     classical = cfg.mode == "classical"
-    state = field0 if classical else encode_initial(field0, cfg.difference_mode)
+    state = state if classical else encode_initial(state, cfg.difference_mode)
     states, done = {}, 0
     for t in sorted(set(cfg.snapshots) | {cfg.loops}):
         if classical:
@@ -608,9 +608,9 @@ def _archive(path: Path, cfg: RunConfig, initial: str | None = None) -> str:
 def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     t0 = time.perf_counter()
     report, readings = execute(cfg)
-    # each reading read out once, before anything is written; rebound, so no state outlives it
-    readings = {t: _read_field(cfg, state, cfg.seed) if isinstance(state, LoopState) else state
-                for t, state in readings.items()}
+    for t in readings:  # each read once before any write, its state replaced as it is read
+        if isinstance(readings[t], LoopState):
+            readings[t] = _read_field(cfg, readings[t], cfg.seed)
     _archive(out_dir / "config.json", cfg)
     _write([_dump_json(report)], out_dir / "report.json")
     for t, field in readings.items():

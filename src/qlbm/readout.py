@@ -36,18 +36,20 @@ def macroscopic_from_counts(counts: np.ndarray, l1: float,
 
 def macroscopic_exact(state: QState, l1: float,
                       geometry: tuple[int, ...] | None = None) -> MacroField:
-    """Infinite-shot limit: distribute l1 by the position amplitudes.
-
-    Valid only while the post-selected amplitudes stay nonnegative, which
-    is checked here rather than assumed.
-    """
-    d = state.d_block()
-    if np.max(np.abs(d.imag)) > 1e-9 or np.min(d.real) < -1e-9:
+    """Infinite-shot limit: distribute l1 by the amplitudes of a post-selected
+    position block, a float64 ``QubitLayout(0, axes)`` state; any other is
+    refused, as are negative amplitudes, checked here rather than assumed."""
+    if state.layout.q_qubits or state.amplitudes.dtype != np.float64:
+        raise ValueError(f"exact readout takes a nonnegative real float64 position block, "
+                         f"got {state.amplitudes.dtype} on {state.layout}")
+    if np.min(state.amplitudes) < -1e-9:
         raise ValueError("position amplitudes are not nonnegative real")
-    mags = np.abs(d)
+    mags = np.abs(state.amplitudes)
     if geometry is None:
         geometry = (mags.size,)
-    return MacroField(mags / mags.sum() * l1, geometry)
+    mags /= mags.sum()  # in place: the same two roundings as mags / sum * l1
+    mags *= l1
+    return MacroField(mags, geometry)
 
 
 def difference_reconstruct(delta_field: MacroField, baseline: float) -> MacroField:

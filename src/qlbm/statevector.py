@@ -97,10 +97,6 @@ class QState:
                 f"layout needs {self.layout.dim}"
             )
 
-    def d_block(self) -> np.ndarray:
-        """Amplitudes of the q = |0..0> block, ordered by d index."""
-        return self.amplitudes[: 1 << self.layout.d_qubits].copy()
-
 
 @dataclass(frozen=True)
 class GateOp:
@@ -251,7 +247,7 @@ def encode_amplitudes(values: np.ndarray, layout: QubitLayout) -> EncodedState:
             raise ValueError("empty field: all entries are zero")
         raise ValueError("field too small to encode: its 2-norm underflows float64")
     amps = np.zeros(layout.dim)
-    amps[: values.size] = values / l2
+    np.divide(values, l2, out=amps[: values.size])
     return EncodedState(QState(amps, layout), l2, float(values.sum()))
 
 
@@ -365,4 +361,6 @@ class Stencil:
             scale[...] = _rescale(prob)
             multiply(work, scale, inner)
             probs[t] = prob
-        return QState(inner.reshape(-1), self.block_layout), probs
+        # returned in work: a view would pin pad, and a 2-D one flattens to a copy
+        work[...] = inner
+        return QState(work.reshape(-1), self.block_layout), probs

@@ -279,7 +279,7 @@ def test_summation_d2q5_normalization_factor():
 # ------------------------------------------------------------------- loops
 
 def postselected_field(ls):
-    d = ls.state.d_block().real
+    d = ls.state.amplitudes
     return d / d.sum()
 
 
@@ -296,7 +296,7 @@ def test_single_loop_matches_oracle():
 def test_uniform_field_stays_uniform():
     spec = ModelSpec(scheme="D1Q3", M=16, u=0.2)
     ls = run_exact(uniform_field((16,), 0.5), spec, 4)
-    d = ls.state.d_block()
+    d = ls.state.amplitudes
     assert np.allclose(d, d[0], atol=1e-12)
 
 
@@ -567,7 +567,7 @@ def test_encode_initial_difference_mode():
     ls = encode_initial(MacroField(phi, (64,)), difference_mode=True)
     assert ls.baseline == 0.1
     assert np.isclose(ls.initial_l1, 0.1)
-    d = ls.state.d_block()
+    d = ls.state.amplitudes
     assert np.isclose(abs(d[11]), 1.0)
 
 
@@ -583,7 +583,7 @@ def test_encode_initial_constant_field():
     with pytest.raises(ValueError, match="nonuniform"):
         encode_initial(uniform_field((8,), 0.3), difference_mode=True)
     ls = encode_initial(uniform_field((8,), 0.3))
-    assert np.allclose(np.abs(ls.state.d_block()), 1 / np.sqrt(8))
+    assert np.allclose(np.abs(ls.state.amplitudes), 1 / np.sqrt(8))
 
 
 # ---------------------------------------------------------------- sampling

@@ -73,20 +73,33 @@ def test_counts_errors():
 # ------------------------------------------------------------------ exact
 
 def test_exact_known_vector():
-    layout = QubitLayout(2, (2,))
-    amps = np.zeros(16, dtype=complex)
+    layout = QubitLayout(0, (2,))
     vec = np.array([0.0, 0.25, 0.0, 0.75])
-    amps[:4] = vec / np.linalg.norm(vec)
-    out = macroscopic_exact(QState(amps, layout), l1=1.0)
+    out = macroscopic_exact(QState(vec / np.linalg.norm(vec), layout), l1=1.0)
     assert np.allclose(out.phi, vec, atol=1e-14)
 
 
 def test_exact_uniform():
-    layout = QubitLayout(2, (3,))
-    amps = np.zeros(32, dtype=complex)
-    amps[:8] = 1 / np.sqrt(8)
+    layout = QubitLayout(0, (3,))
+    amps = np.full(8, 1 / np.sqrt(8))
     out = macroscopic_exact(QState(amps, layout), l1=8.0)
     assert np.allclose(out.phi, 1.0)
+
+
+def test_exact_reads_a_real_position_block_only():
+    # the post-selected position block, as a loop state holds it: a state
+    # with direction qubits or complex amplitudes is refused, even where
+    # every amplitude is real and nonnegative
+    block = np.full(4, 0.5)
+    full = np.concatenate([block, np.zeros(4)])
+    for state in (QState(full, QubitLayout(1, (2,))),
+                  QState(block.astype(complex), QubitLayout(0, (2,)))):
+        with pytest.raises(ValueError, match="nonnegative real float64 position block"):
+            macroscopic_exact(state, l1=1.0)
+    # the field is an array of its own, and the block is left as it was
+    out = macroscopic_exact(QState(block, QubitLayout(0, (2,))), l1=2.0)
+    assert np.array_equal(out.phi, np.full(4, 0.5)) and np.array_equal(block, np.full(4, 0.5))
+    assert not np.shares_memory(out.phi, block)
 
 
 def test_exact_rejects_phases():

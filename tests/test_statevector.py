@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qlbm
@@ -403,8 +403,8 @@ def program_stencil(case):
     layout, ops = case
     delta = np.zeros(layout.dim)
     delta[0] = 1.0
-    kernel = apply_circuit(QState(delta, layout), Circuit(layout, ops)).d_block().reshape(
-        tuple(1 << a for a in layout.axis_qubits))
+    kernel = apply_circuit(QState(delta, layout), Circuit(layout, ops)).amplitudes[
+        : 1 << layout.d_qubits].reshape(tuple(1 << a for a in layout.axis_qubits))
     return Stencil({s: float(kernel[s]) for s in np.ndindex(kernel.shape)},
                    QubitLayout(0, layout.axis_qubits))
 
@@ -429,7 +429,7 @@ def test_block_program_matches_gates_and_projection(case, seed):
     # the block's stencil post-selects where the gates and projection do:
     # it raises where they cannot and otherwise reports their probability
     stencil, block, state = fold_and_gate(case, seed)
-    prob = float(np.sum(np.abs(state.d_block()) ** 2))
+    prob = float(np.sum(np.abs(state.amplitudes[: 1 << state.layout.d_qubits]) ** 2))
     if prob < 1e-16:  # far enough below the floor that rounding stays under it
         with pytest.raises(PostSelectionError):
             project(state)
@@ -443,8 +443,18 @@ def test_block_program_matches_gates_and_projection(case, seed):
     assert abs(probs[0] - prob) <= 1e-13
 
 
+def summed_shift_program(axes):
+    """Half the block shifted by +1 on every axis, summed with the rest."""
+    layout = QubitLayout(1, axes)
+    shifts = [GateOp(kind="shift", block=layout.axis_block(k), direction=+1,
+                     controls=((0, 1),)) for k in range(len(axes))]
+    return layout, [GateOp(kind="h", target=0), *shifts, GateOp(kind="h", target=0)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=direction_circuits(), seed=st.integers(0, 2**31))
+@example(case=summed_shift_program((3,)), seed=1)
+@example(case=summed_shift_program((2, 3)), seed=1)
 def test_stencil_folded_from_a_program_runs_it(case, seed):
     stencil, block, state = fold_and_gate(case, seed)
     before = block.amplitudes.copy()
@@ -461,7 +471,13 @@ def test_stencil_folded_from_a_program_runs_it(case, seed):
     # compared before renormalization, which scales rounding by 1/sqrt(prob)
     assert np.max(np.abs(got.amplitudes * np.sqrt(probs[0])
                          - expected.amplitudes * np.sqrt(prob))) <= 1e-13
+    same, _ = stencil.run(block, 0)
+    assert np.array_equal(same.amplitudes, before)
     assert np.array_equal(block.amplitudes, before)  # run leaves its input alone
+    # and hands back a block of its own, in 1-D and 2-D, after 0 loops or more
+    for out in (got, same):
+        assert out.amplitudes.flags.c_contiguous
+        assert not np.shares_memory(out.amplitudes, block.amplitudes)
 
 
 def test_stencil_checks_its_input():
