@@ -278,8 +278,10 @@ def sample_readout(loop_state: LoopState, shots: int, seed: int) -> np.ndarray:
     them."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = np.abs(loop_state.state.amplitudes) ** 2
-    probs = probs / probs.sum()
+    # one buffer, squared and normalized in place: the roundings of |a|**2 / sum
+    probs = np.abs(loop_state.state.amplitudes)
+    np.square(probs, out=probs)
+    probs /= probs.sum()
     rng = np.random.default_rng(seed)
     return rng.multinomial(shots, probs)
 

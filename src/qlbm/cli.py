@@ -17,6 +17,16 @@ int64 coordinate array per axis and the values' marshal bytes, about 18 B a
 row against 164 B for the lists.  The field is filled from it, and the
 archive writes its text with one ``%`` fill.
 
+A config's top-level object is walked with the stdlib's scanner
+(``_walk``), which also finds where the text of its ``initial`` value lies;
+a text the walk cannot read whole goes to ``json.loads``, whose result or
+error it gets.  ``compare`` reads a shared initial field once: where the
+second config's ``initial`` value has byte for byte the first's text and
+its lattice geometry is the same, it takes the first's checked ``Initial``,
+and none of its rows are decoded or checked.  Any other second config is
+read in full.  The first's text is held only until the second is read, and
+no parsed config keeps it.
+
 Every CSV value is the text of ``"%.17g" % v``, and a block's column whose
 bit patterns are at most half distinct (a difference-mode or sampled field
 is mostly a few values) has each pattern formatted once.  Each CSV is
@@ -165,10 +175,13 @@ def _choice(*options):
     return parse
 
 
-def _initial(value) -> dict:
+def _initial(value) -> dict | SharedInitial:
     """The initial field: a uniform value, and the ``[cell, value]`` override
     rows as the JSON parser returned them (``RunConfig.validate`` reads them
-    into an ``Initial``)."""
+    into an ``Initial``).  A ``SharedInitial`` stands for the text of a
+    compare's first initial value, which was read and checked there."""
+    if isinstance(value, SharedInitial):
+        return value
     if not isinstance(value, dict) or not value.keys() <= {"uniform", "overrides"}:
         raise ConfigError("an object with the keys uniform and overrides only")
     uniform = _real(value.get("uniform", 0.0))
@@ -216,6 +229,89 @@ class Initial:
                 and all(map(np.array_equal, self.axes, other.axes)))
 
 
+@dataclass(eq=False)
+class SharedInitial:
+    """What ``main`` holds between a compare's two config reads: the text of
+    the first config's ``initial`` value, and the ``Initial`` checked from it
+    on ``geometry``.  A second config whose ``initial`` value has that text
+    takes it without decoding its rows (see ``RunConfig.from_json``)."""
+
+    text: str = ""
+    initial: Initial | None = None
+    geometry: tuple[int, ...] = ()
+
+    def read(self, geometry: tuple[int, ...]) -> Initial:
+        """The held ``Initial`` on the geometry it was checked on; on any
+        other, the held text read in full, as a config of its own."""
+        if geometry == self.geometry:
+            return self.initial
+        return _read_initial(_initial(json.loads(self.text)), geometry)
+
+
+# a decoder with json.loads's defaults, and the JSON whitespace it skips
+_DECODER = json.JSONDecoder()
+_SPACE = json.decoder.WHITESPACE.match
+
+
+def _walk(text: str, shared: SharedInitial | None = None) -> tuple[dict, slice | None]:
+    """``json.loads(text)`` of a JSON object, read a member at a time with
+    the stdlib's scanner: ``json.decoder.scanstring`` reads each key and
+    ``raw_decode`` each value, and a repeated key keeps its first place and
+    its last value, as in ``json.loads``.  Also returns where the text of
+    the last ``initial`` value lies (None if there is none).  An ``initial``
+    value whose text is ``shared.text`` is not decoded: its key holds
+    ``shared``.  That text is a whole object's, ended by its closing brace,
+    so the scanner would stop at its end too.  Raises ``ValueError`` where
+    the walk does not match the whole text."""
+    held = shared.text if shared is not None else ""
+    raw, span = {}, None
+    pos = _SPACE(text, 0).end()
+    if text[pos:pos + 1] != "{":
+        raise ValueError("not a JSON object")
+    pos = _SPACE(text, pos + 1).end()
+    mark = ","
+    if text[pos:pos + 1] == "}":  # no members
+        mark, pos = "}", _SPACE(text, pos + 1).end()
+    while mark == ",":
+        if text[pos:pos + 1] != '"':
+            raise ValueError("expecting a key")
+        key, pos = json.decoder.scanstring(text, pos + 1)
+        pos = _SPACE(text, pos).end()
+        if text[pos:pos + 1] != ":":
+            raise ValueError("expecting ':'")
+        start = _SPACE(text, pos + 1).end()
+        if key == "initial" and held and text.startswith(held, start):
+            raw[key], pos = shared, start + len(held)
+        else:
+            raw[key], pos = _DECODER.raw_decode(text, start)
+        if key == "initial":
+            span = slice(start, pos)
+        pos = _SPACE(text, pos).end()
+        mark = text[pos:pos + 1]
+        if mark not in (",", "}"):
+            raise ValueError("expecting ',' or '}'")
+        pos = _SPACE(text, pos + 1).end()
+    if pos != len(text):
+        raise ValueError("extra data")
+    return raw, span
+
+
+def _load(path: str, shared: SharedInitial | None) -> tuple[dict, str]:
+    """``json.loads`` of the config file at ``path``, walked by ``_walk``
+    where it can be and the stdlib's own result or error where it cannot;
+    and, for an empty ``shared``, the text of its ``initial`` value.  The
+    file's text is freed on return, before the rows are checked."""
+    try:
+        text = Path(path).read_text()
+        try:
+            raw, span = _walk(text, shared)
+        except ValueError:  # not an object the walk reads whole
+            return json.loads(text), ""
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return raw, text[span] if span and shared is not None and not shared.text else ""
+
+
 def _key(parse, modes=None, **default):
     """A top-level config key, declared as a ``RunConfig`` field: the parser
     of its JSON value, its default (none for a required key), and the modes
@@ -242,7 +338,8 @@ class RunConfig:
     weights: tuple[float, ...] | None = _key(_optional(_numbers), default=None)
     c_s2: float | None = _key(_optional(_number), default=None)
     w_hat: tuple[float, ...] | None = _key(_optional(_numbers), default=None)
-    # the parser's dict until validate reads its rows into an Initial
+    # the parser's dict, or a compare's SharedInitial, until validate reads it
+    # into an Initial
     initial: Initial = _key(_initial, default_factory=lambda: _initial({}))
     difference_mode: bool = _key(_choice(False, True), ("quantum-exact", "quantum-sampled"),
                                  default=False)
@@ -276,17 +373,22 @@ class RunConfig:
         return cfg
 
     @classmethod
-    def from_json(cls, path: str) -> "RunConfig":
+    def from_json(cls, path: str, shared: SharedInitial | None = None) -> "RunConfig":
+        """The config at ``path``, as ``from_dict(json.loads(text))`` reads it.
+        With ``shared``, one of a compare's reads: where ``shared`` holds the
+        text of this config's ``initial`` value, the value is not decoded and
+        the held ``Initial`` is taken (``SharedInitial.read``); where it holds
+        none, this read leaves its own there.  Without it, no text is kept."""
         # a parsed config holds no cycles, so the collector's passes over its
         # rows, a list each, would free nothing (see the module docstring)
         enabled = gc.isenabled()
         gc.disable()
         try:
-            raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        else:
-            return cls.from_dict(raw)
+            raw, text = _load(path, shared)
+            cfg = cls.from_dict(raw)
+            if text:
+                shared.text, shared.initial, shared.geometry = text, cfg.initial, cfg.geometry
+            return cfg
         finally:
             if enabled:
                 gc.enable()
@@ -312,7 +414,9 @@ class RunConfig:
                 raise ConfigError("shots must be <= 2**63 - 1")
             if self.loops < 1:
                 raise ConfigError("quantum-sampled needs loops >= 1")
-        self.initial = _read_initial(self.initial, self.geometry)
+        initial = self.initial
+        self.initial = (initial.read(self.geometry) if isinstance(initial, SharedInitial)
+                        else _read_initial(initial, self.geometry))
         if any(not 1 <= t <= self.loops for t in self.snapshots):
             raise ConfigError("snapshot times must lie in [1, loops]")
 
@@ -806,7 +910,10 @@ def main(argv: list[str] | None = None) -> int:
             m_list = [int(m) for m in args.m_list.split(",") if m]
             return cmd_gatecount(args.scheme, m_list, out_dir)
         paths = args.config if args.command == "compare" else [args.config]
-        cfgs = [RunConfig.from_json(path) for path in paths]
+        # a compare's first initial text is held only until the second is read
+        shared = SharedInitial() if args.command == "compare" else None
+        cfgs = [RunConfig.from_json(path, shared) for path in paths]
+        del shared
         if getattr(args, "seed", None) is not None:  # run and compare; on both configs
             for cfg in cfgs:
                 cfg.seed = args.seed

@@ -30,8 +30,11 @@ def macroscopic_from_counts(counts: np.ndarray, l1: float,
         geometry = (counts.size,)
     if int(np.prod(geometry)) != counts.size:
         raise ValueError("geometry does not match the number of cells counted")
-    amp = np.sqrt(counts / shots)
-    return MacroField(amp / amp.sum() * l1, geometry)
+    amp = counts / shots
+    np.sqrt(amp, out=amp)  # in place: the roundings of sqrt(counts / S) / sum * l1
+    amp /= amp.sum()
+    amp *= l1
+    return MacroField(amp, geometry)
 
 
 def macroscopic_exact(state: QState, l1: float,
@@ -53,11 +56,16 @@ def macroscopic_exact(state: QState, l1: float,
 
 
 def difference_reconstruct(delta_field: MacroField, baseline: float) -> MacroField:
-    """Add the uniform baseline back after a difference-mode run; exact
-    because the uniform part is a fixed point of the (linear) dynamics."""
+    """Add the uniform baseline back after a difference-mode run, in place:
+    ``delta_field``'s values become the field's, and it is returned, so no
+    second full-size array is made.  Exact because the uniform part is a
+    fixed point of the (linear) dynamics."""
     if baseline < 0:
         raise ValueError("baseline must be >= 0")
-    return MacroField(delta_field.phi + baseline, delta_field.geometry)
+    delta_field.phi += baseline
+    if not math.isfinite(delta_field.phi.max()):  # as a new MacroField would refuse it
+        raise ValueError("field entries must be finite")
+    return delta_field
 
 
 def _split_l2(values: np.ndarray) -> tuple[float, int]:

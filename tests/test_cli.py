@@ -1295,6 +1295,123 @@ def test_compare_archives_share_only_identical_rows(tmp_path, monkeypatch, rows_
     assert (rows_text in (cmp / "config_a.json").read_text()) == (encodings == 1)
 
 
+def rows_read(monkeypatch) -> list:
+    """The geometry of each call of ``_read_initial``, which reads rows."""
+    read, calls = cli._read_initial, []
+
+    def spy(initial, geometry):
+        calls.append(geometry)
+        return read(initial, geometry)
+
+    monkeypatch.setattr(cli, "_read_initial", spy)
+    return calls
+
+
+SHARING = {**D1Q3_GAUSS, "loops": 3,
+           "initial": {"uniform": 0.1, "overrides": [[i, 0.1 + i / 64] for i in range(64)]}}
+
+
+def sharing_pair(tmp_path, second: str) -> list[str]:
+    """A sampled config and the text ``second``, as two config files."""
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({**SHARING, "mode": "quantum-sampled", "shots": 1000}))
+    b.write_text(second)
+    return [str(a), str(b)]
+
+
+COMPARED = ("compare.csv", "config_a.json", "config_b.json", "summary.json")
+
+
+def test_a_compare_reads_a_shared_initial_field_once(tmp_path, monkeypatch):
+    """The second config's initial text is the first's, so its rows are
+    neither decoded nor checked again; with whitespace added inside that
+    text it is read in full, to the same bytes."""
+    second = json.dumps({**SHARING, "mode": "classical"})
+    calls = rows_read(monkeypatch)
+    outputs = []
+    for text, reads in ((second, 1), (second.replace("[[", "[ ["), 2)):
+        calls.clear()
+        out = tmp_path / f"o{reads}"
+        argv = ["compare", "--config", *sharing_pair(tmp_path, text), "--seeds", "2"]
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in COMPARED])
+        assert calls == [(64,)] * reads
+    assert outputs[0] == outputs[1]
+    assert (tmp_path / "o2" / "config_b.json").read_text() == archive_oracle(
+        {**SHARING, "mode": "classical"})
+
+
+@pytest.mark.parametrize("changes", [
+    {"M": 8},  # a shared row lies outside the smaller lattice
+    {"M": 128},  # every row fits: compare refuses the two geometries
+    {"scheme": "D2Q5"},  # 1-D rows on a 2-D lattice
+    {"M": 8, "seed": -1},  # validate refuses the seed before reading rows
+    {"M": 8, "shots": 5},  # as it refuses a key its mode does not read
+    {"M": 8, "snapshots": [9]},  # but reads the rows before the snapshots
+    {"M": "8"},  # a key refused as it is parsed
+    {"M": 8, "bogus": 1},
+], ids=["smaller", "larger", "2d", "seed", "shots", "snapshots", "m-text", "unknown-key"])
+def test_a_shared_initial_text_on_another_lattice_is_refused_as_before(
+        tmp_path, capsys, changes):
+    """The same initial text with another geometry is read in full: each
+    refusal, and which of two comes first, is that of the second config
+    read alone (``from_dict`` of ``json.loads``)."""
+    second = {**SHARING, "mode": "classical", **changes}
+    try:
+        cli.RunConfig.from_dict(json.loads(json.dumps(second)))
+    except cli.ConfigError as exc:
+        message = str(exc)
+    else:
+        message = "compared configs must share the lattice geometry"
+    paths = sharing_pair(tmp_path, json.dumps(second))
+    assert cli.main(["compare", "--config", *paths, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("second, reads", [
+    # the first's override list and one row more: another text
+    pytest.param(json.dumps({**SHARING, "mode": "classical", "initial": {
+        "uniform": 0.1, "overrides": SHARING["initial"]["overrides"] + [[3, 0.9]]}}), 2,
+        id="extended"),
+    # two initial keys: json.loads keeps the last value, at the first key's place
+    pytest.param(json.dumps({**SHARING, "mode": "classical"})[:-1]
+                 + ', "initial": {"uniform": 0.2}}', 2, id="shared-then-other"),
+    pytest.param(json.dumps({**SHARING, "mode": "classical",
+                             "initial": {"uniform": 0.2, "overrides": [[1, 0.5]]}})[:-1]
+                 + ', "initial": ' + json.dumps(SHARING["initial"]) + "}", 1,
+                 id="other-then-shared"),
+])
+def test_a_second_config_is_read_as_json_loads_reads_it(tmp_path, monkeypatch, second,
+                                                         reads):
+    calls = rows_read(monkeypatch)
+    paths = sharing_pair(tmp_path, second)
+    assert cli.main(["compare", "--config", *paths, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == reads
+    assert (tmp_path / "o" / "config_b.json").read_text() == archive_oracle(json.loads(second))
+
+
+def test_a_shared_second_read_builds_no_rows(tmp_path):
+    """The second read of a 16384-row pair that shares its initial text:
+    its tracemalloc peak is 2.0x the file's bytes (Python 3.11), the file's
+    bytes and their text, against 8.0x for the first read.  The 16384 row
+    lists alone would take about 2.5x."""
+    m = 16384
+    r = random.Random(22)
+    common = {"scheme": "D1Q3", "M": m, "loops": 10, "u": 0.2,
+              "initial": {"uniform": 0.1, "overrides": [[i, 0.1 + r.random()] for i in range(m)]}}
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({**common, "mode": "quantum-sampled", "difference_mode": True,
+                             "shots": 100000, "seed": 3}))
+    b.write_text(json.dumps({**common, "mode": "classical"}))
+    cli.RunConfig.from_json(str(b))  # what a process allocates once is not counted
+    shared = cli.SharedInitial()
+    cfg_a = cli.RunConfig.from_json(str(a), shared)
+    cfg_b, peak = traced_peak(lambda: cli.RunConfig.from_json(str(b), shared))
+    assert cfg_b.initial is cfg_a.initial and cfg_b.mode == "classical"
+    assert peak <= 2.25 * b.stat().st_size, peak / b.stat().st_size
+
+
 def test_parser_is_reused_across_calls(tmp_path):
     # one process, many main calls: a --seed given once is not kept, and an
     # argparse refusal leaves the parser as it was
@@ -1323,17 +1440,21 @@ def test_parser_is_reused_across_calls(tmp_path):
 def test_config_reading_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch,
                                                             enabled, text, good):
     # the config is parsed and checked with the collector paused, and a
-    # collector the caller disabled is not switched on
+    # collector the caller disabled is not switched on.  Text is parsed by
+    # the walk, then by json.loads where the walk cannot read it whole
     path = tmp_path / "c.json"
     if text is not None:
         path.write_text(text)
-    loads, during = json.loads, []
+    during = []
 
-    def spy(*args, **kwargs):
-        during.append(gc.isenabled())
-        return loads(*args, **kwargs)
+    def spy(parse):
+        def call(*args, **kwargs):
+            during.append(gc.isenabled())
+            return parse(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(cli.json, "loads", spy)
+    monkeypatch.setattr(cli, "_walk", spy(cli._walk))
+    monkeypatch.setattr(cli.json, "loads", spy(json.loads))
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
@@ -1345,7 +1466,9 @@ def test_config_reading_leaves_the_collector_as_it_found_it(tmp_path, monkeypatc
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
-    assert during == ([] if text is None else [False])
+    # every parse ran with the collector paused: the walk, and json.loads
+    # after it on the text the walk cannot read whole
+    assert during == ([] if text is None else [False] * (1 + text.endswith(",")))
 
 
 @pytest.mark.parametrize("mode", ["quantum-exact", "quantum-sampled", "legacy"])
@@ -1500,6 +1623,31 @@ def test_run_memory_peak_at_d2q5_m256(tmp_path):
     assert code == 0
     assert (tmp_path / "field_t10.csv").exists()
     assert peak <= 5 * m * m * 8, peak / (m * m * 8)
+
+
+@pytest.mark.parametrize("mode, bound", [("quantum-exact", 1.5), ("quantum-sampled", 2.5)])
+def test_read_field_memory_peak_at_d2q5_m256(mode, bound):
+    """A difference-mode readout's tracemalloc peak, against the block's
+    M**2 * 8 bytes: 1.13x exact (its field and MacroField's finiteness
+    mask) and 2.13x sampled (the counts beside the field it is read into).
+    Each bound is that plus 0.37: the baseline is added into the field read
+    out, and the sampled field is square-rooted and scaled in place.  They
+    were 2.13x and 3.13x."""
+    m = 256
+    rng = np.random.default_rng(1)
+    spec = ModelSpec(scheme="D2Q5", M=m, u=0.1, v=0.05)
+    ls = run_loop_exact(encode_initial(MacroField(0.1 + rng.random(m * m), (m, m)), True),
+                        spec, loops=2)
+    cfg = cli.RunConfig.from_dict({"scheme": "D2Q5", "M": m, "mode": mode, "u": 0.1,
+                                   "v": 0.05, "loops": 2, "difference_mode": True,
+                                   **({"shots": 10**6} if mode == "quantum-sampled" else {})})
+    cli._read_field(cfg, ls, 3)  # what a process allocates once is not counted
+    field, peak = traced_peak(lambda: cli._read_field(cfg, ls, 3))
+    assert field.phi.min() >= ls.baseline
+    assert peak <= bound * m * m * 8, peak / (m * m * 8)
+    counts, peak = traced_peak(lambda: sample_readout(ls, 10**6, 3))
+    # sample_readout: its probabilities and the int64 counts, 2.0x
+    assert counts.sum() == 10**6 and peak <= 2.25 * m * m * 8, peak / (m * m * 8)
 
 
 def test_compare_memory_peak_on_16384_rows(tmp_path):

@@ -3,11 +3,13 @@
 `RunConfig` checks the ``initial.overrides`` rows in one pass and keeps them
 as an ``Initial``, from which it fills the field and writes the archive.  The
 references here walk the rows one cell at a time, and hold an archive to the
-stdlib's ``json.dumps`` of the config as ``json.loads`` read it.
+stdlib's ``json.dumps`` of the config as ``json.loads`` read it.  The walk
+that reads a config's text is held to ``json.loads`` itself.
 """
 import copy
 import dataclasses
 import json
+import marshal
 import math
 import tracemalloc
 
@@ -243,3 +245,140 @@ def test_a_parsed_config_holds_no_rows(tmp_path):
     held = {f.name: getattr(cfg.initial, f.name) for f in dataclasses.fields(cfg.initial)}
     assert [type(v) for v in held.values()] == [float, tuple, bytes]
     assert [axis.dtype for axis in held["axes"]] == [np.int64]
+
+
+# ------------------------------------------------- the walk against json.loads
+
+SPACE = st.text(alphabet=" \t\n\r", max_size=3)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2**53, 2**80)
+    | st.floats() | st.sampled_from([-0.0, 5e-324, math.nan, math.inf, -math.inf])
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def value_texts(draw) -> str:
+    """A JSON value, written with any indent, separators and escaping."""
+    comma, colon = draw(SPACE), draw(SPACE)
+    return json.dumps(draw(json_values), indent=draw(st.none() | st.integers(0, 2) | SPACE),
+                      separators=(comma + "," + draw(SPACE), colon + ":" + draw(SPACE)),
+                      ensure_ascii=draw(st.booleans()))
+
+
+# "initial" spelt with escapes too; few keys, so that keys repeat
+key_texts = (st.sampled_from(['"initial"', '"\\u0069nitial"', '"init\\u0069al"', '"M"', '"u"'])
+             | st.text(max_size=3).map(json.dumps))
+
+
+@st.composite
+def object_texts(draw) -> str:
+    """A JSON object's text with whitespace of its own around every token."""
+    members = draw(st.lists(st.tuples(key_texts, value_texts()), max_size=6))
+
+    def space() -> str:  # a fresh draw at each use
+        return draw(SPACE)
+
+    body = ",".join(space() + k + space() + ":" + space() + v + space() for k, v in members)
+    return space() + "{" + (body or space()) + "}" + space()
+
+
+def same_json(a, b) -> bool:
+    """Equal values with keys in the same order, NaN equal to NaN and -0.0
+    apart from 0.0: version 2 of marshal writes each float's bits."""
+    return marshal.dumps(a, 2) == marshal.dumps(b, 2)
+
+
+@settings(max_examples=500, deadline=None)
+@given(object_texts())
+@example('{"a": 1, "initial": {"x": 1}, "a": 2, "initial": [NaN]}')
+@example('{"\\u0069nitial": -0.0, "M": 123456789012345678901234567890}')
+@example(" {\n} ")
+def test_the_walk_reads_an_object_as_json_loads_does(text):
+    expected = json.loads(text)
+    raw, span = cli._walk(text)
+    assert same_json(raw, expected)
+    if "initial" in expected:  # the last initial value's text, as the stdlib reads it
+        assert same_json(json.loads(text[span]), expected["initial"])
+    else:
+        assert span is None
+
+
+VALID = json.dumps({"scheme": "D1Q3", "M": 8, "mode": "classical",
+                    "initial": {"uniform": 0.1, "overrides": [[1, 0.5], [2, 7]]}}, indent=1)
+
+
+@st.composite
+def malformed_texts(draw) -> str:
+    """A valid config text broken one way, or a valid JSON text that is not
+    an object."""
+    how = draw(st.sampled_from(["truncated", "trailing", "bom", "colon", "top-level"]))
+    if how == "truncated":
+        return VALID[:draw(st.integers(0, len(VALID) - 1))]
+    if how == "trailing":
+        return VALID + draw(SPACE) + draw(st.sampled_from(["x", "{}", "0", ",", "]", "}"]))
+    if how == "bom":
+        return "\ufeff" + VALID
+    if how == "colon":
+        at = [i for i, c in enumerate(VALID) if c == ":"]
+        i = draw(st.sampled_from(at))
+        return VALID[:i] + VALID[i + 1:]
+    return draw(value_texts().filter(lambda t: not t.lstrip(" \t\n\r").startswith("{")))
+
+
+@settings(max_examples=200, deadline=None)
+@given(malformed_texts())
+@example("\ufeff" + VALID)
+@example(VALID + " x")
+@example("[]")
+def test_text_the_walk_cannot_read_is_refused_as_json_loads_refuses_it(tmp_path_factory, text):
+    """``from_json`` reads a text as ``from_dict(json.loads(text))`` does:
+    the same message for a text that is not JSON, and for JSON that is not
+    a config."""
+    path = tmp_path_factory.mktemp("malformed") / "c.json"
+    path.write_text(text)
+    text = path.read_text()  # as the reader reads it: a "\r" becomes a "\n"
+    try:
+        expected = cli.RunConfig.from_dict(json.loads(text))
+    except json.JSONDecodeError as exc:
+        message = f"cannot read config {path}: {exc}"
+    except cli.ConfigError as exc:
+        message = str(exc)
+    else:  # a truncation inside the trailing whitespace
+        assert cli.RunConfig.from_json(str(path)).initial.same(expected.initial)
+        return
+    with pytest.raises(cli.ConfigError) as refused:
+        cli.RunConfig.from_json(str(path))
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("ndim, bound", [(1, 9.0), (2, 10.0)])
+def test_config_parse_peak_is_bounded_by_the_file(tmp_path, ndim, bound):
+    """``from_json``'s tracemalloc peak against the file's bytes: 8.0x for
+    16384 1-D rows and 9.15x for the 7281 2-D rows of the D2Q5 M = 256
+    memory recipe (Python 3.11), set by the rows ``raw_decode`` builds
+    beside the text.  The bound is that plus about one file."""
+    rng = np.random.default_rng(ndim)
+    if ndim == 1:
+        m, n = 16384, 16384
+        cells = list(range(m))
+    else:
+        m, n = 256, 256 * 256 // 9
+        cells = rng.integers(0, m, (n, 2)).tolist()
+    rows = [[c, v] for c, v in zip(cells, (0.1 + rng.random(n)).tolist())]
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps({"scheme": "D1Q3" if ndim == 1 else "D2Q5", "M": m,
+                                "mode": "classical",
+                                "initial": {"uniform": 0.1, "overrides": rows}}))
+    del rows
+    cli.RunConfig.from_json(str(path))  # what a process allocates once is not counted
+    tracemalloc.start()
+    try:
+        cfg = cli.RunConfig.from_json(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cfg.initial.axes[0].size == n
+    assert peak <= bound * path.stat().st_size, peak / path.stat().st_size

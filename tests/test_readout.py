@@ -127,6 +127,7 @@ def test_difference_reconstruct_uniform():
     delta = uniform_field((8,), 0.0)
     out = difference_reconstruct(delta, 0.1)
     assert np.allclose(out.phi, 0.1)
+    assert out is delta  # the baseline is added in place
 
 
 def test_difference_reconstruct_initial_field():
@@ -167,6 +168,9 @@ def test_difference_roundtrip_two_dimensional():
 def test_difference_rejects_negative_baseline():
     with pytest.raises(ValueError):
         difference_reconstruct(uniform_field((4,), 0.0), -0.1)
+    # as a field whose sum overflows is refused
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        difference_reconstruct(uniform_field((4,), 1e308), 1e308)
 
 
 # ----------------------------------------------------------------- metrics
