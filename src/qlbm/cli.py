@@ -4,9 +4,7 @@ Experiments are described by a JSON config (they carry too many knobs for
 flags).  Each command that reads a config archives it once, resolved and on
 one line, as ``config.json`` (``config_a.json`` and ``config_b.json`` for
 ``compare``): ``qlbm run --config <out>/config.json`` re-runs the command as
-it was.  Both ``compare`` archives are full configs; when the two initial
-fields are the same by type and bits, their text is encoded once and written
-into both.  No other output repeats the config.  Identical config + seed gives
+it was.  No other output repeats the config.  Identical config + seed gives
 byte-identical CSV/JSON files, so timings go to stderr instead of the report.
 
 A config is read with the cyclic garbage collector paused: its override
@@ -20,12 +18,12 @@ archive writes its text with one ``%`` fill.
 A config's top-level object is walked with the stdlib's scanner
 (``_walk``), which also finds where the text of its ``initial`` value lies;
 a text the walk cannot read whole goes to ``json.loads``, whose result or
-error it gets.  ``compare`` reads a shared initial field once: where the
-second config's ``initial`` value has byte for byte the first's text and
-its lattice geometry is the same, it takes the first's checked ``Initial``,
-and none of its rows are decoded or checked.  Any other second config is
-read in full.  The first's text is held only until the second is read, and
-no parsed config keeps it.
+error it gets.  A ``compare``'s second config whose ``initial`` value has
+byte for byte the first's text, on the same lattice geometry, takes the
+first's checked ``Initial``: none of its rows are decoded or checked, and
+the initial text of both archives, each a full config, is encoded once.
+Any other second config is read and encoded in full.  The first's text is
+held only until the second is read, and no parsed config keeps it.
 
 Every CSV value is the text of ``"%.17g" % v``, and a block's column whose
 bit patterns are at most half distinct (a difference-mode or sampled field
@@ -218,15 +216,6 @@ class Initial:
         rows = zip(*[axis.tolist() for axis in self.axes], values)
         return template % tuple(itertools.chain(itertools.chain.from_iterable(rows),
                                                 [self.uniform]))
-
-    def same(self, other: "Initial") -> bool:
-        """The same field and rows by type and bits: 1 and 1.0, or 0.0 and
-        -0.0, are equal but archive as different text.  Version 2 of marshal
-        writes each float's bits and each int as an int, with no references."""
-        return (marshal.dumps(self.uniform, 2) == marshal.dumps(other.uniform, 2)
-                and self.values == other.values
-                and len(self.axes) == len(other.axes)
-                and all(map(np.array_equal, self.axes, other.axes)))
 
 
 @dataclass(eq=False)
@@ -585,7 +574,6 @@ def _text(column: np.ndarray) -> list[str]:
 # _g17 writes arrays of this many values or more in numpy; below it, one
 # "%.17g" per value is faster (see CHANGES.md for the measured crossover)
 _G17_MIN = 512
-_G17_BLOCK = 4096  # values per pass, so each numpy temporary stays 32 KB
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's splitter of a 53-bit significand
 _POW10 = np.array([float(10**k) for k in range(20)])  # exact: 5**19 < 2**53
 _POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
@@ -605,14 +593,11 @@ def _times_pow10(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _g17(values: np.ndarray) -> list[str]:
     """``["%.17g" % v for v in values]`` for a float64 array: one value at a
-    time below ``_G17_MIN`` values, and from there in numpy blocks of
-    ``_G17_BLOCK`` values (``_g17_block``)."""
+    time below ``_G17_MIN`` values, and from there in numpy (``_g17_block``).
+    ``_csv`` hands it one block's column, so its temporaries stay small."""
     if values.size < _G17_MIN:
         return ["%.17g" % v for v in values.tolist()]
-    text = []
-    for start in range(0, values.size, _G17_BLOCK):
-        text += _g17_block(values[start:start + _G17_BLOCK])
-    return text
+    return _g17_block(values)
 
 
 def _g17_block(v: np.ndarray) -> list[str]:
@@ -813,8 +798,8 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: Path,
     _write(field_csv(cfg_a.geometry, phi_a=field_a.phi, phi_b=field_b.phi),
            out_dir / "compare.csv")
     initial = _archive(out_dir / "config_a.json", cfg_a)
-    _archive(out_dir / "config_b.json", cfg_b,
-             initial if cfg_a.initial.same(cfg_b.initial) else None)
+    # the second config holds the first's Initial where it was read from the same text
+    _archive(out_dir / "config_b.json", cfg_b, initial if cfg_b.initial is cfg_a.initial else None)
     _write([_dump_json(summary)], out_dir / "summary.json")
     print(f"[qlbm] compare finished in {time.perf_counter() - t0:.3f}s",
           file=sys.stderr)

@@ -74,9 +74,6 @@ class QubitLayout:
         return offset, self.axis_qubits[axis]
 
 
-_STATE_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
-
-
 @dataclass
 class QState:
     """Normalized amplitude vector over a fixed QubitLayout; real unless
@@ -86,11 +83,10 @@ class QState:
     layout: QubitLayout
 
     def __post_init__(self):
-        amps = self.amplitudes
-        if not (type(amps) is np.ndarray and amps.dtype in _STATE_DTYPES):
-            amps = np.asarray(amps)
-            # float64 for real amplitudes, complex128 for complex ones
-            self.amplitudes = amps.astype(np.result_type(amps, np.float64), copy=False)
+        amps = np.asarray(self.amplitudes)
+        # float64 for real amplitudes, complex128 for complex ones; an array
+        # that is one already is kept, not copied
+        self.amplitudes = amps.astype(np.result_type(amps, np.float64), copy=False)
         if self.amplitudes.shape != (self.layout.dim,):
             raise ValueError(
                 f"amplitude vector has length {self.amplitudes.shape}, "

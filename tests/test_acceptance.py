@@ -7,12 +7,14 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from test_ancilla_free import SURVIVAL_SLACK, survival_limit
 from test_statevector import cascade_shifts_basis_states
 
 import qlbm
 from qlbm.analysis import (
     circuit_inventory,
     prior_method_toffoli_count,
+    probability_bounds,
     toffoli_count,
 )
 from qlbm.ancilla_based import run_legacy_step
@@ -163,6 +165,14 @@ def _random_field(rng, cells):
     return rng.random(cells) + rng.uniform(0.0, 0.2)
 
 
+def _survival_limit(spec):
+    """p_inf with its rounding slack, checked against the m / 2**q bound
+    that Cauchy's inequality sets on it."""
+    limit = survival_limit(spec)
+    assert limit <= probability_bounds(spec.scheme)[1]
+    return limit * SURVIVAL_SLACK
+
+
 def test_criterion_7_postselection_bounds():
     with criterion(7, "post-selection probability bounds"):
         rng = np.random.default_rng(2024)
@@ -172,15 +182,18 @@ def test_criterion_7_postselection_bounds():
             ls = run_loop_exact(encode_initial(field), spec)
             p = ls.loop_probs[0]
             assert 0.25 - 1e-12 <= p <= 0.75 + 1e-12, f"probability {p} out of bounds"
+            assert p <= _survival_limit(spec), f"probability {p} above p_inf"
 
         spec, field = d1q3_benchmark()
         ls = run_exact(field, spec, 30)
         assert min(ls.loop_probs) >= 0.5
+        assert max(ls.loop_probs) <= _survival_limit(spec)
 
         uniform = run_loop_exact(encode_initial(uniform_field((64,), 0.1)), spec)
         p_uniform = uniform.loop_probs[0]
         print(f"  uniform-field post-selection probability: {p_uniform:.6f}")
         assert 0.70 <= p_uniform <= 0.75
+        assert p_uniform <= _survival_limit(spec)
 
 
 def test_criterion_8_property_suite():

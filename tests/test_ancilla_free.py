@@ -343,13 +343,19 @@ def test_cumulative_probability_survives_long_runs():
     m = 64
     phi = np.full(m, 0.1)
     phi[20:25] += [0.1, 0.25, 0.3, 0.25, 0.1]
-    ls = run_exact(MacroField(phi, (m,)), ModelSpec(scheme="D1Q3", M=m, u=0.2),
-                   2500, difference_mode=True)
+    spec = ModelSpec(scheme="D1Q3", M=m, u=0.2)
+    ls = run_exact(MacroField(phi, (m,)), spec, 2500, difference_mode=True)
     log10_sum = sum(math.log10(p) for p in ls.loop_probs)
     assert log10_sum < -330
     log_p = log_cumulative(ls.loop_probs)
     assert abs(log_p / math.log(10) - log10_sum) < 1e-9
     assert math.exp(log_p) == 0.0
+    # p_inf = 0.7305 < 3/4 = m / 2**q; the spread field, whose mean is not
+    # zero, comes to keep p_inf a loop
+    limit = survival_limit(spec)
+    assert abs(limit - 0.7305) < 1e-4
+    assert max(ls.loop_probs) <= limit * SURVIVAL_SLACK
+    assert abs(ls.loop_probs[-1] - limit) <= 1e-4, ls.loop_probs[-1] - limit
 
 
 
@@ -464,6 +470,36 @@ def test_stencil_matches_gate_path(spec, difference_mode, loops, seed):
                   <= PROBABILITY_ULP * np.spacing(probs))
     assert abs(log_cumulative(stencil.loop_probs)
                - log_cumulative(gates.loop_probs)) <= LOG_P_ABS
+
+
+def survival_limit(spec: ModelSpec) -> float:
+    """p_inf = 1 / (2**q sum_a w_hat_a**2).  The post-selected loop is the
+    circulant sum_a c_a roll(., e_a), c_a = w_hat_a / (||w_hat|| 2**(q/2))
+    >= 0, whose symbol has its largest modulus, sum_a c_a, at k = 0: no loop
+    keeps more than (sum_a c_a)**2 of any state, and a field with a nonzero
+    mean comes to keep that much as it spreads."""
+    w_hat = np.asarray(effective_weights(spec))
+    return 1.0 / (2 ** spec.row.q_qubits * float(np.sum(w_hat**2)))
+
+
+# the limit's rounding and each loop's: over 400 drawn runs of this test's
+# strategy the largest p_t / p_inf was 1 + eps
+SURVIVAL_SLACK = 1 + 4 * np.finfo(float).eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=loop_models(), difference_mode=st.booleans(), sparse=st.booleans(),
+       loops=st.integers(1, 40), seed=st.integers(0, 2**31))
+def test_no_loop_survives_above_the_limit(spec, difference_mode, sparse, loops, seed):
+    field = random_field(spec, seed)
+    if sparse:  # a few spikes: one cell keeps its value, each other one in eight
+        keep = np.random.default_rng(seed + 1).random(field.cells) < 1 / 8
+        keep[0] = True
+        field = MacroField(field.phi * keep, field.geometry)
+    limit = survival_limit(spec)
+    assert limit <= 1.0
+    ls = run_loop_exact(encode_initial(field, difference_mode), spec, loops=loops)
+    assert max(ls.loop_probs) <= limit * SURVIVAL_SLACK, (ls.loop_probs, limit)
 
 
 @settings(max_examples=50, deadline=None)

@@ -1255,20 +1255,23 @@ def rows_2d(n: int, m: int, seed: int) -> list:
     return rows + [[rows[0][0], 0.5]]
 
 
-@pytest.mark.parametrize("rows_b, encodings", [
-    pytest.param(SHARED_ROWS, 1, id="identical"),
-    pytest.param([[1, 1.0], [2, 0.0], [3, 0.25]], 2, id="int-vs-float"),
-    pytest.param([[1, 1], [2, -0.0], [3, 0.25]], 2, id="signed-zero"),
-    pytest.param([[1, 1], [2, 0.0], [3, 0.5]], 2, id="different"),
+@pytest.mark.parametrize("rows_b, encodings, indent", [
+    pytest.param(SHARED_ROWS, 1, None, id="identical"),
+    pytest.param([[1, 1.0], [2, 0.0], [3, 0.25]], 2, None, id="int-vs-float"),
+    pytest.param([[1, 1], [2, -0.0], [3, 0.25]], 2, None, id="signed-zero"),
+    pytest.param([[1, 1], [2, 0.0], [3, 0.5]], 2, None, id="different"),
     # thousands of rows on a 2-D lattice: the text of an encoding with no
     # cycle check, shared by both archives
-    pytest.param(rows_2d(3000, 64, 22), 1, id="2d-thousands"),
+    pytest.param(rows_2d(3000, 64, 22), 1, None, id="2d-thousands"),
+    # the same rows in other whitespace: read in full, and encoded again
+    pytest.param(SHARED_ROWS, 2, 1, id="whitespace"),
 ])
 def test_compare_archives_share_only_identical_rows(tmp_path, monkeypatch, rows_b,
-                                                     encodings):
+                                                     encodings, indent):
     # each archive is the stdlib's one-line layout of its own config; the
-    # initial field is encoded once only when both are the same by type and
-    # bits, as 1 == 1.0 and 0.0 == -0.0 yet each pair is different text
+    # initial field is encoded once only when the second config took the
+    # first's checked rows, as it does for the same initial text alone:
+    # 1 == 1.0 and 0.0 == -0.0, yet each pair is different text
     rows_a, lattice = SHARED_ROWS, {}
     if isinstance(rows_b[0][0], list):
         rows_a, lattice = rows_b, {"scheme": "D2Q5", "M": 64}
@@ -1276,6 +1279,8 @@ def test_compare_archives_share_only_identical_rows(tmp_path, monkeypatch, rows_
                          initial={"uniform": 0.1, "overrides": rows_a}, **lattice)
     src_b = write_config(tmp_path, "b.json", mode="classical", loops=3,
                          initial={"uniform": 0.1, "overrides": rows_b}, **lattice)
+    if indent is not None:
+        src_b.write_text(json.dumps(json.loads(src_b.read_text()), indent=indent))
     text, initials = cli.Initial.text, []
 
     def spy(initial):
@@ -1292,7 +1297,8 @@ def test_compare_archives_share_only_identical_rows(tmp_path, monkeypatch, rows_
         assert (cmp / archive).read_text() == archive_oracle(json.loads(src.read_text()))
     rows_text = json.dumps(rows_b)
     assert rows_text in (cmp / "config_b.json").read_text()
-    assert (rows_text in (cmp / "config_a.json").read_text()) == (encodings == 1)
+    assert (rows_text in (cmp / "config_a.json").read_text()) == (
+        encodings == 1 or rows_text == json.dumps(rows_a))
 
 
 def rows_read(monkeypatch) -> list:

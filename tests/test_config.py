@@ -347,7 +347,7 @@ def test_text_the_walk_cannot_read_is_refused_as_json_loads_refuses_it(tmp_path_
     except cli.ConfigError as exc:
         message = str(exc)
     else:  # a truncation inside the trailing whitespace
-        assert cli.RunConfig.from_json(str(path)).initial.same(expected.initial)
+        assert cli.RunConfig.from_json(str(path)).initial.text() == expected.initial.text()
         return
     with pytest.raises(cli.ConfigError) as refused:
         cli.RunConfig.from_json(str(path))

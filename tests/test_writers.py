@@ -231,21 +231,24 @@ FALLBACK = [0.0, -0.0, -0.25, 1e-3, 2.0**-9 - 2.0**-60, 2.0**52, 1e300, 5e-324,
 
 
 @pytest.mark.parametrize("size", [
-    0, 1, cli._G17_MIN - 1, cli._G17_MIN, cli._G17_BLOCK + 1, None,
+    0, 1, cli._G17_MIN - 1, cli._G17_MIN, cli._CSV_BLOCK + 1, None,
 ], ids=["0", "1", "below-min", "min", "block+1", "corpus"])
 def test_g17_is_percent_17g(size):
-    """On either side of the crossover to numpy and across a block's end,
-    a sample of the corpus with every fourth value a fallback one; then the
-    whole corpus."""
+    """On either side of the crossover to numpy and past one CSV block, a
+    sample of the corpus with every fourth value a fallback one; then the
+    whole corpus, a CSV block's column at a time, as ``_csv`` hands it over
+    (at once, numpy's temporaries would take 250 MB)."""
     values = g17_corpus()
     if size is None:
         assert values.size > 10**6
         # the corpus reaches a float that rounds up to a power of ten
         assert Fraction(1e-14) < Fraction(1, 10**14) and "%.17g" % 1e-14 == "1e-14"
+        text = [t for start in range(0, values.size, cli._CSV_BLOCK)
+                for t in cli._g17(values[start:start + cli._CSV_BLOCK])]
     else:
         values = np.random.default_rng(size).choice(values, size)
         values[1::4] = np.resize(FALLBACK, values[1::4].size)
-    text = cli._g17(values)
+        text = cli._g17(values)
     mismatches = [(x, t) for x, t in zip(values.tolist(), text) if "%.17g" % x != t]
     assert mismatches == []
     assert len(text) == values.size
