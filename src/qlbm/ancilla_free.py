@@ -16,12 +16,12 @@ post-selected block they leave holds the c_a, and those are checked against
 w_hat_a / (||w_hat|| 2**(q/2)) before a ``Stencil`` runs them.  The
 ``LoopState`` carries that fold from one call to the next, so a run
 advanced in several calls, one per snapshot, folds its model once, and no
-module-level cache holds it between runs.  A loop runs on two paths with
-one signature:
-
-- ``run_loop_exact`` runs the stencil, ``loops`` loops per call;
-- ``run_loop_gates`` runs every gate on the full register, the reference
-  the stencil is held to within a few ulp.
+module-level cache holds it between runs.  ``run_loop_exact`` runs the
+stencil, ``loops`` loops per call; it is the library's one exact loop.  Its
+reference is a test helper with the same signature, the gate-by-gate loop in
+``tests/test_ancilla_free.py``: each loop applies every gate on the full
+register and projects the direction register, and the stencil is held to it
+within a few ulp.
 
 Every circuit is built from the scheme's row in ``lattice._SCHEMES``: its
 velocities and the q-register code of each, with the weights that
@@ -45,7 +45,7 @@ from .statevector import (
     Stencil,
     apply_circuit,
     encode_amplitudes,
-    project,
+    project,  # noqa: F401 -- unused here; bench/tracer.py wraps it by name
 )
 
 
@@ -151,12 +151,6 @@ def build_summation(layout: QubitLayout) -> Circuit:
     return Circuit(layout, ops)
 
 
-def _loop_circuits(spec: ModelSpec, layout: QubitLayout) -> tuple[Circuit, Circuit, Circuit]:
-    """One loop's collision, streaming and summation circuits."""
-    return (build_collision(spec.scheme, effective_weights(spec), layout),
-            build_streaming(spec.scheme, layout), build_summation(layout))
-
-
 def _stencil_for(spec: ModelSpec) -> Stencil:
     # folded on every call, a few ``apply`` calls on 2**(q + 2d) amplitudes:
     # a run carries its fold on its LoopState instead of a cache, so every
@@ -191,7 +185,8 @@ def _fold(spec: ModelSpec) -> np.ndarray:
     amps = np.zeros(layout.dim)
     amps[0] = 1.0
     state = QState(amps, layout)
-    for circuit in _loop_circuits(spec, layout):
+    for circuit in (build_collision(spec.scheme, effective_weights(spec), layout),
+                    build_streaming(spec.scheme, layout), build_summation(layout)):
         state = apply_circuit(state, circuit)
     return state.amplitudes[: 1 << layout.d_qubits].reshape((4,) * spec.ndim)
 
@@ -246,28 +241,6 @@ def run_loop_exact(loop_state: LoopState, spec: ModelSpec, loops: int = 1) -> Lo
     state, probs = fold[1].run(loop_state.state, loops)
     return replace(loop_state, state=state, fold=fold,
                    loop_probs=loop_state.loop_probs + tuple(probs.tolist()))
-
-
-def run_loop_gates(loop_state: LoopState, spec: ModelSpec, loops: int = 1) -> LoopState:
-    """``run_loop_exact`` gate by gate: each loop expands the position
-    register to the full register, applies every gate of the three circuits
-    and projects the direction register.  2**q times the state; the
-    reference the stencil is tested against."""
-    layout = layout_for(spec)
-    circuits = _loop_circuits(spec, layout)
-    block = loop_state.state
-    if block.layout != QubitLayout(0, layout.axis_qubits):
-        raise ValueError(f"loop state layout {block.layout} does not match {layout}")
-    probs = []
-    for _ in range(loops):
-        amps = np.zeros(layout.dim, dtype=block.amplitudes.dtype)
-        amps[: block.layout.dim] = block.amplitudes
-        state = QState(amps, layout)
-        for circuit in circuits:
-            state = apply_circuit(state, circuit)
-        prob, block = project(state)
-        probs.append(prob)
-    return replace(loop_state, state=block, loop_probs=loop_state.loop_probs + tuple(probs))
 
 
 def sample_readout(loop_state: LoopState, shots: int, seed: int) -> np.ndarray:

@@ -36,11 +36,8 @@ sort_keys=True)``.  A run's field is written once, to ``field.csv``:
 trusted.  That report is built once per run, from the config, its
 ``ModelSpec`` and the post-selection probability of each loop.
 
-So memory follows the state, not the config or the output.  A D2Q5
-quantum-exact difference-mode run of 20 loops with a snapshot at 10 and
-M**2 // 9 override rows at random cells peaks, as ``ru_maxrss``, at 80 MB
-for ``run`` and 72 MB for ``probe`` at M = 1024 (an 8 MB state), 207 and 201 MB
-at M = 2048, about what parsing its config takes; ``execute`` holds 4.2x the state.
+So memory follows the state, not the config or the output; README's
+memory table gives the peaks measured.
 
 Every command evolves a config through ``execute`` alone: ``run``,
 ``compare`` and ``probe``, whose probabilities are the report's
@@ -63,8 +60,9 @@ errors are joined in seed order, so no output depends on the CPU count; a
 failed draw raises the first error in seed order, before anything is
 written.
 
-Exit codes: 0 success, 2 config error or an output that cannot be written,
-3 post-selection failure, 4 internal assertion (regression tripwire).
+Exit codes: 0 success, 2 config error, an output that cannot be written or
+running out of memory, 3 post-selection failure, 4 internal assertion
+(regression tripwire).
 """
 from __future__ import annotations
 
@@ -916,6 +914,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:  # a config that cannot be read is a ConfigError
         print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names what it could not allocate
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 2
 
 

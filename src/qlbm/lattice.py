@@ -7,6 +7,7 @@ convolution phi'(x) = sum_a w_hat_a * phi(x - e_a).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -149,7 +150,7 @@ class MacroField:
     def __post_init__(self):
         self.phi = np.asarray(self.phi, dtype=float).ravel()
         self.geometry = tuple(int(m) for m in self.geometry)
-        if self.phi.size != int(np.prod(self.geometry)):
+        if self.phi.size != math.prod(self.geometry):
             raise ValueError("field size does not match geometry")
         if not np.all(np.isfinite(self.phi)):
             raise ValueError("field entries must be finite")
@@ -166,7 +167,7 @@ class MacroField:
 
 
 def uniform_field(geometry: tuple[int, ...], value: float) -> MacroField:
-    return MacroField(np.full(int(np.prod(geometry)), value), geometry)
+    return MacroField(np.full(math.prod(geometry), value), geometry)
 
 
 def effective_weights(spec: ModelSpec) -> tuple[float, ...]:

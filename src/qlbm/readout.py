@@ -28,7 +28,7 @@ def macroscopic_from_counts(counts: np.ndarray, l1: float,
         raise ValueError("recorded 1-norm must be positive")
     if geometry is None:
         geometry = (counts.size,)
-    if int(np.prod(geometry)) != counts.size:
+    if math.prod(geometry) != counts.size:
         raise ValueError("geometry does not match the number of cells counted")
     amp = counts / shots
     np.sqrt(amp, out=amp)  # in place: the roundings of sqrt(counts / S) / sum * l1

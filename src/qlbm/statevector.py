@@ -23,11 +23,13 @@ map of the position block that commutes with translation, so it is
 sum_a c_a roll(block, s_a).  A ``Stencil`` runs that sum for many loops in
 one call, on a real block and buffers allocated once.  It sums the terms
 where ``apply`` runs the gates one by one, so the two round differently, by
-a few ulp; ``apply`` gate by gate on the full register, then ``project`` to
-the position register, is the reference.  On small blocks a loop's ufunc
-calls cost more to dispatch than to compute, so the loop hands them 0-d
-array operands and positional outputs and fills its halos by slice
-assignment, which give the same bits with less per call.
+a few ulp.  Its reference is the gate-by-gate loop in
+``tests/test_ancilla_free.py``: ``apply`` gate by gate on the full register,
+then ``project`` to the position register, each loop; no command runs
+``project``.  On small blocks a loop's ufunc calls cost more to dispatch
+than to compute, so the loop hands them 0-d array operands and positional
+outputs and fills its halos by slice assignment, which give the same bits
+with less per call.
 """
 from __future__ import annotations
 

@@ -19,7 +19,6 @@ from qlbm.ancilla_free import (
     _stencil_for,
     run_exact,
     run_loop_exact,
-    run_loop_gates,
     sample_readout,
 )
 from qlbm.lattice import (
@@ -36,6 +35,7 @@ from qlbm.statevector import (
     QubitLayout,
     apply_circuit,
     encode_amplitudes,
+    project,
 )
 
 
@@ -444,6 +444,29 @@ def test_table_built_circuits_equal_the_frozen_ones(spec, data):
 def random_field(spec, seed):
     return MacroField(np.random.default_rng(seed).random(spec.M ** len(spec.geometry)),
                       spec.geometry)
+
+
+def run_loop_gates(loop_state: LoopState, spec: ModelSpec, loops: int = 1) -> LoopState:
+    """``run_loop_exact`` gate by gate: each loop expands the position
+    register to the full register, applies every gate of the three circuits
+    and projects the direction register.  2**q times the state; the
+    reference the stencil is tested against, which never runs the stencil."""
+    layout = layout_for(spec)
+    circuits = (build_collision(spec.scheme, effective_weights(spec), layout),
+                build_streaming(spec.scheme, layout), build_summation(layout))
+    block = loop_state.state
+    if block.layout != QubitLayout(0, layout.axis_qubits):
+        raise ValueError(f"loop state layout {block.layout} does not match {layout}")
+    probs = []
+    for _ in range(loops):
+        amps = np.zeros(layout.dim, dtype=block.amplitudes.dtype)
+        amps[: block.layout.dim] = block.amplitudes
+        state = QState(amps, layout)
+        for circuit in circuits:
+            state = apply_circuit(state, circuit)
+        prob, block = project(state)
+        probs.append(prob)
+    return replace(loop_state, state=block, loop_probs=loop_state.loop_probs + tuple(probs))
 
 
 # The stencil sums the folded terms where the gate path applies the gates

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_ancilla_free import run_loop_gates
 from test_config import archive_oracle
 from test_spectral import hills, spectral_log_postselect, spectral_run
 
@@ -684,7 +685,7 @@ def test_stencil_and_gate_path_write_the_same_bytes(tmp_path, monkeypatch):
             return reference(ls, spec, loops=loops)
         return run
 
-    gates = outputs("gates", counted(ancilla_free.run_loop_gates))
+    gates = outputs("gates", counted(run_loop_gates))
     assert sum(advanced) == 20 + 20 + 30
     # run with 4 snapshots, probe, sampled run, each with its config.json
     assert len(gates) == 7 + 3 + 3
@@ -937,6 +938,48 @@ def test_a_failed_draw_exits_as_the_serial_sweep_does(tmp_path, monkeypatch, cap
     # the first refusal in seed order, whichever thread drew it
     first = seeds[-1] if refused == "last" else seeds[0]
     assert errors == [f"config error: refused at seed {first}\n"] * 2
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 32.0 GiB", ""], ids=["numpy", "bare"])
+def test_running_out_of_memory_exits_2_with_one_line(tmp_path, monkeypatch, capsys, message):
+    def execute(cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "execute", execute)
+    out = tmp_path / "o"
+    assert cli.main(["run", "--config", str(write_config(tmp_path, "q.json")),
+                     "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and message in err
+    assert err.count("\n") == 1
+
+
+def test_a_draw_out_of_memory_in_a_sweep_thread_exits_2(tmp_path, monkeypatch, capsys,
+                                                        thread_starts):
+    paths = large_sampled_pair(tmp_path)
+    seeds = cli._sweep_seeds(D1Q3_GAUSS["seed"], 4)
+
+    def sample(loop_state, shots, seed):
+        if seed == seeds[-1]:  # in the second chunk, drawn in a thread
+            raise MemoryError(f"Unable to allocate at seed {seed}")
+        return sample_readout(loop_state, shots, seed)
+
+    monkeypatch.setattr(cli, "sample_readout", sample)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "o"
+    assert cli.main(["compare", "--config", *paths, "--seeds", "4", "--out", str(out)]) == 2
+    assert len(thread_starts) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: out of memory: Unable to allocate at seed {seeds[-1]}\n"
+
+
+def test_a_lattice_whose_cell_count_overflows_int64_is_refused(tmp_path):
+    # 2**32 cells a side is 2**64 cells, which an int64 product wraps to 0
+    cfg = write_config(tmp_path, "big.json", scheme="D2Q5", M=2**32, loops=2,
+                       initial={"uniform": 0.1, "overrides": [[[1, 1], 0.3]]})
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_compare_geometry_mismatch_is_config_error(tmp_path):

@@ -110,6 +110,14 @@ def test_two_direction_step():
     assert np.allclose(out.phi, [0.0, 0.25, 0.0, 0.75])
 
 
+def test_a_cell_count_beyond_int64_is_not_wrapped():
+    # (2**32)**2 = 2**64 wraps to 0 in an int64 product: a 0-cell field
+    with pytest.raises(ValueError):
+        uniform_field((2**32, 2**32), 0.1)
+    with pytest.raises(ValueError, match="does not match geometry"):
+        MacroField(np.zeros(0), (2**32, 2**32))
+
+
 def test_uniform_field_is_fixed_point():
     field = uniform_field((8,), 0.37)
     out = classical_step(field, d1_spec(u=0.2))
