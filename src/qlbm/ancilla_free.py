@@ -188,7 +188,7 @@ def _fold(spec: ModelSpec) -> np.ndarray:
     for circuit in (build_collision(spec.scheme, effective_weights(spec), layout),
                     build_streaming(spec.scheme, layout), build_summation(layout)):
         state = apply_circuit(state, circuit)
-    return state.amplitudes[: 1 << layout.d_qubits].reshape((4,) * spec.ndim)
+    return state.amplitudes[: 1 << layout.d_qubits].reshape(layout.lattice_shape)
 
 
 def _check_fold(kernel: np.ndarray, spec: ModelSpec):
@@ -245,10 +245,9 @@ def run_loop_exact(loop_state: LoopState, spec: ModelSpec, loops: int = 1) -> Lo
 
 def sample_readout(loop_state: LoopState, shots: int, seed: int) -> np.ndarray:
     """Measure the position register of a post-selected loop state: the
-    multinomial counts per cell, an int array in row-major cell order.  The
-    shots are drawn from the post-selected branch, tracked exactly; a
-    hardware run keeps about shots * exp(log_cumulative(loop_probs)) of
-    them."""
+    multinomial counts per cell, an int array in the lattice's shape,
+    row-major.  The shots are drawn from the post-selected branch; a
+    hardware run keeps about shots * exp(log_cumulative(loop_probs)) of them."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     # one buffer, squared and normalized in place: the roundings of |a|**2 / sum
@@ -256,7 +255,7 @@ def sample_readout(loop_state: LoopState, shots: int, seed: int) -> np.ndarray:
     np.square(probs, out=probs)
     probs /= probs.sum()
     rng = np.random.default_rng(seed)
-    return rng.multinomial(shots, probs)
+    return rng.multinomial(shots, probs).reshape(loop_state.state.layout.lattice_shape)
 
 
 def run_exact(initial: MacroField, spec: ModelSpec, loops: int,

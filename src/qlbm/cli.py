@@ -92,7 +92,6 @@ from .analysis import (
 )
 from .ancilla_based import run_legacy_step
 from .ancilla_free import (
-    LoopState,
     build_streaming,
     encode_initial,
     layout_for,
@@ -392,6 +391,9 @@ class RunConfig:
         if self.mode == "legacy" and self.scheme != D1Q2:
             raise ConfigError("mode legacy runs the two-direction model: scheme D1Q2")
         self.model_spec()  # lattice size, the row's model keys and omega
+        if math.prod(self.geometry) * 8 > np.iinfo(np.intp).max:  # a float64 field's bytes
+            raise ConfigError(f"M: {self.M} gives a {self.geometry} lattice, more cells than "
+                              "one float64 array can hold")
         if self.mode == "legacy" and self.loops != 1:
             raise ConfigError("mode legacy runs exactly one loop")
         if self.mode == "quantum-sampled":
@@ -455,15 +457,18 @@ def _read_initial(initial: dict, geometry: tuple[int, ...]) -> Initial:
                    marshal.dumps(values, 2))
 
 
-def _read_field(cfg: RunConfig, ls: LoopState, seed: int) -> MacroField:
-    """The field of a kept quantum state: read exactly, or from ``cfg.shots``
-    samples drawn from ``seed``, then difference-reconstructed if encoded so."""
+def _read_field(cfg: RunConfig, reading, seed: int) -> MacroField:
+    """The field of a reading ``execute`` kept: a classical or legacy field as
+    it is, a quantum state read exactly or from ``cfg.shots`` samples drawn
+    from ``seed``, its baseline added back if it carries one."""
+    if isinstance(reading, MacroField):
+        return reading
     if cfg.mode == "quantum-exact":
-        delta = macroscopic_exact(ls.state, ls.initial_l1, cfg.geometry)
+        delta = macroscopic_exact(reading.state, reading.initial_l1)
     else:
-        counts = sample_readout(ls, cfg.shots, seed)
-        delta = macroscopic_from_counts(counts, ls.initial_l1, cfg.geometry)
-    return difference_reconstruct(delta, ls.baseline) if cfg.difference_mode else delta
+        delta = macroscopic_from_counts(sample_readout(reading, cfg.shots, seed),
+                                        reading.initial_l1)
+    return delta if reading.baseline is None else difference_reconstruct(delta, reading.baseline)
 
 
 def _report(cfg: RunConfig, spec: ModelSpec, probs: list[float] | None = None,
@@ -489,7 +494,7 @@ def _report(cfg: RunConfig, spec: ModelSpec, probs: list[float] | None = None,
     }
 
 
-def execute(cfg: RunConfig) -> tuple[dict, dict[int, MacroField | LoopState]]:
+def execute(cfg: RunConfig) -> tuple[dict, dict]:
     """Walk the config's loops once: report.json's content, and the state at
     each reading (the snapshots and ``loops``), a classical or legacy one as
     its field and a quantum one unread.  A quantum run advances from one
@@ -696,8 +701,7 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     t0 = time.perf_counter()
     report, readings = execute(cfg)
     for t in readings:  # each read once before any write, its state replaced as it is read
-        if isinstance(readings[t], LoopState):
-            readings[t] = _read_field(cfg, readings[t], cfg.seed)
+        readings[t] = _read_field(cfg, readings[t], cfg.seed)
     _archive(out_dir / "config.json", cfg)
     _write([_dump_json(report)], out_dir / "report.json")
     for t, field in readings.items():
@@ -766,9 +770,8 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: Path,
     cfgs = (cfg_a, cfg_b)
     # each side's last state, read once at its config's seed
     states = [execute(cfg)[1][cfg.loops] for cfg in cfgs]
-    field_a, field_b = fields = [
-        _read_field(cfg, state, cfg.seed) if isinstance(state, LoopState) else state
-        for cfg, state in zip(cfgs, states)]
+    field_a, field_b = fields = [_read_field(cfg, state, cfg.seed)
+                                 for cfg, state in zip(cfgs, states)]
     # every metric before anything is written: a refused one writes nothing
     l2, linf = error_metrics(field_a, field_b)
     summary = {"l2_error": l2, "linf_error": linf}

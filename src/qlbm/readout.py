@@ -18,41 +18,34 @@ from .lattice import MacroField
 from .statevector import _L2_FLOOR, QState, l2_norm
 
 
-def macroscopic_from_counts(counts: np.ndarray, l1: float,
-                            geometry: tuple[int, ...] | None = None) -> MacroField:
-    """Finite-shot field from int counts per cell, S being their sum."""
+def macroscopic_from_counts(counts: np.ndarray, l1: float) -> MacroField:
+    """Finite-shot field from int counts per cell, S being their sum, on the
+    lattice of the counts' shape; the arithmetic runs on their flat view."""
     shots = int(counts.sum())
     if shots <= 0:
         raise ValueError("zero total shots")
     if l1 <= 0:
         raise ValueError("recorded 1-norm must be positive")
-    if geometry is None:
-        geometry = (counts.size,)
-    if math.prod(geometry) != counts.size:
-        raise ValueError("geometry does not match the number of cells counted")
-    amp = counts / shots
+    amp = counts.reshape(-1) / shots
     np.sqrt(amp, out=amp)  # in place: the roundings of sqrt(counts / S) / sum * l1
     amp /= amp.sum()
     amp *= l1
-    return MacroField(amp, geometry)
+    return MacroField(amp, counts.shape)
 
 
-def macroscopic_exact(state: QState, l1: float,
-                      geometry: tuple[int, ...] | None = None) -> MacroField:
+def macroscopic_exact(state: QState, l1: float) -> MacroField:
     """Infinite-shot limit: distribute l1 by the amplitudes of a post-selected
-    position block, a float64 ``QubitLayout(0, axes)`` state; any other is
-    refused, as are negative amplitudes, checked here rather than assumed."""
+    position block, a float64 ``QubitLayout(0, axes)`` state, on its layout's
+    lattice; any other is refused, as are negative amplitudes, checked here."""
     if state.layout.q_qubits or state.amplitudes.dtype != np.float64:
         raise ValueError(f"exact readout takes a nonnegative real float64 position block, "
                          f"got {state.amplitudes.dtype} on {state.layout}")
     if np.min(state.amplitudes) < -1e-9:
         raise ValueError("position amplitudes are not nonnegative real")
     mags = np.abs(state.amplitudes)
-    if geometry is None:
-        geometry = (mags.size,)
     mags /= mags.sum()  # in place: the same two roundings as mags / sum * l1
     mags *= l1
-    return MacroField(mags, geometry)
+    return MacroField(mags, state.layout.lattice_shape)
 
 
 def difference_reconstruct(delta_field: MacroField, baseline: float) -> MacroField:

@@ -70,6 +70,10 @@ class QubitLayout:
     def dim(self) -> int:
         return 1 << self.n_qubits
 
+    @cached_property
+    def lattice_shape(self) -> tuple[int, ...]:  # cells per position axis
+        return tuple(1 << a for a in self.axis_qubits)
+
     def axis_block(self, axis: int) -> tuple[int, int]:
         """(first qubit index, size) of one position-axis block."""
         offset = self.q_qubits + sum(self.axis_qubits[:axis])
@@ -309,7 +313,7 @@ class Stencil:
         if block_layout.q_qubits:
             raise ValueError(f"a stencil runs on a position block, got {block_layout}")
         self.block_layout = block_layout
-        self.shape = tuple(1 << a for a in block_layout.axis_qubits)
+        self.shape = block_layout.lattice_shape
         # roll by s equals roll by s mod M: keep the representative nearest 0
         self.terms = tuple(
             (tuple((sk + m // 2) % m - m // 2 for sk, m in zip(s, self.shape)), c)

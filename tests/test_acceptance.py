@@ -82,7 +82,7 @@ def test_criterion_2_d1q3_exactness():
     with criterion(2, "D1Q3 exact run, 30 loops", budget_s=10.0):
         spec, field = d1q3_benchmark()
         ls = run_exact(field, spec, 30)
-        out = macroscopic_exact(ls.state, ls.initial_l1, (64,))
+        out = macroscopic_exact(ls.state, ls.initial_l1)
         ref = classical_run(field, spec, 30)
         assert error_metrics(out, ref)[1] <= 1e-10
 
@@ -99,14 +99,14 @@ def test_criterion_3_d2q5_exactness():
             ls = run_loop_exact(ls, spec)
             ref = classical_step(ref, spec)
             if t in (5, 10, 15, 20):
-                out = macroscopic_exact(ls.state, ls.initial_l1, (16, 16))
+                out = macroscopic_exact(ls.state, ls.initial_l1)
                 assert error_metrics(out, ref)[1] <= 1e-10
 
 
 def _sampled_l2(field, spec, ref, seed, difference_mode, shots=64 * 10**4):
     hist = sample_readout(run_exact(field, spec, 30, difference_mode), shots, seed)
     ls = encode_initial(field, difference_mode)
-    out = macroscopic_from_counts(hist, ls.initial_l1, field.geometry)
+    out = macroscopic_from_counts(hist, ls.initial_l1)
     if difference_mode:
         out = difference_reconstruct(out, ls.baseline)
     return error_metrics(out, ref)[0]

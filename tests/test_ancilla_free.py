@@ -665,6 +665,20 @@ def test_sample_readout_counts_are_an_int_array_per_cell():
     assert counts.sum() == 5000
 
 
+def test_sample_readout_counts_come_in_the_lattice_shape():
+    # a D2Q5 M = 16 block is counted on a (16, 16) array, row-major: flat, it
+    # is the draw of one multinomial over the cells in register order
+    spec = ModelSpec(scheme="D2Q5", M=16, u=0.2, v=0.1)
+    grid = np.full((16, 16), 0.1)
+    grid[4, 9] = 0.5
+    ls = run_exact(MacroField(grid.ravel(), (16, 16)), spec, 3)
+    counts = sample_readout(ls, 5000, seed=4)
+    assert counts.shape == (16, 16)
+    probs = ls.state.amplitudes ** 2
+    probs /= probs.sum()
+    assert np.array_equal(counts.reshape(-1), np.random.default_rng(4).multinomial(5000, probs))
+
+
 def test_sample_readout_basis_state():
     amps = np.zeros(8)
     amps[5] = 1.0

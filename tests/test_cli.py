@@ -295,10 +295,10 @@ def frozen_report(cfg: cli.RunConfig) -> dict:
         done = t
     sampled = {}
     if cfg.mode == "quantum-exact":
-        delta = macroscopic_exact(ls.state, ls.initial_l1, cfg.geometry)
+        delta = macroscopic_exact(ls.state, ls.initial_l1)
     else:
         counts = sample_readout(ls, cfg.shots, cfg.seed)
-        delta = macroscopic_from_counts(counts, ls.initial_l1, cfg.geometry)
+        delta = macroscopic_from_counts(counts, ls.initial_l1)
         sampled = {"shots": cfg.shots, "seed": cfg.seed}
     out = difference_reconstruct(delta, ls.baseline) if cfg.difference_mode else delta
     return FrozenReadoutReport(field=out, method=cfg.mode.removeprefix("quantum-"),
@@ -548,7 +548,9 @@ def test_run_reads_out_and_formats_the_final_state_once(tmp_path, monkeypatch,
     cfg = write_config(tmp_path, "c.json", loops=12, snapshots=[12, 3, 7], **updates)
     out = tmp_path / "o"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    assert calls["_read_field"] == calls["macroscopic_exact"] == readouts
+    # every reading goes through _read_field once; a classical field comes back as it is
+    assert calls["_read_field"] == 3
+    assert calls["macroscopic_exact"] == readouts
     assert calls["classical_step"] == (12 if updates else 0)
     assert calls["field_csv"] == 3  # field.csv, field_t3.csv and field_t7.csv
     assert (out / "field_t12.csv").read_bytes() == (out / "field.csv").read_bytes()
@@ -980,6 +982,37 @@ def test_a_lattice_whose_cell_count_overflows_int64_is_refused(tmp_path):
                        initial={"uniform": 0.1, "overrides": [[[1, 1], 0.3]]})
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("scheme, m", [("D2Q5", 2**32), ("D1Q3", 2**100)],
+                         ids=["D2Q5-2**32", "D1Q3-2**100"])
+def test_an_impossible_lattice_is_refused_where_the_config_is_read(tmp_path, capsys, scheme, m):
+    # a float64 field of 2**64 or 2**100 cells cannot exist: refused by key,
+    # before numpy is asked for it
+    cfg = write_config(tmp_path, "big.json", scheme=scheme, M=m, loops=2,
+                       initial={"uniform": 0.1})
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: M: ")
+
+
+def test_a_lattice_that_fits_an_array_still_parses():
+    # 2**32 float64 cells fit an index; such a run is refused only when its
+    # field cannot be allocated
+    cfg = cli.RunConfig.from_dict({"scheme": "D2Q5", "M": 65536, "mode": "quantum-exact",
+                                   "initial": {"uniform": 0.1, "overrides": [[[1, 1], 0.3]]}})
+    assert cfg.geometry == (65536, 65536)
+
+
+@pytest.mark.parametrize("updates", [{"mode": "classical"},
+                                     {**D1Q2_MODEL, "mode": "legacy", "loops": 1}],
+                         ids=["classical", "legacy"])
+def test_read_field_returns_a_field_reading_as_it_is(tmp_path, updates):
+    cfg = cli.RunConfig.from_json(write_config(tmp_path, "c.json", **updates))
+    field = cli.execute(cfg)[1][cfg.loops]
+    assert isinstance(field, MacroField)
+    assert cli._read_field(cfg, field, cfg.seed) is field
 
 
 def test_compare_geometry_mismatch_is_config_error(tmp_path):

@@ -66,8 +66,6 @@ def test_counts_errors():
         macroscopic_from_counts(hist([0, 0, 0, 0]), l1=1.0)
     with pytest.raises(ValueError):
         macroscopic_from_counts(hist([5, 0, 0, 0]), l1=-1.0)
-    with pytest.raises(ValueError, match="geometry"):
-        macroscopic_from_counts(hist([5, 0, 0, 0]), l1=1.0, geometry=(8,))
 
 
 # ------------------------------------------------------------------ exact
@@ -107,6 +105,21 @@ def test_exact_rejects_phases():
     amps = np.array([1j, 0, 0, 0], dtype=complex)
     with pytest.raises(ValueError, match="nonnegative real"):
         macroscopic_exact(QState(amps, layout), l1=1.0)
+
+
+def test_readouts_take_the_lattice_from_what_they_read():
+    spec = ModelSpec(scheme="D2Q5", M=16, u=0.2, v=0.15)
+    grid = np.full((16, 16), 0.1)
+    grid[4, 4] = 0.3
+    ls = run_exact(MacroField(grid.ravel(), (16, 16)), spec, 3)
+    assert macroscopic_exact(ls.state, ls.initial_l1).geometry == (16, 16)
+    counts = sample_readout(ls, shots=10**5, seed=5)
+    sampled = macroscopic_from_counts(counts, ls.initial_l1)
+    assert sampled.geometry == (16, 16)
+    # the same cells counted flat give the same bits on a 1-D lattice
+    flat = macroscopic_from_counts(counts.reshape(-1), ls.initial_l1)
+    assert flat.geometry == (256,)
+    assert sampled.phi.tobytes() == flat.phi.tobytes()
 
 
 def test_counts_converge_to_exact():
@@ -158,7 +171,7 @@ def test_difference_roundtrip_two_dimensional():
     field = MacroField(grid.ravel(), (16, 16))
     ls = run_exact(field, spec, 10, difference_mode=True)
     out = difference_reconstruct(
-        macroscopic_exact(ls.state, ls.initial_l1, (16, 16)), ls.baseline)
+        macroscopic_exact(ls.state, ls.initial_l1), ls.baseline)
     ref = classical_run(field, spec, 10)
     assert np.max(np.abs(out.phi - ref.phi)) < 1e-10
     # a lone spike attains the five-direction lower bound exactly

@@ -69,7 +69,7 @@ def check_against_oracle(spec, loops, difference_mode):
     w_hat = effective_weights(spec)
     expected = spectral_run(phi0, w_hat, spec.e, loops)
 
-    got = macroscopic_exact(ls.state, ls.initial_l1, spec.geometry).grid()
+    got = macroscopic_exact(ls.state, ls.initial_l1).grid()
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(expected)
     amps = ls.state.amplitudes.reshape(spec.geometry)
     assert np.max(np.abs(amps - expected / np.linalg.norm(expected))) < 1e-13
