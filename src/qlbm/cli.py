@@ -19,11 +19,12 @@ A config's top-level object is walked with the stdlib's scanner
 (``_walk``), which also finds where the text of its ``initial`` value lies;
 a text the walk cannot read whole goes to ``json.loads``, whose result or
 error it gets.  A ``compare``'s second config whose ``initial`` value has
-byte for byte the first's text, on the same lattice geometry, takes the
-first's checked ``Initial``: none of its rows are decoded or checked, and
-the initial text of both archives, each a full config, is encoded once.
-Any other second config is read and encoded in full.  The first's text is
-held only until the second is read, and no parsed config keeps it.
+byte for byte the first's text takes the first's checked ``Initial``,
+decoding and checking none of its rows, and is refused on another lattice
+geometry.  Any other second config is read in full.  An ``Initial``'s
+archive text is encoded once, so a shared one is encoded once for both
+archives, each a full config.  The first's text is held only until the
+second is read, and no parsed config keeps it.
 
 Every CSV value is the text of ``"%.17g" % v``, and a block's column whose
 bit patterns are at most half distinct (a difference-mode or sampled field
@@ -79,7 +80,7 @@ import threading
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
-from functools import cache
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,7 @@ from .readout import (
 from .statevector import PostSelectionError
 
 MODES = ("classical", "quantum-exact", "quantum-sampled", "legacy")
+_OTHER_LATTICE = "compared configs must share the lattice geometry"
 
 
 class ConfigError(ValueError):
@@ -196,12 +198,14 @@ class Initial:
     JSON parser returned them: ``marshal.dumps(values, 2)``, each value's
     type (int or float) and bits.  No Python object per row stays alive, so
     the parsed rows' memory is freed whole: an object kept per row would pin
-    the allocator's arenas that the rows shared."""
+    the allocator's arenas that the rows shared.  Its archive ``text`` is
+    encoded at its first use and kept for every later archive."""
 
     uniform: float
     axes: tuple[np.ndarray, ...] = ()
     values: bytes = marshal.dumps((), 2)
 
+    @cached_property
     def text(self) -> str:
         """The bytes of ``json.dumps({"uniform": ..., "overrides": rows},
         sort_keys=True)``, from one ``%`` fill of a row template: ``%d`` writes
@@ -220,18 +224,12 @@ class SharedInitial:
     """What ``main`` holds between a compare's two config reads: the text of
     the first config's ``initial`` value, and the ``Initial`` checked from it
     on ``geometry``.  A second config whose ``initial`` value has that text
-    takes it without decoding its rows (see ``RunConfig.from_json``)."""
+    takes it without decoding its rows (see ``RunConfig.from_json``), and is
+    refused on any other geometry (``RunConfig.validate``)."""
 
     text: str = ""
     initial: Initial | None = None
     geometry: tuple[int, ...] = ()
-
-    def read(self, geometry: tuple[int, ...]) -> Initial:
-        """The held ``Initial`` on the geometry it was checked on; on any
-        other, the held text read in full, as a config of its own."""
-        if geometry == self.geometry:
-            return self.initial
-        return _read_initial(_initial(json.loads(self.text)), geometry)
 
 
 # a decoder with json.loads's defaults, and the JSON whitespace it skips
@@ -363,8 +361,8 @@ class RunConfig:
         """The config at ``path``, as ``from_dict(json.loads(text))`` reads it.
         With ``shared``, one of a compare's reads: where ``shared`` holds the
         text of this config's ``initial`` value, the value is not decoded and
-        the held ``Initial`` is taken (``SharedInitial.read``); where it holds
-        none, this read leaves its own there.  Without it, no text is kept."""
+        the held ``Initial`` is taken, or refused on another lattice; where it
+        holds none, this read leaves its own there.  Without it, no text is kept."""
         # a parsed config holds no cycles, so the collector's passes over its
         # rows, a list each, would free nothing (see the module docstring)
         enabled = gc.isenabled()
@@ -403,9 +401,12 @@ class RunConfig:
                 raise ConfigError("shots must be <= 2**63 - 1")
             if self.loops < 1:
                 raise ConfigError("quantum-sampled needs loops >= 1")
-        initial = self.initial
-        self.initial = (initial.read(self.geometry) if isinstance(initial, SharedInitial)
-                        else _read_initial(initial, self.geometry))
+        if not isinstance(self.initial, SharedInitial):
+            self.initial = _read_initial(self.initial, self.geometry)
+        elif self.initial.geometry == self.geometry:
+            self.initial = self.initial.initial
+        else:  # the compare would refuse the two lattices: no row of it is read
+            raise ConfigError(_OTHER_LATTICE)
         if any(not 1 <= t <= self.loops for t in self.snapshots):
             raise ConfigError("snapshot times must lie in [1, loops]")
 
@@ -686,15 +687,13 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _archive(path: Path, cfg: RunConfig, initial: str | None = None) -> str:
+def _archive(path: Path, cfg: RunConfig):
     """The resolved config on one line, a config ``qlbm run`` reads as it is:
     every key with its value, in the bytes of ``json.dumps(..., sort_keys=True)``.
-    ``initial``, the text of ``cfg.initial`` if already encoded, is not
-    encoded again.  Returns that text."""
+    The initial value is ``cfg.initial.text``, encoded once per ``Initial``."""
     text = {f.name: json.dumps(getattr(cfg, f.name)) for f in fields(cfg) if f.name != "initial"}
-    text["initial"] = initial or cfg.initial.text()
+    text["initial"] = cfg.initial.text
     _write(["{" + ", ".join(f"{json.dumps(k)}: {text[k]}" for k in sorted(text)) + "}\n"], path)
-    return text["initial"]
 
 
 def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
@@ -702,12 +701,13 @@ def cmd_run(cfg: RunConfig, out_dir: Path) -> int:
     report, readings = execute(cfg)
     for t in readings:  # each read once before any write, its state replaced as it is read
         readings[t] = _read_field(cfg, readings[t], cfg.seed)
-    _archive(out_dir / "config.json", cfg)
     _write([_dump_json(report)], out_dir / "report.json")
     for t, field in readings.items():
         paths = [out_dir / f"field_t{t}.csv"] * (t in cfg.snapshots)
         paths += [out_dir / "field.csv"] * (t == cfg.loops)
         _write(field_csv(field.geometry, phi=field.phi), *paths)
+    # last, so no CSV is written while the Initial keeps its archive text
+    _archive(out_dir / "config.json", cfg)
     print(f"[qlbm] {cfg.mode} run finished in {time.perf_counter() - t0:.3f}s",
           file=sys.stderr)
     return 0
@@ -762,7 +762,7 @@ def _sweep(draw, seeds: list[int], threads: int) -> list:
 def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: Path,
                 sweep: int | None) -> int:
     if cfg_a.geometry != cfg_b.geometry:
-        raise ConfigError("compared configs must share the lattice geometry")
+        raise ConfigError(_OTHER_LATTICE)
     if sweep is not None and sweep < 1:
         raise ConfigError(f"--seeds must be >= 1 (got {sweep})")
     seeds = _sweep_seeds(cfg_a.seed, sweep) if sweep else []
@@ -798,9 +798,8 @@ def cmd_compare(cfg_a: RunConfig, cfg_b: RunConfig, out_dir: Path,
         }
     _write(field_csv(cfg_a.geometry, phi_a=field_a.phi, phi_b=field_b.phi),
            out_dir / "compare.csv")
-    initial = _archive(out_dir / "config_a.json", cfg_a)
-    # the second config holds the first's Initial where it was read from the same text
-    _archive(out_dir / "config_b.json", cfg_b, initial if cfg_b.initial is cfg_a.initial else None)
+    _archive(out_dir / "config_a.json", cfg_a)
+    _archive(out_dir / "config_b.json", cfg_b)
     _write([_dump_json(summary)], out_dir / "summary.json")
     print(f"[qlbm] compare finished in {time.perf_counter() - t0:.3f}s",
           file=sys.stderr)

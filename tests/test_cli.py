@@ -1,4 +1,5 @@
 import collections
+import functools
 import gc
 import importlib
 import importlib.util
@@ -976,21 +977,18 @@ def test_a_draw_out_of_memory_in_a_sweep_thread_exits_2(tmp_path, monkeypatch, c
     assert capsys.readouterr().err == f"error: out of memory: Unable to allocate at seed {seeds[-1]}\n"
 
 
-def test_a_lattice_whose_cell_count_overflows_int64_is_refused(tmp_path):
+@pytest.mark.parametrize("scheme, m, overrides", [
+    ("D2Q5", 2**32, []),
+    ("D1Q3", 2**100, []),
     # 2**32 cells a side is 2**64 cells, which an int64 product wraps to 0
-    cfg = write_config(tmp_path, "big.json", scheme="D2Q5", M=2**32, loops=2,
-                       initial={"uniform": 0.1, "overrides": [[[1, 1], 0.3]]})
-    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("scheme, m", [("D2Q5", 2**32), ("D1Q3", 2**100)],
-                         ids=["D2Q5-2**32", "D1Q3-2**100"])
-def test_an_impossible_lattice_is_refused_where_the_config_is_read(tmp_path, capsys, scheme, m):
+    ("D2Q5", 2**32, [[[1, 1], 0.3]]),
+], ids=["D2Q5-2**32", "D1Q3-2**100", "D2Q5-2**32-override-row"])
+def test_an_impossible_lattice_is_refused_where_the_config_is_read(tmp_path, capsys, scheme, m,
+                                                                   overrides):
     # a float64 field of 2**64 or 2**100 cells cannot exist: refused by key,
     # before numpy is asked for it
     cfg = write_config(tmp_path, "big.json", scheme=scheme, M=m, loops=2,
-                       initial={"uniform": 0.1})
+                       initial={"uniform": 0.1, "overrides": overrides})
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
     err = capsys.readouterr().err
@@ -1319,6 +1317,47 @@ def test_configs_archived_by_a_seeded_compare_rerun(tmp_path):
     assert tree(cmp) == tree(tmp_path / "again")
 
 
+def text_computations(monkeypatch) -> list:
+    """Each ``Initial`` whose archive text is computed, once per computation:
+    ``Initial.text`` as a cached property of the same function, spied on."""
+    compute, computed = cli.Initial.text.func, []
+
+    def spy(initial):
+        computed.append(initial)
+        return compute(initial)
+
+    text = functools.cached_property(spy)
+    text.__set_name__(cli.Initial, "text")
+    monkeypatch.setattr(cli.Initial, "text", text)
+    return computed
+
+
+def test_an_initial_computes_its_archive_text_once(monkeypatch):
+    computed = text_computations(monkeypatch)
+    cfg = cli.RunConfig.from_dict({**D1Q3_GAUSS, "initial": {"overrides": [[3, 0.5]]}})
+    assert cfg.initial.text is cfg.initial.text == '{"overrides": [[3, 0.5]], "uniform": 0.0}'
+    assert computed == [cfg.initial]
+
+
+@pytest.mark.parametrize("command", ["run", "probe"])
+def test_run_and_probe_compute_their_initial_text_once(tmp_path, monkeypatch, command):
+    # run archives its config after its CSVs, so no CSV is written while the
+    # Initial keeps its text
+    computed, written, write = text_computations(monkeypatch), [], cli._write
+
+    def spy(blocks, *paths):
+        written.extend(path.name for path in paths)
+        write(blocks, *paths)
+
+    monkeypatch.setattr(cli, "_write", spy)
+    cfg = write_config(tmp_path, "c.json", snapshots=[10, 30])
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert len(computed) == 1
+    if command == "run":
+        assert written == ["report.json", "field_t10.csv", "field_t30.csv", "field.csv",
+                           "config.json"]
+
+
 SHARED_ROWS = [[1, 1], [2, 0.0], [3, 0.25]]
 
 
@@ -1345,8 +1384,8 @@ def rows_2d(n: int, m: int, seed: int) -> list:
 def test_compare_archives_share_only_identical_rows(tmp_path, monkeypatch, rows_b,
                                                      encodings, indent):
     # each archive is the stdlib's one-line layout of its own config; the
-    # initial field is encoded once only when the second config took the
-    # first's checked rows, as it does for the same initial text alone:
+    # initial text is computed once only when the second config took the
+    # first's checked Initial, as it does for the same initial text alone:
     # 1 == 1.0 and 0.0 == -0.0, yet each pair is different text
     rows_a, lattice = SHARED_ROWS, {}
     if isinstance(rows_b[0][0], list):
@@ -1357,13 +1396,7 @@ def test_compare_archives_share_only_identical_rows(tmp_path, monkeypatch, rows_
                          initial={"uniform": 0.1, "overrides": rows_b}, **lattice)
     if indent is not None:
         src_b.write_text(json.dumps(json.loads(src_b.read_text()), indent=indent))
-    text, initials = cli.Initial.text, []
-
-    def spy(initial):
-        initials.append(initial)
-        return text(initial)
-
-    monkeypatch.setattr(cli.Initial, "text", spy)
+    initials = text_computations(monkeypatch)
     cmp = tmp_path / "cmp"
     assert cli.main(["compare", "--config", str(src_a), str(src_b),
                      "--out", str(cmp)]) == 0
@@ -1423,30 +1456,35 @@ def test_a_compare_reads_a_shared_initial_field_once(tmp_path, monkeypatch):
         {**SHARING, "mode": "classical"})
 
 
-@pytest.mark.parametrize("changes", [
-    {"M": 8},  # a shared row lies outside the smaller lattice
-    {"M": 128},  # every row fits: compare refuses the two geometries
-    {"scheme": "D2Q5"},  # 1-D rows on a 2-D lattice
-    {"M": 8, "seed": -1},  # validate refuses the seed before reading rows
-    {"M": 8, "shots": 5},  # as it refuses a key its mode does not read
-    {"M": 8, "snapshots": [9]},  # but reads the rows before the snapshots
-    {"M": "8"},  # a key refused as it is parsed
-    {"M": 8, "bogus": 1},
+OTHER_LATTICE = "compared configs must share the lattice geometry"
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"M": 8}, OTHER_LATTICE),  # a shared row would lie outside the smaller lattice
+    ({"M": 128}, OTHER_LATTICE),  # every row would fit
+    ({"scheme": "D2Q5"}, OTHER_LATTICE),  # 1-D rows on a 2-D lattice
+    ({"M": 8, "seed": -1}, None),  # validate refuses the seed before the initial field
+    ({"M": 8, "shots": 5}, None),  # as it refuses a key its mode does not read
+    ({"M": 8, "snapshots": [9]}, OTHER_LATTICE),  # but the lattice before the snapshots
+    ({"M": "8"}, None),  # a key refused as it is parsed
+    ({"M": 8, "bogus": 1}, None),
 ], ids=["smaller", "larger", "2d", "seed", "shots", "snapshots", "m-text", "unknown-key"])
 def test_a_shared_initial_text_on_another_lattice_is_refused_as_before(
-        tmp_path, capsys, changes):
-    """The same initial text with another geometry is read in full: each
-    refusal, and which of two comes first, is that of the second config
-    read alone (``from_dict`` of ``json.loads``)."""
+        tmp_path, monkeypatch, capsys, changes, message):
+    """The same initial text on another lattice geometry is refused where the
+    second config reaches its initial field, with the compare's own message,
+    and none of its rows is read.  A refusal made before that point (None
+    here) is that of the second config read alone (``from_dict`` of
+    ``json.loads``)."""
     second = {**SHARING, "mode": "classical", **changes}
-    try:
-        cli.RunConfig.from_dict(json.loads(json.dumps(second)))
-    except cli.ConfigError as exc:
-        message = str(exc)
-    else:
-        message = "compared configs must share the lattice geometry"
+    if message is None:
+        with pytest.raises(cli.ConfigError) as alone:
+            cli.RunConfig.from_dict(json.loads(json.dumps(second)))
+        message = str(alone.value)
+    calls = rows_read(monkeypatch)
     paths = sharing_pair(tmp_path, json.dumps(second))
     assert cli.main(["compare", "--config", *paths, "--out", str(tmp_path / "o")]) == 2
+    assert calls == [(64,)]  # the first config's rows alone
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "o").exists()
 

@@ -87,7 +87,7 @@ def test_initial_field_matches_per_cell_reference(raw):
     assert cfg.initial_field().phi.tobytes() == reference_field(raw).tobytes()
     # and archived as the stdlib writes the rows, an int value as an int
     initial = {"overrides": rows, "uniform": float(raw["initial"]["uniform"])}
-    assert cfg.initial.text() == json.dumps(initial, sort_keys=True)
+    assert cfg.initial.text == json.dumps(initial, sort_keys=True)
 
 
 not_numbers = (st.booleans() | st.none() | st.text(max_size=2)
@@ -347,7 +347,7 @@ def test_text_the_walk_cannot_read_is_refused_as_json_loads_refuses_it(tmp_path_
     except cli.ConfigError as exc:
         message = str(exc)
     else:  # a truncation inside the trailing whitespace
-        assert cli.RunConfig.from_json(str(path)).initial.text() == expected.initial.text()
+        assert cli.RunConfig.from_json(str(path)).initial.text == expected.initial.text
         return
     with pytest.raises(cli.ConfigError) as refused:
         cli.RunConfig.from_json(str(path))
