@@ -29,7 +29,6 @@ from .lattice import (
     classical_step,
     diffusion_coefficient,
     drift,
-    effective_weights,
     uniform_field,
     weighted_stream_sum,
 )

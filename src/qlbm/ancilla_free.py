@@ -24,10 +24,10 @@ register and projects the direction register, and the stencil is held to it
 within a few ulp.
 
 Every circuit is built from the scheme's row in ``lattice._SCHEMES``: its
-velocities and the q-register code of each, with the weights that
-``effective_weights`` gives.  Only the final state is measured:
-``sample_readout`` draws shots from the post-selected branch of the last
-loop state, so no trajectory is lost to post-selection in the simulator.
+velocities and the q-register code of each, with the model's ``w_hat``.
+Only the final state is measured: ``sample_readout`` draws shots from the
+post-selected branch of the last loop state, so no trajectory is lost to
+post-selection in the simulator.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lattice import MacroField, ModelSpec, effective_weights, lattice_qubits, scheme_row
+from .lattice import MacroField, ModelSpec, lattice_qubits, scheme_row
 from .statevector import (
     Circuit,
     GateOp,
@@ -185,7 +185,7 @@ def _fold(spec: ModelSpec) -> np.ndarray:
     amps = np.zeros(layout.dim)
     amps[0] = 1.0
     state = QState(amps, layout)
-    for circuit in (build_collision(spec.scheme, effective_weights(spec), layout),
+    for circuit in (build_collision(spec.scheme, spec.w_hat, layout),
                     build_streaming(spec.scheme, layout), build_summation(layout)):
         state = apply_circuit(state, circuit)
     return state.amplitudes[: 1 << layout.d_qubits].reshape(layout.lattice_shape)
@@ -195,12 +195,11 @@ def _check_fold(kernel: np.ndarray, spec: ModelSpec):
     """The fold of the gates must be the weighted stream-sum the paper
     derives: c_a = w_hat_a / (||w_hat|| 2**(q/2)) at each velocity's cell
     and 0 at every other.  This sets the gate algebra (Ry angles, controls,
-    Hadamards) against ``effective_weights``; the stencil itself runs on the
+    Hadamards) against the model's ``w_hat``; the stencil itself runs on the
     kernel."""
-    w_hat = effective_weights(spec)
-    scale = 1.0 / (math.hypot(*w_hat) * 2.0 ** (spec.row.q_qubits / 2))
+    scale = 1.0 / (math.hypot(*spec.w_hat) * 2.0 ** (spec.row.q_qubits / 2))
     expected = np.zeros_like(kernel)
-    for e, w in zip(spec.e, w_hat):
+    for e, w in zip(spec.e, spec.w_hat):
         expected[_cell(e)] = w * scale
     if not np.all(np.abs(kernel - expected) <= 1e-12):
         raise AssertionError(f"the loop's gates fold to {kernel.tolist()}, "

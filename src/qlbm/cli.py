@@ -388,7 +388,7 @@ class RunConfig:
             raise ConfigError("seed must be >= 0")
         if self.mode == "legacy" and self.scheme != D1Q2:
             raise ConfigError("mode legacy runs the two-direction model: scheme D1Q2")
-        self.model_spec()  # lattice size, the row's model keys and omega
+        self.model_spec()  # lattice size, the row's model keys, omega and w_hat
         if math.prod(self.geometry) * 8 > np.iinfo(np.intp).max:  # a float64 field's bytes
             raise ConfigError(f"M: {self.M} gives a {self.geometry} lattice, more cells than "
                               "one float64 array can hold")

@@ -71,9 +71,11 @@ def lattice_qubits(m: int) -> int:
 class ModelSpec:
     """Lattice geometry, velocities, weights and transport parameters.
 
-    A scheme row with default weights derives w_hat from ``weights``,
-    ``c_s2`` and the velocity; a row without them (D1Q2) takes ``w_hat`` as
-    given and reads none of those.
+    A scheme row with default weights derives w_hat_a = w_a (1 + e_a.u /
+    c_s^2), in the row's direction order, from ``weights``, ``c_s2`` and the
+    velocity, once, here; a row without them (D1Q2) takes ``w_hat`` as given
+    and reads none of those.  Either way ``w_hat`` is checked here, and every
+    solver reads it as it is.
     """
 
     scheme: str
@@ -118,6 +120,18 @@ class ModelSpec:
         first_moment = sum(wa * np.asarray(ea) for wa, ea in zip(w, ref.e))
         if np.max(np.abs(first_moment)) > 1e-12:
             raise ValueError("velocity set must be symmetric (sum w_a e_a = 0)")
+        if np.any(w < 0):
+            raise ValueError("weights must be nonnegative")
+        u = np.asarray(self.velocity, dtype=float)
+        w_hat = []
+        for wa, ea in zip(self.weights, ref.e):
+            val = wa * (1.0 + float(np.dot(ea, u)) / self.c_s2)
+            if val < 0:
+                raise ValueError("advection too strong for weight set: "
+                                 f"direction {ea} gives w_hat = {val:.4g}")
+            w_hat.append(val)
+        assert abs(sum(w_hat) - 1.0) < 1e-12
+        self.w_hat = tuple(w_hat)
 
     @property
     def row(self) -> Scheme:
@@ -170,28 +184,9 @@ def uniform_field(geometry: tuple[int, ...], value: float) -> MacroField:
     return MacroField(np.full(math.prod(geometry), value), geometry)
 
 
-def effective_weights(spec: ModelSpec) -> tuple[float, ...]:
-    """w_hat_a = w_a (1 + e_a.u / c_s^2) in the row's direction order, or
-    the row's explicit w_hat as given."""
-    if spec.w_hat is not None:
-        return spec.w_hat
-    u = np.asarray(spec.velocity, dtype=float)
-    w_hat = []
-    for wa, ea in zip(spec.weights, spec.e):
-        val = wa * (1.0 + float(np.dot(ea, u)) / spec.c_s2)
-        if val < 0:
-            raise ValueError(
-                "advection too strong for weight set: "
-                f"direction {ea} gives w_hat = {val:.4g}"
-            )
-        w_hat.append(val)
-    assert abs(sum(w_hat) - 1.0) < 1e-12
-    return tuple(w_hat)
-
-
 def drift(spec: ModelSpec) -> np.ndarray:
     """Mean displacement of one step, m = sum_a w_hat_a e_a, in lattice units."""
-    w_hat = np.asarray(effective_weights(spec))
+    w_hat = np.asarray(spec.w_hat)
     return (w_hat[:, None] * np.asarray(spec.e, dtype=float)).sum(axis=0)
 
 
@@ -203,7 +198,7 @@ def diffusion_coefficient(spec: ModelSpec) -> np.ndarray:
     m is the drift; chi is half that growth.  Both moments are ufunc sums,
     not BLAS products, so their bits do not depend on the BLAS threads.
     """
-    w_hat = np.asarray(effective_weights(spec))
+    w_hat = np.asarray(spec.w_hat)
     e = np.asarray(spec.e, dtype=float)
     second = (w_hat[:, None, None] * e[:, :, None] * e[:, None, :]).sum(axis=0)
     m = drift(spec)
@@ -232,7 +227,7 @@ def classical_step(field: MacroField, spec: ModelSpec) -> MacroField:
     """
     if field.geometry != spec.geometry:
         raise ValueError("field geometry does not match spec")
-    return weighted_stream_sum(field, effective_weights(spec), spec.e)
+    return weighted_stream_sum(field, spec.w_hat, spec.e)
 
 
 def classical_run(field: MacroField, spec: ModelSpec, steps: int) -> MacroField:

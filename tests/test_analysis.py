@@ -10,7 +10,7 @@ from qlbm.analysis import (
     toffolis_per_mcx,
 )
 from qlbm.ancilla_free import build_streaming, build_summation, layout_for
-from qlbm.lattice import ModelSpec, effective_weights
+from qlbm.lattice import ModelSpec
 from qlbm.statevector import (
     Circuit,
     GateOp,
@@ -150,7 +150,7 @@ def pre_summation_state(spec, phi):
 
     layout = layout_for(spec)
     state = encode_amplitudes(phi.phi, layout).state
-    state = apply_circuit(state, build_collision(spec.scheme, effective_weights(spec), layout))
+    state = apply_circuit(state, build_collision(spec.scheme, spec.w_hat, layout))
     return apply_circuit(state, build_streaming(spec.scheme, layout))
 
 
@@ -176,7 +176,7 @@ def test_postselect_probability_uniform_field():
 
     spec = ModelSpec(scheme="D1Q3", M=64, u=0.2)
     state = pre_summation_state(spec, uniform_field((64,), 0.1))
-    w = np.asarray(effective_weights(spec))
+    w = np.asarray(spec.w_hat)
     expected = 1.0 / (4.0 * np.sum(w**2))
     assert np.isclose(postselect_probability(state), expected, atol=1e-12)
     assert np.isclose(projected_probability(state), expected, atol=1e-12)

@@ -25,7 +25,6 @@ from qlbm.lattice import (
     MacroField,
     ModelSpec,
     classical_run,
-    effective_weights,
     uniform_field,
 )
 from qlbm.statevector import (
@@ -255,7 +254,7 @@ def test_summation_zero_block_sums_directions():
     rng = np.random.default_rng(1)
     phi = rng.random(8)
     state = encode_amplitudes(phi, layout).state
-    state = apply_circuit(state, build_collision("D1Q3", effective_weights(spec), layout))
+    state = apply_circuit(state, build_collision("D1Q3", spec.w_hat, layout))
     state = apply_circuit(state, build_streaming("D1Q3", layout))
     before = state.amplitudes.reshape(4, 8)
     out = apply_circuit(state, build_summation(layout))
@@ -268,7 +267,7 @@ def test_summation_d2q5_normalization_factor():
     rng = np.random.default_rng(2)
     phi = rng.random(16)
     state = encode_amplitudes(phi, layout).state
-    state = apply_circuit(state, build_collision("D2Q5", effective_weights(spec), layout))
+    state = apply_circuit(state, build_collision("D2Q5", spec.w_hat, layout))
     state = apply_circuit(state, build_streaming("D2Q5", layout))
     before = state.amplitudes.reshape(8, 16)
     out = apply_circuit(state, build_summation(layout))
@@ -431,7 +430,7 @@ def loop_models(draw, schemes=("D1Q3", "D2Q5", "D1Q2")):
 @given(spec=loop_models(("D1Q3", "D2Q5")), data=st.data())
 def test_table_built_circuits_equal_the_frozen_ones(spec, data):
     layout = layout_for(spec)
-    w_hat = effective_weights(spec)
+    w_hat = spec.w_hat
     assert build_collision(spec.scheme, w_hat, layout).ops == frozen_collision(w_hat)
     # any nonnegative weights, zeros included, not only a model's
     n = len(spec.e)
@@ -452,7 +451,7 @@ def run_loop_gates(loop_state: LoopState, spec: ModelSpec, loops: int = 1) -> Lo
     and projects the direction register.  2**q times the state; the
     reference the stencil is tested against, which never runs the stencil."""
     layout = layout_for(spec)
-    circuits = (build_collision(spec.scheme, effective_weights(spec), layout),
+    circuits = (build_collision(spec.scheme, spec.w_hat, layout),
                 build_streaming(spec.scheme, layout), build_summation(layout))
     block = loop_state.state
     if block.layout != QubitLayout(0, layout.axis_qubits):
@@ -501,7 +500,7 @@ def survival_limit(spec: ModelSpec) -> float:
     >= 0, whose symbol has its largest modulus, sum_a c_a, at k = 0: no loop
     keeps more than (sum_a c_a)**2 of any state, and a field with a nonzero
     mean comes to keep that much as it spreads."""
-    w_hat = np.asarray(effective_weights(spec))
+    w_hat = np.asarray(spec.w_hat)
     return 1.0 / (2 ** spec.row.q_qubits * float(np.sum(w_hat**2)))
 
 
@@ -549,7 +548,7 @@ def test_stencil_calls_chain(spec, splits, seed):
                                   ModelSpec(scheme="D2Q5", M=2, u=0.1, v=0.2),
                                   ModelSpec(scheme="D1Q3", M=256, u=-0.3)])
 def test_fold_is_the_weighted_stream_sum(spec):
-    w_hat = effective_weights(spec)
+    w_hat = spec.w_hat
     kernel = _fold(spec)
     assert kernel.shape == (4,) * spec.ndim  # 4 cells per axis, whatever M
     norm = math.sqrt(sum(w * w for w in w_hat))

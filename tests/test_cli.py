@@ -32,7 +32,6 @@ from qlbm.lattice import (
     classical_run,
     diffusion_coefficient,
     drift,
-    effective_weights,
 )
 from qlbm.readout import (
     difference_reconstruct,
@@ -188,7 +187,7 @@ def test_report_log10_postselect_matches_spectral_oracle(tmp_path, updates):
     raw, phi = hill_config(**updates)
     report = run_report(tmp_path, "o", **raw)
     spec = cli.RunConfig.from_dict(raw).model_spec()
-    w_hat = effective_weights(spec)
+    w_hat = spec.w_hat
     phi0 = phi - phi.min() if raw.get("difference_mode") else phi
     loops = raw["loops"]
     log_p = spectral_log_postselect(phi0, spectral_run(phi0, w_hat, spec.e, loops),
@@ -1283,6 +1282,35 @@ def test_a_refused_config_value_names_its_key(tmp_path, capsys, updates, message
     cfg = write_config(tmp_path, "bad.json", **updates)
     assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("updates, message", [
+    ({"weights": [1.2, -0.1, -0.1]}, "weights must be nonnegative"),
+    ({"u": 1.5}, "advection too strong for weight set: direction (-1,) gives w_hat = -0.1667"),
+], ids=["negative-weight", "strong-advection"])
+def test_a_model_with_a_negative_weight_is_refused_where_it_is_read(
+        tmp_path, monkeypatch, capsys, updates, message):
+    """A negative weight at u = 0, or an advection that makes some w_hat_a
+    negative, is refused while its config is read: every command exits 2
+    and writes nothing, and a compare whose second config is such a one
+    evolves neither side."""
+    calls = collections.Counter()
+    for name in ("run_loop_exact", "classical_step"):
+        def counted(*args, _name=name, _original=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    good = str(write_config(tmp_path, "good.json"))
+    bad = str(write_config(tmp_path, "bad.json", mode="classical", **updates))
+    bad_exact = str(write_config(tmp_path, "bad_exact.json", **updates))
+    for argv in (["run", "--config", bad], ["run", "--config", bad_exact],
+                 ["probe", "--config", bad_exact], ["compare", "--config", good, bad],
+                 ["compare", "--config", bad_exact, good]):
+        out = tmp_path / "o"
+        assert cli.main([*argv, "--out", str(out)]) == 2, argv
+        assert capsys.readouterr().err == f"config error: bad config: {message}\n"
+        assert not out.exists()
+    assert calls == {}
 
 
 @pytest.mark.parametrize("updates", [

@@ -9,7 +9,6 @@ from qlbm.lattice import (
     classical_run,
     classical_step,
     diffusion_coefficient,
-    effective_weights,
     uniform_field,
     weighted_stream_sum,
 )
@@ -22,18 +21,18 @@ def d1_spec(**kw):
 # ----------------------------------------------------------------- weights
 
 def test_effective_weights_zero_velocity():
-    w_hat = effective_weights(d1_spec(u=0.0))
+    w_hat = d1_spec(u=0.0).w_hat
     assert np.allclose(w_hat, (1 / 3, 1 / 3, 1 / 3))
 
 
 def test_effective_weights_d1q3_defaults():
-    w_hat = effective_weights(d1_spec(u=0.2))
+    w_hat = d1_spec(u=0.2).w_hat
     assert np.allclose(w_hat, (1 / 3, 0.4, 1 / 3 * 0.8))
 
 
 def test_effective_weights_d2q5_defaults():
     spec = ModelSpec(scheme="D2Q5", M=16, u=0.2, v=0.15)
-    w_hat = effective_weights(spec)
+    w_hat = spec.w_hat
     expected = (1 / 3, (1 + 0.6) / 6, (1 - 0.6) / 6, (1 + 0.45) / 6, (1 - 0.45) / 6)
     assert np.allclose(w_hat, expected)
 
@@ -42,12 +41,54 @@ def test_effective_weights_sum_to_one():
     rng = np.random.default_rng(0)
     for _ in range(50):
         u = rng.uniform(-0.9, 0.9)
-        assert abs(sum(effective_weights(d1_spec(u=u, c_s2=1.0))) - 1.0) < 1e-12
+        assert abs(sum(d1_spec(u=u, c_s2=1.0).w_hat) - 1.0) < 1e-12
 
 
 def test_effective_weights_reject_strong_advection():
     with pytest.raises(ValueError, match="advection too strong"):
-        effective_weights(d1_spec(u=1.5))
+        d1_spec(u=1.5)
+    with pytest.raises(ValueError, match="advection too strong"):
+        ModelSpec(scheme="D2Q5", M=8, u=0.1, v=-0.4)
+
+
+def own_w_hat(weights, e, velocity, c_s2):
+    """w_hat_a = w_a (1 + e_a.u / c_s^2), in plain floats, one direction at a time."""
+    return tuple(wa * (1.0 + sum(ei * ui for ei, ui in zip(ea, velocity)) / c_s2)
+                 for wa, ea in zip(weights, e))
+
+
+D1Q3_E = ((0,), (1,), (-1,))
+D2Q5_E = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+@pytest.mark.parametrize("scheme, weights, c_s2", [
+    ("D1Q3", None, None),
+    ("D1Q3", (2 / 3, 1 / 6, 1 / 6), 1 / 3),
+    ("D1Q3", (0.5, 0.25, 0.25), 0.7),
+    ("D2Q5", None, None),
+    ("D2Q5", (0.2, 0.2, 0.2, 0.2, 0.2), 0.4),
+    ("D2Q5", (0.6, 0.1, 0.1, 0.1, 0.1), 0.25),
+], ids=["d1q3-default", "d1q3-standard", "d1q3-explicit", "d2q5-default",
+        "d2q5-uniform", "d2q5-explicit"])
+def test_w_hat_is_the_formula_bit_for_bit(scheme, weights, c_s2):
+    """The model's w_hat, held to the formula computed here without
+    ``ModelSpec``, for velocities up to the advection limit |u| <= c_s2 on
+    each axis (|u| + |v| <= c_s2 in 2-D, so that no w_hat is negative)."""
+    e = D1Q3_E if scheme == "D1Q3" else D2Q5_E
+    w = weights or ((1 / 3,) * 3 if scheme == "D1Q3" else (1 / 3,) + (1 / 6,) * 4)
+    cs2 = c_s2 or (1.0 if scheme == "D1Q3" else 1 / 3)
+    rng = np.random.default_rng(11)
+    velocities = [(0.0, 0.0), (cs2, 0.0), (-cs2, 0.0), (0.1, 0.0)]
+    if scheme == "D2Q5":
+        velocities += [(0.0, cs2), (0.0, -0.1), (cs2 / 2, -cs2 / 2)]
+    for _ in range(40):
+        u = rng.uniform(-1.0, 1.0) * cs2
+        v = rng.uniform(-1.0, 1.0) * (cs2 - abs(u)) if scheme == "D2Q5" else 0.0
+        velocities.append((u, v))
+    for u, v in velocities:
+        velocity = (u, v)[: len(e[0])]
+        spec = ModelSpec(scheme=scheme, M=8, u=u, v=v, weights=weights, c_s2=c_s2)
+        assert spec.w_hat == own_w_hat(w, e, velocity, cs2), (u, v)
 
 
 def test_model_spec_validation():
@@ -61,6 +102,11 @@ def test_model_spec_validation():
         ModelSpec(scheme="D4Q9", M=8)
     with pytest.raises(ValueError, match="reads no v"):
         ModelSpec(scheme="D1Q3", M=8, v=0.1)
+    # at u = 0, w_hat = w: a negative weight is malformed, not strong advection
+    with pytest.raises(ValueError, match="weights must be nonnegative"):
+        ModelSpec(scheme="D1Q3", M=8, weights=(1.2, -0.1, -0.1))
+    with pytest.raises(ValueError, match="weights must be nonnegative"):
+        ModelSpec(scheme="D2Q5", M=8, weights=(1.4, -0.1, -0.1, -0.1, -0.1))
     with pytest.raises(ValueError, match="leave it unset"):
         ModelSpec(scheme="D1Q3", M=8, w_hat=(0.5, 0.5))
     # the two-direction row takes w_hat as given, and nothing it does not read
@@ -71,7 +117,7 @@ def test_model_spec_validation():
         with pytest.raises(ValueError):
             ModelSpec(scheme="D1Q2", M=8, **bad)
     spec = ModelSpec(scheme="D1Q2", M=8, w_hat=[0.75, 0.25])
-    assert effective_weights(spec) == (0.75, 0.25)
+    assert spec.w_hat == (0.75, 0.25)
     assert (spec.weights, spec.c_s2, spec.geometry) == (None, None, (8,))
 
 

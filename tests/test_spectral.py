@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from test_ancilla_free import loop_models
 
 from qlbm.ancilla_free import layout_for, log_cumulative, run_exact
-from qlbm.lattice import MacroField, ModelSpec, effective_weights
+from qlbm.lattice import MacroField, ModelSpec
 from qlbm.readout import macroscopic_exact
 
 
@@ -66,7 +66,7 @@ def check_against_oracle(spec, loops, difference_mode):
     phi = hills(spec.geometry)
     ls = run_exact(MacroField(phi.ravel(), spec.geometry), spec, loops, difference_mode)
     phi0 = phi - phi.min() if difference_mode else phi
-    w_hat = effective_weights(spec)
+    w_hat = spec.w_hat
     expected = spectral_run(phi0, w_hat, spec.e, loops)
 
     got = macroscopic_exact(ls.state, ls.initial_l1).grid()
